@@ -135,9 +135,12 @@ def _required(args, name, fallback=None):
 
 def _as_float(value, name) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"--{name} expects a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"--{name} expects a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, name) -> int:
@@ -233,7 +236,7 @@ def _sample_times(dt: float, t_final: float, stride: int) -> tuple[np.ndarray, i
     steps = int(round(steps_float))
     if steps < 1 or abs(steps_float - steps) > 1e-9:
         raise ConfigError(f"t-final {t_final} is not a whole number of dt {dt} steps")
-    marks = [j for j in range(0, steps + 1) if j % stride == 0]
+    marks = list(range(0, steps + 1, stride))
     if marks[-1] != steps:
         marks.append(steps)
     return np.array([j * dt for j in marks]), steps

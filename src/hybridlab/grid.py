@@ -8,9 +8,23 @@ representations of one axis splits into groups of simultaneously diagonal
 terms; evolution applies exact phase factors exp(-i * term * dt) per group
 in a Strang-symmetric sweep, so each substep is exactly unitary.
 
+Stepping works in place on one buffer the engine owns (phases multiplied in
+place, FFTs allowed to overwrite it).  The sweep opens and closes with the
+same dt/2 phase, so between samples the closing half of one step and the
+opening half of the next are applied as one full-dt phase (first same as
+last, FSAL); the dt/2 closing phase is applied only before a sample.  This
+regroups identical diagonal factors and leaves the scheme unchanged.
+
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
-correct whether an axis is in position or momentum form.
+correct whether an axis is in position or momentum form.  A monomial
+touches few axes, so it is evaluated on the marginal of |psi|^2 over just
+those axes, in their required representations.  By Parseval the 1-D FFT
+along a summed-out axis preserves the sum, so the marginal does not depend
+on the representation of the axes it drops.  Sampling walks the fewest
+one-axis transforms (on a scratch copy) that reach every needed marginal
+and computes |psi|^2 once per representation on that walk; the norm and
+the boundary edge masses come from the same marginals.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,11 +130,18 @@ class AxisSpec:
     def __post_init__(self):
         if self.label not in AXIS_LABELS:
             raise ValueError(f"axis label must be one of {AXIS_LABELS}, got {self.label!r}")
-        if not self.half_extent > 0:
-            raise ValueError("half extent must be positive")
+        if not (self.half_extent > 0 and math.isfinite(self.half_extent)):
+            raise ValueError(
+                f"half extent must be positive and finite, got {self.half_extent!r}"
+            )
         n = self.points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"point count must be a power of two >= 8, got {n}")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(
+                f"axis {self.label!r}: grid spacing {self.spacing!r} is not a "
+                "positive finite number"
+            )
 
     @property
     def spacing(self) -> float:
@@ -210,6 +232,8 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     psi = np.ones(spec.shape, dtype=complex)
     for i, ax in enumerate(spec.axes):
         mu, sigma = means[i], widths[i]
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ValueError(f"mean and width for axis {ax.label!r} must be finite")
         if not sigma > 0:
             raise ValueError(f"width for axis {ax.label!r} must be positive")
         if abs(mu) + 4.0 * sigma >= ax.half_extent:
@@ -311,19 +335,24 @@ def _merge_rep(a: tuple, b: tuple) -> tuple:
     return tuple(x if x is not None else y for x, y in zip(a, b))
 
 
+def _monomial_values(spec: GridSpec, mono: Monomial, rep: tuple) -> np.ndarray:
+    """prod(axis values ** exponent) in the representations rep, broadcastable."""
+    factor = np.ones((1,) * len(spec.axes))
+    for gen_idx, exp in enumerate(mono.exponents):
+        if exp == 0:
+            continue
+        name = GENERATOR_NAMES[gen_idx]
+        label = name if name in MOMENTUM_OF else _POSITION_OF[name]
+        i = spec.index(label)
+        factor = factor * spec._axis_values(i, rep[i]) ** exp
+    return factor
+
+
 def _group_potential(spec: GridSpec, terms) -> np.ndarray:
     """Sum of coeff * prod(axis values) over the group, broadcastable."""
     total = np.zeros((1,) * len(spec.axes))
     for mono, coeff, rep in terms:
-        factor = np.ones((1,) * len(spec.axes))
-        for gen_idx, exp in enumerate(mono.exponents):
-            if exp == 0:
-                continue
-            name = GENERATOR_NAMES[gen_idx]
-            label = name if name in MOMENTUM_OF else _POSITION_OF[name]
-            i = spec.index(label)
-            factor = factor * spec._axis_values(i, rep[i]) ** exp
-        total = total + coeff * factor
+        total = total + coeff * _monomial_values(spec, mono, rep)
     return total
 
 
@@ -399,80 +428,140 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
 # ---------------------------------------------------------------------------
 
 
-def _transform_axis(arr: np.ndarray, axis: int, target: str) -> np.ndarray:
+def _transform_axis(
+    arr: np.ndarray, axis: int, target: str, overwrite: bool = False
+) -> np.ndarray:
     if target == "mom":
-        return _fft.fft(arr, axis=axis, norm="ortho", workers=_workers)
-    return _fft.ifft(arr, axis=axis, norm="ortho", workers=_workers)
+        return _fft.fft(arr, axis=axis, norm="ortho", workers=_workers,
+                        overwrite_x=overwrite)
+    return _fft.ifft(arr, axis=axis, norm="ortho", workers=_workers,
+                     overwrite_x=overwrite)
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple) -> np.ndarray:
+    """Transform the engine's own buffer in place into group_rep."""
     for i, want in enumerate(group_rep):
         if want is not None and reps[i] != want:
-            arr = _transform_axis(arr, i, want)
+            arr = _transform_axis(arr, i, want, overwrite=True)
             reps[i] = want
     return arr
 
 
-class _RepCache:
-    """Read-only views of one array in whatever representations are asked."""
-
-    def __init__(self, arr: np.ndarray, reps: tuple):
-        self._base = arr
-        self._base_reps = tuple(reps)
-        self._cache = {self._base_reps: arr}
-
-    def get(self, want: tuple) -> np.ndarray:
-        # complete unconstrained axes with the base representation
-        full = tuple(
-            w if w is not None else b for w, b in zip(want, self._base_reps)
-        )
-        if full in self._cache:
-            return self._cache[full]
-        arr = self._base
-        for i, (have, need) in enumerate(zip(self._base_reps, full)):
-            if have != need:
-                arr = _transform_axis(arr, i, need)
-        self._cache[full] = arr
-        return arr
+_FLIP = {"pos": "mom", "mom": "pos"}
 
 
-def _monomial_expectation(cache: _RepCache, spec: GridSpec, mono: Monomial) -> float:
-    rep = _term_representation(spec, mono)
-    arr = cache.get(rep)
-    density = np.abs(arr) ** 2
-    weight = np.ones((1,) * len(spec.axes))
-    for gen_idx, exp in enumerate(mono.exponents):
-        if exp == 0:
-            continue
-        name = GENERATOR_NAMES[gen_idx]
-        label = name if name in MOMENTUM_OF else _POSITION_OF[name]
-        i = spec.index(label)
-        actual = rep[i] if rep[i] is not None else "pos"
-        weight = weight * spec._axis_values(i, actual) ** exp
-    return float(np.sum(weight * density)) * spec.cell_volume
+def _meets(reps: tuple, key: tuple) -> bool:
+    return all(reps[i] == want for i, want in key)
 
 
-def _polynomial_expectation(
-    cache: _RepCache, spec: GridSpec, a: OperatorPolynomial
-) -> Expectation:
-    value = 0.0
-    resid = 0.0
-    for mono, coeff in a.monomials():
-        base = _monomial_expectation(cache, spec, mono)
-        value += float(coeff.real) * base
-        resid += float(coeff.imag) * base
-    return Expectation(value, resid)
+def _walk(base: tuple, keys) -> list[tuple]:
+    """Shortest chain of one-axis flips from base meeting every key.
+
+    A key ((axis, rep), ...) is met by any visited representation that
+    agrees with it on its axes.  Breadth-first over (current, visited)
+    pairs: at most 2^3 representations, so the search is tiny and always
+    ends (visiting all of them meets every consistent key).
+    """
+    start = (base, frozenset([base]))
+    paths = {start: [base]}
+    queue = deque([start])
+    while True:
+        state = queue.popleft()
+        reps, seen = state
+        if all(any(_meets(v, k) for v in seen) for k in keys):
+            return paths[state]
+        for i in range(len(reps)):
+            nxt = reps[:i] + (_FLIP[reps[i]],) + reps[i + 1:]
+            new = (nxt, seen | {nxt})
+            if new not in paths:
+                paths[new] = paths[state] + [nxt]
+                queue.append(new)
+
+
+class _Sampler:
+    """Norm, edge masses and observer expectations from |psi|^2 marginals.
+
+    Built once per (observer set, base representation).  A monomial's
+    expectation needs only the marginal of |psi|^2 over the axes it
+    touches, each in the representation the monomial is diagonal in;
+    summed-out axes may be in either representation (Parseval).  The plan
+    walks the fewest one-axis transforms from the base that meet every
+    marginal, on a scratch copy, and takes |psi|^2 once per representation
+    that owes a marginal.
+    """
+
+    def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
+        self.spec = spec
+        ndim = len(spec.axes)
+        # a key ((axis, rep), ...) names the marginal over its axes
+        self.edge_keys = [((i, "pos"),) for i in range(ndim)] if boundary else []
+        self.terms = []  # per observer: [(key, weight, coeff)]
+        for poly in observers:
+            entries = []
+            for mono, coeff in poly.monomials():
+                rep = _term_representation(spec, mono)
+                key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
+                entries.append((key, _monomial_values(spec, mono, rep), coeff))
+            self.terms.append(entries)
+        keys = list(dict.fromkeys(
+            self.edge_keys + [key for entries in self.terms for key, _, _ in entries]
+        )) or [()]
+        self.norm_key = keys[0]
+        path = _walk(tuple(base), keys)
+        self.stops = []  # (axis, target) transform into the stop, keys it owes
+        for n, reps in enumerate(path):
+            owed = [k for k in keys if _meets(reps, k)]
+            keys = [k for k in keys if k not in owed]
+            move = None
+            if n:
+                axis = next(i for i, r in enumerate(reps) if r != path[n - 1][i])
+                move = (axis, reps[axis])
+            self.stops.append((move, owed))
+
+    def measure(self, arr: np.ndarray):
+        """(norm, edge mass per axis, Expectation per observer); arr is left as is."""
+        ndim = len(self.spec.axes)
+        marginals = {}
+        for n, (move, owed) in enumerate(self.stops):
+            if move is not None:
+                # the first transform reads the caller's array: never overwrite it
+                arr = _transform_axis(arr, *move, overwrite=n > 1)
+            if owed:
+                density = np.abs(arr) ** 2
+                for key in owed:
+                    kept = {i for i, _ in key}
+                    drop = tuple(j for j in range(ndim) if j not in kept)
+                    marginals[key] = np.sum(density, axis=drop, keepdims=True)
+                del density  # one density alive at a time
+        volume = self.spec.cell_volume
+        norm = math.sqrt(float(np.sum(marginals[self.norm_key])) * volume)
+        edges = []
+        for key in self.edge_keys:
+            m = marginals[key].ravel()
+            edge = float(np.sum(m[:_BOUNDARY_CELLS]) + np.sum(m[-_BOUNDARY_CELLS:]))
+            edges.append(edge * volume)
+        values = []
+        for entries in self.terms:
+            value = 0.0
+            resid = 0.0
+            for key, weight, coeff in entries:
+                base = float(np.sum(weight * marginals[key])) * volume
+                value += float(coeff.real) * base
+                resid += float(coeff.imag) * base
+            values.append(Expectation(value, resid))
+        return norm, edges, values
 
 
 def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
     """<psi|A|psi> for a representation-diagonal polynomial A.
 
     Evaluated monomial-wise: each term is diagonal in some mixed
-    representation, where its expectation is a plain weighted quadrature
-    of |psi|^2.  Returns the real value with the imaginary residual.
+    representation, where its expectation is a weighted quadrature of the
+    marginal of |psi|^2 over the axes it touches.  Returns the real value
+    with the imaginary residual.
     """
-    cache = _RepCache(state.array, ("pos",) * len(state.spec.axes))
-    return _polynomial_expectation(cache, state.spec, a)
+    base = ("pos",) * len(state.spec.axes)
+    return _Sampler(state.spec, base, [a], boundary=False).measure(state.array)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +583,6 @@ class EvolutionResult:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
-def _check_boundary(cache: _RepCache, spec: GridSpec, t: float) -> None:
-    arr = cache.get(("pos",) * len(spec.axes))
-    density = np.abs(arr) ** 2
-    for i, ax in enumerate(spec.axes):
-        other = tuple(j for j in range(len(spec.axes)) if j != i)
-        marginal = np.sum(density, axis=other) * spec.cell_volume
-        edge = float(np.sum(marginal[:_BOUNDARY_CELLS]) + np.sum(marginal[-_BOUNDARY_CELLS:]))
-        if edge > _BOUNDARY_MASS_LIMIT:
-            raise BoxOverflow(
-                f"axis {ax.label!r} holds {edge:.3e} probability mass within "
-                f"{_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
-            )
-
-
 def evolve(
     state: GridState,
     plan: PropagatorPlan,
@@ -522,7 +597,7 @@ def evolve(
     t_final must be a whole number of |dt| steps (the sign of the plan's
     dt sets the direction of time).  Samples always include t = 0 and the
     final step.  Raises BoxOverflow if probability mass reaches the box
-    edge at a sample point.
+    edge at a sample point.  state.array is left untouched.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -542,10 +617,13 @@ def evolve(
             labeled.append((str(obs[0]), obs[1]))
         else:
             labeled.append((f"obs{idx}", obs))
+    polys = [poly for _, poly in labeled]
 
-    ndim = len(plan.spec.axes)
+    spec = plan.spec
+    ndim = len(spec.axes)
     work = state.array.copy()
     reps = ["pos"] * ndim
+    samplers: dict[tuple, _Sampler] = {}
 
     times: list[float] = []
     rows: list[list[float]] = []
@@ -554,32 +632,47 @@ def evolve(
 
     def sample(step: int) -> None:
         t = step * dt
-        cache = _RepCache(work, tuple(reps))
-        if boundary_check:
-            _check_boundary(cache, plan.spec, t)
-        nrm2 = float(np.sum(np.abs(work) ** 2)) * plan.spec.cell_volume
-        norms.append(math.sqrt(nrm2))
-        row = []
-        for oi, (_, poly) in enumerate(labeled):
-            e = _polynomial_expectation(cache, plan.spec, poly)
-            row.append(e.value)
+        base = tuple(reps)
+        if base not in samplers:
+            samplers[base] = _Sampler(spec, base, polys, boundary_check)
+        norm, edges, expectations = samplers[base].measure(work)
+        for ax, edge in zip(spec.axes, edges):
+            if edge > _BOUNDARY_MASS_LIMIT:
+                raise BoxOverflow(
+                    f"axis {ax.label!r} holds {edge:.3e} probability mass within "
+                    f"{_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
+                )
+        norms.append(norm)
+        for oi, e in enumerate(expectations):
             resid[oi] = max(resid[oi], abs(e.imag_residual))
         times.append(t)
-        rows.append(row)
+        rows.append([e.value for e in expectations])
+
+    # FSAL: a multi-group sequence opens and closes with the same dt/2
+    # phase, so between samples one step's closing half and the next
+    # step's opening half are applied together as one full-dt phase.
+    sweep = [plan.groups[gi] for gi in plan.sequence]
+    head = sweep[0]
+    fsal = len(sweep) > 1
+    fused = head.phase * head.phase if fsal else head.phase
+    owed = False  # the closing half-phase of the previous step is pending
 
     sample(0)
     for step in range(1, steps + 1):
-        for gi in plan.sequence:
-            group = plan.groups[gi]
+        work = _bring_to(work, reps, head.rep)
+        work *= fused if owed else head.phase
+        for group in sweep[1:-1]:
             work = _bring_to(work, reps, group.rep)
-            work = work * group.phase
+            work *= group.phase
+        owed = fsal
         if step % stride == 0 or step == steps:
+            if owed:
+                work = _bring_to(work, reps, head.rep)
+                work *= head.phase
+                owed = False
             sample(step)
 
-    for i in range(ndim):
-        if reps[i] != "pos":
-            work = _transform_axis(work, i, "pos")
-            reps[i] = "pos"
+    work = _bring_to(work, reps, ("pos",) * ndim)
 
     return EvolutionResult(
         times=np.array(times),
@@ -587,7 +680,7 @@ def evolve(
         values=np.array(rows) if rows else np.zeros((0, 0)),
         imag_residuals=resid,
         norms=np.array(norms),
-        final_state=GridState(plan.spec, work),
+        final_state=GridState(spec, work),
     )
 
 

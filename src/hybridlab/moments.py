@@ -440,10 +440,6 @@ def classify_spectrum(G: GeneratorMatrix, tol: float = 1e-9) -> SpectrumReport:
 # Quadratic expectations.
 # ---------------------------------------------------------------------------
 
-_PAIR_OF = {}
-for _pos, _mom in CONJUGATE_PAIRS:
-    _PAIR_OF[(_pos, _mom)] = True
-
 
 def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float:
     """<k_op> on a MomentState, exact through degree 2.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hybridlab import fit_envelope, read_csv
-from hybridlab.cli import main
+from hybridlab.cli import _sample_times, main
 
 
 def run(capsys, *argv):
@@ -166,6 +166,18 @@ def test_simulate_is_deterministic(capsys, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("dt, t_final, stride, marks", [
+    (0.01, 0.1, 5, [0, 5, 10]),
+    (0.1, 1.0, 3, [0, 3, 6, 9, 10]),  # stride does not divide the step count
+    (0.5, 2.0, 1, [0, 1, 2, 3, 4]),
+    (0.01, 0.07, 10, [0, 7]),  # stride beyond the last step
+])
+def test_sample_times_pinned(dt, t_final, stride, marks):
+    times, steps = _sample_times(dt, t_final, stride)
+    assert steps == marks[-1]
+    assert np.array_equal(times, np.array([j * dt for j in marks]))
+
+
 def test_classical_mode_via_moments(capsys, tmp_path):
     out_dir = tmp_path / "cc"
     code, _, _ = run(
@@ -243,6 +255,31 @@ def test_bad_mean_name_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--mean", "p=1.0")
     assert code == 2
     assert "--mean supports" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--grid-l", "inf"], "finite"),
+    (["--grid-l", "1e308"], "spacing"),
+    (["--mean", "q=nan"], "finite"),
+])
+def test_non_finite_grid_inputs_exit_2(capsys, tmp_path, flags, message):
+    out_dir = tmp_path / "nf"
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "grid", "--grid-n", "8",
+        "--t-final", "0.1", "--out", str(out_dir), *flags,
+    )
+    assert code == 2
+    assert message in err
+    assert not (out_dir / "grid.csv").exists()
+
+
+def test_non_finite_moment_inputs_exit_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "moments",
+        "--t-final", "1", "--mean", "x=inf", "--out", str(tmp_path / "nf"),
+    )
+    assert code == 2
+    assert "finite" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

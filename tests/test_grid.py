@@ -9,7 +9,9 @@ import pytest
 from hybridlab import (
     AxisSpec,
     BoxOverflow,
+    GENERATOR_NAMES,
     GridSpec,
+    GridState,
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
@@ -63,6 +65,9 @@ def test_axis_validation():
         AxisSpec("x", 8.0, 4)  # too few points
     with pytest.raises(ValueError):
         AxisSpec("x", -1.0, 32)
+    for bad in (math.inf, math.nan, 1e308):  # 1e308: finite, but its spacing is not
+        with pytest.raises(ValueError):
+            AxisSpec("x", bad, 32)
     with pytest.raises(ValueError):
         GridSpec((AxisSpec("x", 8.0, 32), AxisSpec("x", 8.0, 32)))
 
@@ -92,6 +97,13 @@ def test_gaussian_state_out_of_box():
         gaussian_state(_spec1(), {"q": 5.5}, WIDTH)
     with pytest.raises(OutOfBox):
         gaussian_state(_spec1(), {"q": 0.0}, 2.1)
+
+
+def test_gaussian_state_rejects_non_finite():
+    for means, widths in (({"q": math.nan}, WIDTH), ({"q": math.inf}, WIDTH),
+                          ({"q": 0.0}, math.nan), ({"q": 0.0}, math.inf)):
+        with pytest.raises(ValueError):
+            gaussian_state(_spec1(), means, widths)
 
 
 def test_gaussian_state_sequence_arguments():
@@ -190,6 +202,108 @@ def test_grid_matches_moment_engine():
         for j, (label, poly) in enumerate(observers):
             worst = max(worst, abs(result.values[i, j] - quadratic_expectation(poly, s)))
     assert worst < 1e-3
+
+
+def test_fsal_merge_matches_sampling_every_step():
+    spec = _spec3()
+    observers = default_observers("hybrid", K_COUPLING)
+    plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
+    state = gaussian_state(spec, {"x": 0.4, "y": -0.2, "q": 0.2}, WIDTH)
+    every = evolve(state, plan, 0.2, observers=observers, stride=1)
+    merged = evolve(state, plan, 0.2, observers=observers, stride=7)
+    shared = [0, 7, 14, 20]
+    assert np.array_equal(every.times[shared], merged.times)
+    assert np.max(np.abs(every.values[shared] - merged.values)) < 1e-12
+    assert np.max(np.abs(every.norms[shared] - merged.norms)) < 1e-12
+    diff = np.max(np.abs(every.final_state.array - merged.final_state.array))
+    assert diff < 1e-12
+
+
+def test_evolution_and_sampling_leave_the_input_state_alone():
+    spec = _spec3()
+    plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
+    state = gaussian_state(spec, {"x": 0.4, "y": 0.0, "q": 0.2}, WIDTH)
+    before = state.array.copy()
+    result = evolve(state, plan, 0.05, observers=default_observers("hybrid", K_COUPLING),
+                    stride=2)
+    assert np.array_equal(state.array, before)
+    assert not np.shares_memory(result.final_state.array, state.array)
+    final = result.final_state.array.copy()
+    for label, poly in default_observers("hybrid", K_COUPLING):
+        grid_expectation(result.final_state, poly)
+    assert np.array_equal(result.final_state.array, final)
+
+
+_POSITION_LABEL = {"q": "q", "x": "x", "y": "y", "p": "q", "p_x": "x", "p_y": "y"}
+
+
+def _full_grid_expectation(state, poly):
+    """Reference: every monomial as a weighted sum over the whole grid."""
+    spec = state.spec
+    value = resid = 0.0
+    for mono, coeff in poly.monomials():
+        arr = state.array
+        weight = np.ones(spec.shape)
+        for name, exp in zip(GENERATOR_NAMES, mono.exponents):
+            if not exp:
+                continue
+            i = spec.index(_POSITION_LABEL[name])
+            axis = spec.axes[i]
+            if name == _POSITION_LABEL[name]:
+                values = axis.positions()
+            else:
+                arr = np.fft.fft(arr, axis=i, norm="ortho")
+                values = axis.momenta()
+            shape = [1] * len(spec.axes)
+            shape[i] = axis.points
+            weight = weight * values.reshape(shape) ** exp
+        base = float(np.sum(weight * np.abs(arr) ** 2)) * spec.cell_volume
+        value += float(coeff.real) * base
+        resid += float(coeff.imag) * base
+    return value, resid
+
+
+@pytest.mark.parametrize("mode, spec, extra", [
+    ("hybrid", _spec3(16), ["q*x*y", "p*x*p_y", "q^2 + i*p_x"]),
+    ("quantum-quantum", GridSpec((AxisSpec("x", 8.0, 32), AxisSpec("q", 8.0, 32))),
+     ["q*p_x", "x*q^2", "i*x*p"]),
+])
+def test_marginal_expectations_match_full_grid_quadrature(mode, spec, extra):
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.cell_volume)
+    state = GridState(spec, psi)
+    observers = [poly for _, poly in default_observers(mode, K_COUPLING)]
+    observers += [parse_polynomial(text) for text in extra]
+    for poly in observers:
+        value, resid = _full_grid_expectation(state, poly)
+        got = grid_expectation(state, poly)
+        assert got.value == pytest.approx(value, rel=1e-12)
+        assert got.imag_residual == pytest.approx(resid, rel=1e-12)
+
+
+def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
+    import scipy.fft
+
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    spec = _spec3(16)
+    plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
+    state = gaussian_state(spec, {}, WIDTH)
+    observers = default_observers("hybrid", K_COUPLING)
+    evolve(state, plan, 0.03, observers=observers, stride=3)
+    sparse = len(calls)
+    calls.clear()
+    evolve(state, plan, 0.03, observers=observers, stride=1)
+    # same steps; stride 1 adds the samples at steps 1 and 2
+    assert (len(calls) - sparse) / 2 <= 3
 
 
 def test_boundary_overflow_detection():
