@@ -3,8 +3,12 @@
 Subcommands: derive, nogo, spectrum, simulate, compare, report.  Options
 may come from a config file (INI-style, one section per subcommand, keys
 named like the long flags); explicit flags win over the file.  Exit codes:
-0 success, 1 runtime failure (for example a BoxOverflow mid-run), 2
-configuration error.
+0 success, 1 runtime failure (for example a BoxOverflow mid-run) or
+internal error, 2 configuration error.
+
+simulate and compare share one runner: each engine is a table builder that
+returns its named sample columns, and the runner writes spectrum.json once,
+then per engine the CSV and a report derived from that CSV as read back.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .grid import (
     evolve,
     gaussian_state,
     marginal_density,
+    sample_steps,
     save_snapshot,
     set_workers,
 )
@@ -206,6 +211,10 @@ def _explicit_generator(args, binding: ParameterBinding) -> OperatorPolynomial |
     return None
 
 
+def _write_json(path: str, data) -> None:
+    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def _spectrum_summary(report) -> str:
     parts = []
     for line in report.lines:
@@ -228,35 +237,35 @@ def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding):
         if not expr:
             label, expr = item, item
         observers.append((label.strip(), parse_polynomial(expr.strip(), binding)))
+    labels = [label for label, _ in observers]
+    if len(set(labels)) < len(labels) or {"t", "norm"} & set(labels):
+        raise ConfigError(f"observer labels must be unique and not t or norm, got {labels}")
     return observers
 
 
-def _sample_times(dt: float, t_final: float, stride: int) -> tuple[np.ndarray, int]:
-    steps_float = t_final / dt
-    steps = int(round(steps_float))
-    if steps < 1 or abs(steps_float - steps) > 1e-9:
-        raise ConfigError(f"t-final {t_final} is not a whole number of dt {dt} steps")
-    marks = list(range(0, steps + 1, stride))
-    if marks[-1] != steps:
-        marks.append(steps)
-    return np.array([j * dt for j in marks]), steps
+def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
+    if mode not in _GRID_AXES:
+        raise ConfigError(
+            "the grid engine supports hybrid and quantum-quantum runs; "
+            "classical-classical moments close exactly, use --engine moments"
+        )
+    return GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
 
 
-def _simulation_settings(args):
+def _simulation_settings(args, engines=None):
+    """Validate the simulate/compare inputs and build the engines' inputs."""
     mode = _mode_of(args)
     k = _coupling_of(args)
     engine = _required(args, "engine", "moments")
     if engine not in ("moments", "grid", "both"):
         raise ConfigError(f"unknown engine {engine!r}; choose moments, grid, or both")
+    if engines is None:
+        engines = tuple(_ENGINES) if engine == "both" else (engine,)
     dt = _as_float(_required(args, "dt", 0.01), "dt")
     if dt <= 0:
         raise ConfigError("--dt must be positive")
     t_final = _as_float(_required(args, "t-final", 10.0), "t-final")
-    if t_final <= 0:
-        raise ConfigError("--t-final must be positive")
     stride = _as_int(_required(args, "stride", 10), "stride")
-    if stride < 1:
-        raise ConfigError("--stride must be >= 1")
     grid_n = _as_int(_required(args, "grid-n", 64), "grid-n")
     grid_l = _as_float(_required(args, "grid-l", 8.0), "grid-l")
     means = {
@@ -266,26 +275,34 @@ def _simulation_settings(args):
     for name in means:
         if name not in ("q", "x", "y"):
             raise ConfigError(f"--mean supports q, x, y; got {name!r}")
+    # The engines' own constructors validate these inputs with ValueError.
+    try:
+        marks, _ = sample_steps(t_final, dt, stride)
+        grid_spec = _grid_spec_for(mode, grid_l, grid_n) if "grid" in engines else None
+        moment_state = (
+            benchmark.default_moment_state(means) if "moments" in engines else None
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = _required(args, "out", "hybridlab-run")
     if _parse_bool(_required(args, "deterministic", False)):
         set_workers(1)
     binding = _binding(args, k)
     observers = _observer_list(args, mode, k, binding)
-    times, steps = _sample_times(dt, t_final, stride)
     return argparse.Namespace(
         mode=mode,
         k=k,
-        engine=engine,
+        engines=engines,
+        generator=benchmark.mode_generator_matrix(mode, k),
         dt=dt,
         t_final=t_final,
         stride=stride,
-        grid_n=grid_n,
-        grid_l=grid_l,
+        grid_spec=grid_spec,
+        moment_state=moment_state,
         means=means,
         out_dir=out_dir,
         observers=observers,
-        times=times,
-        steps=steps,
+        times=marks * dt,
         snapshot=_parse_bool(_required(args, "snapshot", False)),
         config_echo={
             "mode": mode,
@@ -307,92 +324,44 @@ def _simulation_settings(args):
 # ---------------------------------------------------------------------------
 
 
-def _report_numbers(csv_path: str, labels):
-    """Derive the report's numeric claims from the emitted CSV itself."""
-    _, columns = read_csv(csv_path)
-    t = columns["t"]
-    norm_drift = None
+def _report_numbers(columns) -> dict:
+    """Derive the report's numeric claims from the CSV columns as read back."""
+    numbers = {"norm_drift": None, "koopmanian_drift": None, "envelope": None}
     if "norm" in columns:
-        norm_drift = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
-    k_drift = None
+        numbers["norm_drift"] = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
     if "K" in columns:
         k0 = columns["K"][0]
         drift = float(np.max(np.abs(columns["K"] - k0)))
-        k_drift = drift / abs(k0) if k0 != 0 else drift
-    envelope = None
+        numbers["koopmanian_drift"] = drift / abs(k0) if k0 != 0 else drift
     if "q2" in columns:
         try:
-            fit = fit_envelope(t, np.sqrt(np.maximum(columns["q2"], 0.0)))
-            envelope = {
+            fit = fit_envelope(columns["t"], np.sqrt(np.maximum(columns["q2"], 0.0)))
+            numbers["envelope"] = {
                 "series": "sqrt(q2)",
                 "degree": int(fit.degree),
                 "coefficients": [float(c) for c in fit.coefficients],
                 "relative_residual": float(fit.residual),
             }
         except InsufficientData:
-            envelope = None
-    return norm_drift, k_drift, envelope
+            pass
+    return numbers
 
 
-def _write_spectrum(settings, out_dir: str):
-    G = benchmark.mode_generator_matrix(settings.mode, settings.k)
-    report = classify_spectrum(G)
-    path = os.path.join(out_dir, "spectrum.json")
-    write_atomic(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return path, _spectrum_summary(report)
-
-
-def _run_moments(settings, out_dir: str) -> RunReport:
-    t0 = time.perf_counter()
-    G = benchmark.mode_generator_matrix(settings.mode, settings.k)
-    s0 = benchmark.default_moment_state(settings.means)
+def _moment_columns(settings):
     columns = {label: [] for label, _ in settings.observers}
     for t in settings.times:
-        state = propagate_moments(G, s0, float(t))
+        state = propagate_moments(settings.generator, settings.moment_state, float(t))
         for label, poly in settings.observers:
             columns[label].append(quadratic_expectation(poly, state))
-    csv_path = os.path.join(out_dir, "moments.csv")
-    write_csv(
-        csv_path,
-        ["t"] + list(columns),
-        [settings.times] + [np.array(v) for v in columns.values()],
-    )
-    norm_drift, k_drift, envelope = _report_numbers(csv_path, list(columns))
-    spectrum_path, spectrum_summary = _write_spectrum(settings, out_dir)
-    report = RunReport(
-        config=settings.config_echo,
-        engine="moments",
-        csv_path=csv_path,
-        norm_drift=norm_drift,
-        koopmanian_drift=k_drift,
-        envelope=envelope,
-        spectrum_path=spectrum_path,
-        spectrum_summary=spectrum_summary,
-        wall_seconds=time.perf_counter() - t0,
-    )
-    report.write(os.path.join(out_dir, "report-moments.json"))
-    return report
+    return columns, {}
 
 
-def _grid_spec_for(settings) -> GridSpec:
-    if settings.mode not in _GRID_AXES:
-        raise ConfigError(
-            "the grid engine supports hybrid and quantum-quantum runs; "
-            "classical-classical moments close exactly, use --engine moments"
-        )
-    labels = _GRID_AXES[settings.mode]
-    return GridSpec(
-        tuple(AxisSpec(lbl, settings.grid_l, settings.grid_n) for lbl in labels)
-    )
-
-
-def _run_grid(settings, out_dir: str) -> RunReport:
-    t0 = time.perf_counter()
-    spec = _grid_spec_for(settings)
-    K = benchmark.mode_koopmanian(settings.mode, settings.k)
+def _grid_columns(settings):
+    spec = settings.grid_spec
     means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)
+    K = benchmark.mode_koopmanian(settings.mode, settings.k)
     plan = compile_splitting(K, spec, settings.dt)
     result = evolve(
         state,
@@ -401,32 +370,49 @@ def _run_grid(settings, out_dir: str) -> RunReport:
         observers=settings.observers,
         stride=settings.stride,
     )
-    csv_path = os.path.join(out_dir, "grid.csv")
-    write_csv(
-        csv_path,
-        ["t", "norm"] + list(result.labels),
-        [result.times, result.norms]
-        + [result.values[:, i] for i in range(len(result.labels))],
-    )
     if settings.snapshot:
-        _write_snapshots(result.final_state, out_dir)
-    norm_drift, k_drift, envelope = _report_numbers(csv_path, list(result.labels))
-    spectrum_path, spectrum_summary = _write_spectrum(settings, out_dir)
-    report = RunReport(
-        config=settings.config_echo,
-        engine="grid",
-        csv_path=csv_path,
-        norm_drift=norm_drift,
-        koopmanian_drift=k_drift,
-        envelope=envelope,
-        spectrum_path=spectrum_path,
-        spectrum_summary=spectrum_summary,
-        wall_seconds=time.perf_counter() - t0,
-        extra={"max_imag_residual": float(np.max(result.imag_residuals))
-               if result.imag_residuals.size else 0.0},
-    )
-    report.write(os.path.join(out_dir, "report-grid.json"))
-    return report
+        _write_snapshots(result.final_state, settings.out_dir)
+    columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
+    resid = result.imag_residuals
+    return columns, {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0}
+
+
+# Engine name -> table builder: (named sample columns at settings.times,
+# extra report fields).
+_ENGINES = {"moments": _moment_columns, "grid": _grid_columns}
+
+
+def _run_engines(settings) -> list[tuple[RunReport, dict]]:
+    """Run each engine into <engine>.csv and report-<engine>.json.
+
+    Returns each engine's report with the columns read back from its CSV.
+    """
+    out_dir = settings.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    spectrum = classify_spectrum(settings.generator)
+    spectrum_path = os.path.join(out_dir, "spectrum.json")
+    _write_json(spectrum_path, spectrum.to_dict())
+    spectrum_summary = _spectrum_summary(spectrum)
+    runs = []
+    for engine in settings.engines:
+        t0 = time.perf_counter()
+        columns, extra = _ENGINES[engine](settings)
+        csv_path = os.path.join(out_dir, f"{engine}.csv")
+        write_csv(csv_path, ["t", *columns], [settings.times, *columns.values()])
+        _, written = read_csv(csv_path)
+        report = RunReport(
+            config=settings.config_echo,
+            engine=engine,
+            csv_path=csv_path,
+            spectrum_path=spectrum_path,
+            spectrum_summary=spectrum_summary,
+            wall_seconds=time.perf_counter() - t0,
+            extra=extra,
+            **_report_numbers(written),
+        )
+        report.write(os.path.join(out_dir, f"report-{engine}.json"))
+        runs.append((report, written))
+    return runs
 
 
 def _write_snapshots(final_state, out_dir: str) -> None:
@@ -498,6 +484,8 @@ def _cmd_spectrum(args) -> int:
     else:
         G = benchmark.mode_generator_matrix(_mode_of(args), k)
     tol = _as_float(_required(args, "tol", 1e-9), "tol")
+    if tol <= 0:
+        raise ConfigError("--tol must be positive")
     report = classify_spectrum(G, tol)
     for line in report.lines:
         ev = line.eigenvalue
@@ -509,21 +497,13 @@ def _cmd_spectrum(args) -> int:
     print("secular growth:", "yes" if report.secular else "no")
     json_path = getattr(args, "json", None)
     if json_path:
-        write_atomic(json_path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(json_path, report.to_dict())
         print(f"wrote {json_path}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    settings = _simulation_settings(args)
-    out_dir = settings.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    reports = []
-    if settings.engine in ("moments", "both"):
-        reports.append(_run_moments(settings, out_dir))
-    if settings.engine in ("grid", "both"):
-        reports.append(_run_grid(settings, out_dir))
-    for report in reports:
+    for report, _ in _run_engines(_simulation_settings(args)):
         print(f"[{report.engine}] wrote {report.csv_path}")
         if report.norm_drift is not None:
             print(f"[{report.engine}] norm drift {report.norm_drift:.3e}")
@@ -538,18 +518,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    settings = _simulation_settings(args)
-    out_dir = settings.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    moments_report = _run_moments(settings, out_dir)
-    grid_report = _run_grid(settings, out_dir)
-    _, mcols = read_csv(moments_report.csv_path)
-    _, gcols = read_csv(grid_report.csv_path)
-    if not np.array_equal(mcols["t"], gcols["t"]):
-        raise ConfigError("engines sampled different time points; same dt/stride required")
+    settings = _simulation_settings(args, engines=("moments", "grid"))
+    (moments_report, mcols), (grid_report, gcols) = _run_engines(settings)
     shared = [name for name in mcols if name != "t" and name in gcols]
     deviations = [float(np.max(np.abs(mcols[name] - gcols[name]))) for name in shared]
-    table_path = os.path.join(out_dir, "compare.csv")
+    table_path = os.path.join(settings.out_dir, "compare.csv")
     write_atomic(
         table_path,
         "observable,max_abs_deviation\n"
@@ -565,10 +538,7 @@ def _cmd_compare(args) -> int:
         "moments_csv": moments_report.csv_path,
         "grid_csv": grid_report.csv_path,
     }
-    write_atomic(
-        os.path.join(out_dir, "compare.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(settings.out_dir, "compare.json"), summary)
     return 0
 
 
@@ -588,12 +558,15 @@ def _cmd_report(args) -> int:
         if not found:
             raise ConfigError(f"no report-*.json files in {d}")
         paths.extend(found)
-    combined, markdown = aggregate_reports(paths)
+    try:
+        combined, markdown = aggregate_reports(paths)
+    except ValueError as exc:
+        raise ConfigError(f"unreadable report file: {exc}") from exc
     out_dir = _required(args, "out", ".")
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "summary.json")
     md_path = os.path.join(out_dir, "summary.md")
-    write_atomic(json_path, json.dumps(combined, indent=2, sort_keys=True) + "\n")
+    _write_json(json_path, combined)
     write_atomic(md_path, markdown + "\n")
     print(markdown)
     print(f"wrote {json_path} and {md_path}")
@@ -689,7 +662,6 @@ _CONFIG_EXIT_2 = (
     NonSplittableTerm,
     UnknownAxis,
     OutOfBox,
-    ValueError,
 )
 
 
@@ -708,7 +680,7 @@ def main(argv=None) -> int:
                     reader.read_file(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
-            except configparser.Error as exc:
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"bad config file: {exc}") from exc
             section = reader[args.command] if reader.has_section(args.command) else None
             _merge(args, section)
@@ -721,6 +693,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -46,6 +46,7 @@ from .algebra import (
     OperatorPolynomial,
 )
 from .observables import Expectation
+from .reporting import write_atomic
 
 __all__ = [
     "OutOfBox",
@@ -61,6 +62,7 @@ __all__ = [
     "set_workers",
     "gaussian_state",
     "compile_splitting",
+    "sample_steps",
     "evolve",
     "grid_expectation",
     "marginal_density",
@@ -583,6 +585,27 @@ class EvolutionResult:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
+def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, int]:
+    """Sampled step indices and step count of a run of t_final in steps of dt.
+
+    t_final must be a whole number of |dt| steps (the sign of dt is the
+    direction of time).  Every `stride`-th step is sampled, and so are
+    step 0 and the last step.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    steps_float = t_final / abs(dt)
+    steps = int(round(steps_float)) if math.isfinite(steps_float) else 0
+    if steps < 1 or abs(steps_float - steps) > 1e-9:
+        raise ValueError(
+            f"t_final = {t_final} is not a positive whole number of dt = {dt} steps"
+        )
+    marks = np.arange(0, steps + 1, stride)
+    if marks[-1] != steps:
+        marks = np.append(marks, steps)
+    return marks, steps
+
+
 def evolve(
     state: GridState,
     plan: PropagatorPlan,
@@ -594,22 +617,17 @@ def evolve(
 ) -> EvolutionResult:
     """Propagate for t_final, sampling observers every `stride` steps.
 
-    t_final must be a whole number of |dt| steps (the sign of the plan's
-    dt sets the direction of time).  Samples always include t = 0 and the
-    final step.  Raises BoxOverflow if probability mass reaches the box
-    edge at a sample point.  state.array is left untouched.
+    The steps and sample points are those of `sample_steps(t_final,
+    plan.dt, stride)`, which validates them: t_final must be a whole
+    number of |dt| steps (the sign of the plan's dt sets the direction of
+    time), and samples always include t = 0 and the final step.  Raises
+    BoxOverflow if probability mass reaches the box edge at a sample
+    point.  state.array is left untouched.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
-    if not t_final > 0:
-        raise ValueError("t_final must be positive")
     dt = plan.dt
-    steps_float = t_final / abs(dt)
-    steps = int(round(steps_float))
-    if steps < 1 or abs(steps_float - steps) > 1e-9:
-        raise ValueError(f"t_final = {t_final} is not a whole number of dt = {dt} steps")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    marks, _ = sample_steps(t_final, dt, stride)
 
     labeled = []
     for idx, obs in enumerate(observers):
@@ -658,19 +676,19 @@ def evolve(
     owed = False  # the closing half-phase of the previous step is pending
 
     sample(0)
-    for step in range(1, steps + 1):
-        work = _bring_to(work, reps, head.rep)
-        work *= fused if owed else head.phase
-        for group in sweep[1:-1]:
-            work = _bring_to(work, reps, group.rep)
-            work *= group.phase
-        owed = fsal
-        if step % stride == 0 or step == steps:
-            if owed:
-                work = _bring_to(work, reps, head.rep)
-                work *= head.phase
-                owed = False
-            sample(step)
+    for start, mark in zip(marks[:-1].tolist(), marks[1:].tolist()):
+        for _ in range(start, mark):
+            work = _bring_to(work, reps, head.rep)
+            work *= fused if owed else head.phase
+            for group in sweep[1:-1]:
+                work = _bring_to(work, reps, group.rep)
+                work *= group.phase
+            owed = fsal
+        if owed:
+            work = _bring_to(work, reps, head.rep)
+            work *= head.phase
+            owed = False
+        sample(mark)
 
     work = _bring_to(work, reps, ("pos",) * ndim)
 
@@ -899,7 +917,7 @@ _SNAPSHOT_MAGIC = b"HLGRID1\n"
 
 
 def save_snapshot(path, spec_labels, points, half_extents, array) -> None:
-    """Write a marginal density: magic, JSON header line, little-endian f64."""
+    """Write a marginal density atomically: magic, JSON header, little-endian f64."""
     arr = np.ascontiguousarray(array, dtype="<f8")
     header = {
         "labels": list(spec_labels),
@@ -913,8 +931,7 @@ def save_snapshot(path, spec_labels, points, half_extents, array) -> None:
         + b"\n"
         + arr.tobytes(order="C")
     )
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_atomic(path, payload)
 
 
 def load_snapshot(path):

@@ -194,8 +194,9 @@ def structure_residual(G: GeneratorMatrix | np.ndarray) -> float:
 class MomentState:
     """First moments m = <v> and symmetrized second moments S.
 
-    S_ij = <(v_i v_j + v_j v_i)/2>.  The covariance S - m m^T must have
-    nonnegative diagonal; construction enforces symmetry of S.
+    S_ij = <(v_i v_j + v_j v_i)/2>.  Both must be finite and the covariance
+    S - m m^T must have nonnegative diagonal; construction enforces
+    symmetry of S.
     """
 
     mean: np.ndarray
@@ -206,6 +207,8 @@ class MomentState:
         S = np.asarray(self.second, dtype=float)
         if m.shape != (_DIM,) or S.shape != (_DIM, _DIM):
             raise ValueError("moment state needs a 6-vector mean and 6x6 second moments")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(S))):
+            raise ValueError("moment state needs finite means and second moments")
         if not np.allclose(S, S.T, atol=1e-10):
             raise ValueError("second-moment matrix must be symmetric")
         S = (S + S.T) / 2

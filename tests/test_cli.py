@@ -1,13 +1,17 @@
 """Command-line contract: output text, files, config merging, exit codes."""
 
+import ast
+import importlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridlab import fit_envelope, read_csv
-from hybridlab.cli import _sample_times, main
+from hybridlab import cli, fit_envelope, read_csv
+from hybridlab.cli import main
+from hybridlab.grid import sample_steps
 
 
 def run(capsys, *argv):
@@ -171,11 +175,13 @@ def test_simulate_is_deterministic(capsys, tmp_path):
     (0.1, 1.0, 3, [0, 3, 6, 9, 10]),  # stride does not divide the step count
     (0.5, 2.0, 1, [0, 1, 2, 3, 4]),
     (0.01, 0.07, 10, [0, 7]),  # stride beyond the last step
+    (-0.1, 1.0, 3, [0, 3, 6, 9, 10]),  # backward time: steps of |dt|
 ])
 def test_sample_times_pinned(dt, t_final, stride, marks):
-    times, steps = _sample_times(dt, t_final, stride)
+    steps_at, steps = sample_steps(t_final, dt, stride)
     assert steps == marks[-1]
-    assert np.array_equal(times, np.array([j * dt for j in marks]))
+    assert np.array_equal(steps_at, marks)
+    assert np.array_equal(steps_at * dt, np.array([j * dt for j in marks]))
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):
@@ -282,6 +288,71 @@ def test_non_finite_moment_inputs_exit_2(capsys, tmp_path):
     assert "finite" in err
 
 
+def test_grid_n_not_power_of_two_exits_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "grid", "--grid-n", "48",
+        "--t-final", "0.1", "--out", str(tmp_path / "g"),
+    )
+    assert code == 2
+    assert "configuration error: point count must be a power of two" in err
+
+
+def test_negative_tol_exits_2(capsys):
+    code, _, err = run(capsys, "spectrum", "--mode", "hybrid", "--tol", "-1")
+    assert code == 2
+    assert "--tol must be positive" in err
+
+
+def test_moment_overflow_mean_exits_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "moments",
+        "--t-final", "1", "--mean", "q=1e200", "--out", str(tmp_path / "m"),
+    )
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "m" / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("observers", [["a=q", "a=p"], ["norm=q"], ["t=q"]])
+def test_clashing_observer_labels_exit_2(capsys, tmp_path, observers):
+    flags = [arg for obs in observers for arg in ("--observer", obs)]
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "moments",
+        "--t-final", "1", "--out", str(tmp_path / "o"), *flags,
+    )
+    assert code == 2
+    assert "observer labels" in err
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "lab.ini"
+    cfg.write_bytes(b"\xff\xfe[derive]\n")
+    code, _, err = run(capsys, "--config", str(cfg), "derive")
+    assert code == 2
+    assert "bad config file" in err
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    (run_dir / "report-moments.json").write_text("{")
+    code, _, err = run(capsys, "report", "--runs", str(run_dir), "--out", str(tmp_path))
+    assert code == 2
+    assert "unreadable report file" in err
+
+
+def test_internal_error_exits_1(capsys, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "evolve", broken)
+    code, _, err = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "grid", "--grid-n", "8",
+        "--t-final", "0.1", "--out", str(tmp_path / "ie"),
+    )
+    assert code == 1
+    assert "internal error: ValueError: engine bug" in err
+    assert "configuration error" not in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
@@ -311,6 +382,67 @@ def test_compare_emits_deviation_table(capsys, tmp_path):
     assert len(table) > 5
     summary = json.loads((out_dir / "compare.json").read_text())
     assert summary["max_deviation"] < 1e-2
+
+
+def test_compare_classifies_once_and_reads_each_csv_once(capsys, tmp_path, monkeypatch):
+    calls = {"classify_spectrum": 0, "read_csv": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out_dir = tmp_path / "cmp"
+    code, _, _ = run(
+        capsys, "compare", "--mode", "quantum-quantum", "--grid-n", "16",
+        "--t-final", "0.2", "--dt", "0.01", "--out", str(out_dir),
+    )
+    assert code == 0
+    assert calls == {"classify_spectrum": 1, "read_csv": 2}
+    _, mcols = read_csv(out_dir / "moments.csv")
+    _, gcols = read_csv(out_dir / "grid.csv")
+    assert np.array_equal(mcols["t"], gcols["t"])
+
+
+def _tracer_entry_points():
+    """CLI_ENTRY_POINTS as written in the benchmark tracer, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "CLI_ENTRY_POINTS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CLI_ENTRY_POINTS in {path}")
+
+
+def test_benchmark_tracer_entry_points_resolve(capsys, tmp_path, monkeypatch):
+    entries = [(owner, attr) for owner, attr, _ in _tracer_entry_points()]
+    assert ("cli", "evolve") in entries
+    missing = [
+        f"{owner}.{attr}" for owner, attr in entries
+        if owner != "scipy.fft"
+        and not hasattr(importlib.import_module(f"hybridlab.{owner}"), attr)
+    ]
+    assert missing == []
+
+    # The tracer reads the plan and t_final as evolve's positional args 1 and 2.
+    seen = []
+    original = cli.evolve
+
+    def recording(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", recording)
+    code, _, _ = run(
+        capsys, "simulate", "--mode", "quantum-quantum", "--engine", "grid",
+        "--grid-n", "16", "--t-final", "0.1", "--out", str(tmp_path / "tr"),
+    )
+    assert code == 0
+    assert len(seen) == 1 and len(seen[0]) >= 3
+    assert seen[0][1].dt == 0.01 and seen[0][2] == 0.1
 
 
 def test_report_aggregates_runs(capsys, tmp_path):

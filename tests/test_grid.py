@@ -452,6 +452,17 @@ def test_snapshot_round_trip(tmp_path):
     assert np.array_equal(loaded, data)
 
 
+def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr("hybridlab.reporting.os.replace", interrupted)
+    path = tmp_path / "density.bin"
+    with pytest.raises(OSError, match="interrupted"):
+        save_snapshot(path, ["x"], [8], [4.0], np.ones(8))
+    assert list(tmp_path.iterdir()) == []  # no partial file, no temp file
+
+
 def test_snapshot_rejects_other_files(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a snapshot")

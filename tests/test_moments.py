@@ -294,6 +294,15 @@ def test_moment_state_validation():
         MomentState(np.zeros(6), second)
 
 
+@pytest.mark.parametrize("mean, second", [
+    (np.full(6, np.nan), 0.5 * np.eye(6)),
+    (np.zeros(6), np.full((6, 6), np.inf)),
+])
+def test_moment_state_rejects_non_finite(mean, second):
+    with pytest.raises(ValueError, match="finite"):
+        MomentState(mean, second)
+
+
 # -- envelope fits -----------------------------------------------------------
 
 
