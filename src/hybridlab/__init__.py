@@ -10,226 +10,19 @@ coupled-oscillator study: mode selection, density-matrix checks, lossless
 CSV/JSON artifacts, and the `hybridlab` command.
 """
 
-from .algebra import (
-    AlgebraError,
-    ShiftOperatorPresent,
-    UnsupportedMixing,
-    ComplexRational,
-    Generator,
-    Monomial,
-    OperatorPolynomial,
-    GENERATOR_NAMES,
-    GENERATORS,
-    CONJUGATE_PAIRS,
-    gens,
-    generator,
-    constant,
-    multiply,
-    commutator,
-    jacobi_residual,
-    nogo_witness,
-    partial_derivative,
-    koopmanize,
-    hybridize,
-    heisenberg_rhs,
-)
-from .expressions import (
-    ExpressionError,
-    ParseError,
-    UnboundParameter,
-    InvalidDivisor,
-    ExpressionNode,
-    ParameterBinding,
-    parse,
-    lower,
-    parse_polynomial,
-)
-from .moments import (
-    NonlinearDynamics,
-    DegreeTooHigh,
-    InsufficientData,
-    IllConditionedWarning,
-    GeneratorMatrix,
-    MomentState,
-    SpectrumLine,
-    SpectrumReport,
-    EnvelopeFit,
-    derive_generator,
-    hamilton_generator,
-    structure_residual,
-    matrix_exponential,
-    propagate_moments,
-    propagate_trajectory,
-    classify_spectrum,
-    quadratic_expectation,
-    fit_envelope,
-)
-from .benchmark import (
-    MODES,
-    coupled_hamiltonian,
-    hybrid_koopmanian,
-    quantum_pair_koopmanian,
-    classical_flow_generator,
-    quantum_energy,
-    classical_liouvillian,
-    mode_generator_matrix,
-    mode_koopmanian,
-    default_moment_state,
-    default_observers,
-)
-from .observables import (
-    DimensionMismatch,
-    NonHermitianObservable,
-    Expectation,
-    FiniteDensity,
-    DiagonalDistribution,
-    DensityReport,
-    purify_diagonal,
-    trace_expectation,
-    variance,
-    validate_density,
-)
-from .grid import (
-    OutOfBox,
-    NonSplittableTerm,
-    UnknownAxis,
-    BoxOverflow,
-    AxisSpec,
-    GridSpec,
-    GridState,
-    PropagatorPlan,
-    DensityMatrix,
-    EvolutionResult,
-    set_workers,
-    gaussian_state,
-    compile_splitting,
-    evolve,
-    grid_expectation,
-    marginal_density,
-    reduced_quantum_density,
-    operator_matrix_1d,
-    characteristics_reference,
-    period_residual,
-    save_snapshot,
-    load_snapshot,
-)
-from .reporting import (
-    write_atomic,
-    format_number,
-    write_csv,
-    read_csv,
-    RunReport,
-    load_report,
-    aggregate_reports,
-)
+from . import algebra, benchmark, expressions, grid, moments, observables, reporting
+from .algebra import *
+from .expressions import *
+from .moments import *
+from .benchmark import *
+from .observables import *
+from .grid import *
+from .reporting import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # algebra
-    "AlgebraError",
-    "ShiftOperatorPresent",
-    "UnsupportedMixing",
-    "ComplexRational",
-    "Generator",
-    "Monomial",
-    "OperatorPolynomial",
-    "GENERATOR_NAMES",
-    "GENERATORS",
-    "CONJUGATE_PAIRS",
-    "gens",
-    "generator",
-    "constant",
-    "multiply",
-    "commutator",
-    "jacobi_residual",
-    "nogo_witness",
-    "partial_derivative",
-    "koopmanize",
-    "hybridize",
-    "heisenberg_rhs",
-    # expressions
-    "ExpressionError",
-    "ParseError",
-    "UnboundParameter",
-    "InvalidDivisor",
-    "ExpressionNode",
-    "ParameterBinding",
-    "parse",
-    "lower",
-    "parse_polynomial",
-    # moments
-    "NonlinearDynamics",
-    "DegreeTooHigh",
-    "InsufficientData",
-    "IllConditionedWarning",
-    "GeneratorMatrix",
-    "MomentState",
-    "SpectrumLine",
-    "SpectrumReport",
-    "EnvelopeFit",
-    "derive_generator",
-    "hamilton_generator",
-    "structure_residual",
-    "matrix_exponential",
-    "propagate_moments",
-    "propagate_trajectory",
-    "classify_spectrum",
-    "quadratic_expectation",
-    "fit_envelope",
-    # benchmark
-    "MODES",
-    "coupled_hamiltonian",
-    "hybrid_koopmanian",
-    "quantum_pair_koopmanian",
-    "classical_flow_generator",
-    "quantum_energy",
-    "classical_liouvillian",
-    "mode_generator_matrix",
-    "mode_koopmanian",
-    "default_moment_state",
-    "default_observers",
-    # observables
-    "DimensionMismatch",
-    "NonHermitianObservable",
-    "Expectation",
-    "FiniteDensity",
-    "DiagonalDistribution",
-    "DensityReport",
-    "purify_diagonal",
-    "trace_expectation",
-    "variance",
-    "validate_density",
-    # grid
-    "OutOfBox",
-    "NonSplittableTerm",
-    "UnknownAxis",
-    "BoxOverflow",
-    "AxisSpec",
-    "GridSpec",
-    "GridState",
-    "PropagatorPlan",
-    "DensityMatrix",
-    "EvolutionResult",
-    "set_workers",
-    "gaussian_state",
-    "compile_splitting",
-    "evolve",
-    "grid_expectation",
-    "marginal_density",
-    "reduced_quantum_density",
-    "operator_matrix_1d",
-    "characteristics_reference",
-    "period_residual",
-    "save_snapshot",
-    "load_snapshot",
-    # reporting
-    "write_atomic",
-    "format_number",
-    "write_csv",
-    "read_csv",
-    "RunReport",
-    "load_report",
-    "aggregate_reports",
-]
+# Each module's own __all__ is the one list of its public names.
+__all__ = ["__version__"]
+for _module in (algebra, expressions, moments, benchmark, observables, grid, reporting):
+    __all__ += _module.__all__
+del _module

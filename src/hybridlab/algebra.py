@@ -33,7 +33,6 @@ __all__ = [
     "gens",
     "generator",
     "constant",
-    "multiply",
     "commutator",
     "jacobi_residual",
     "nogo_witness",
@@ -149,23 +148,19 @@ GENERATOR_NAMES = ("q", "p", "x", "y", "p_x", "p_y")
 # exponent tuple; indices refer to GENERATOR_NAMES order.
 CONJUGATE_PAIRS = ((0, 1), (2, 4), (3, 5))
 
-_CONJUGATE_OF = {"q": "p", "p": "q", "x": "p_x", "p_x": "x", "y": "p_y", "p_y": "y"}
 _SHIFT_INDICES = (4, 5)
 
 
 @dataclass(frozen=True)
 class Generator:
-    """One of the six canonical generators, with its bookkeeping flags."""
+    """One of the six canonical generators and its exponent index."""
 
     name: str
     index: int
-    observable: bool
-    conjugate: str
 
 
 GENERATORS: dict[str, Generator] = {
-    name: Generator(name, i, name not in ("p_x", "p_y"), _CONJUGATE_OF[name])
-    for i, name in enumerate(GENERATOR_NAMES)
+    name: Generator(name, i) for i, name in enumerate(GENERATOR_NAMES)
 }
 
 
@@ -189,10 +184,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, e in zip(GENERATOR_NAMES, self.exponents) if e)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Monomial{self.exponents}"
@@ -482,10 +473,6 @@ def generator(name: str) -> OperatorPolynomial:
 
 def constant(value: _NumberLike) -> OperatorPolynomial:
     return OperatorPolynomial.constant(value)
-
-
-def multiply(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:
-    return a * b
 
 
 def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:

@@ -7,8 +7,10 @@ named like the long flags); explicit flags win over the file.  Exit codes:
 internal error, 2 configuration error.
 
 simulate and compare share one runner: each engine is a table builder that
-returns its named sample columns, and the runner writes spectrum.json once,
-then per engine the CSV and a report derived from that CSV as read back.
+returns its named sample columns.  The runner writes nothing until every
+engine has finished, so an engine that fails leaves no files; then it writes
+spectrum.json once and per engine the CSV and a report derived from that CSV
+as read back.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .grid import (
 from .moments import (
     DegreeTooHigh,
     InsufficientData,
+    MomentOverflow,
     NonlinearDynamics,
     classify_spectrum,
     fit_envelope,
@@ -189,6 +192,16 @@ def _coupling_of(args) -> Fraction:
     return _parse_fraction(raw)
 
 
+def _float_coupling(args) -> Fraction:
+    """The coupling, checked for the commands that compute with it as a float."""
+    k = _coupling_of(args)
+    try:
+        float(k)
+    except OverflowError as exc:
+        raise ConfigError(f"--k is too large for a float: {args.k}") from exc
+    return k
+
+
 def _binding(args, k: Fraction) -> ParameterBinding:
     params = {"k": k}
     for name, value in _parse_pairs(getattr(args, "param", None), "--param").items():
@@ -255,7 +268,7 @@ def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
 def _simulation_settings(args, engines=None):
     """Validate the simulate/compare inputs and build the engines' inputs."""
     mode = _mode_of(args)
-    k = _coupling_of(args)
+    k = _float_coupling(args)
     engine = _required(args, "engine", "moments")
     if engine not in ("moments", "grid", "both"):
         raise ConfigError(f"unknown engine {engine!r}; choose moments, grid, or both")
@@ -353,7 +366,7 @@ def _moment_columns(settings):
         state = propagate_moments(settings.generator, settings.moment_state, float(t))
         for label, poly in settings.observers:
             columns[label].append(quadratic_expectation(poly, state))
-    return columns, {}
+    return columns, {}, None
 
 
 def _grid_columns(settings):
@@ -370,33 +383,37 @@ def _grid_columns(settings):
         observers=settings.observers,
         stride=settings.stride,
     )
-    if settings.snapshot:
-        _write_snapshots(result.final_state, settings.out_dir)
     columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
     resid = result.imag_residuals
-    return columns, {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0}
+    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0}
+    return columns, extra, result.final_state if settings.snapshot else None
 
 
 # Engine name -> table builder: (named sample columns at settings.times,
-# extra report fields).
+# extra report fields, final grid state to snapshot or None).
 _ENGINES = {"moments": _moment_columns, "grid": _grid_columns}
 
 
 def _run_engines(settings) -> list[tuple[RunReport, dict]]:
-    """Run each engine into <engine>.csv and report-<engine>.json.
+    """Run every engine, then write <engine>.csv and report-<engine>.json.
 
     Returns each engine's report with the columns read back from its CSV.
     """
+    spectrum = classify_spectrum(settings.generator)
+    tables = {}
+    for engine in settings.engines:
+        t0 = time.perf_counter()
+        tables[engine] = (*_ENGINES[engine](settings), time.perf_counter() - t0)
     out_dir = settings.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    spectrum = classify_spectrum(settings.generator)
     spectrum_path = os.path.join(out_dir, "spectrum.json")
     _write_json(spectrum_path, spectrum.to_dict())
     spectrum_summary = _spectrum_summary(spectrum)
     runs = []
-    for engine in settings.engines:
+    for engine, (columns, extra, snapshot_state, seconds) in tables.items():
         t0 = time.perf_counter()
-        columns, extra = _ENGINES[engine](settings)
+        if snapshot_state is not None:
+            _write_snapshots(snapshot_state, out_dir)
         csv_path = os.path.join(out_dir, f"{engine}.csv")
         write_csv(csv_path, ["t", *columns], [settings.times, *columns.values()])
         _, written = read_csv(csv_path)
@@ -406,7 +423,7 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
             csv_path=csv_path,
             spectrum_path=spectrum_path,
             spectrum_summary=spectrum_summary,
-            wall_seconds=time.perf_counter() - t0,
+            wall_seconds=seconds + time.perf_counter() - t0,
             extra=extra,
             **_report_numbers(written),
         )
@@ -474,7 +491,7 @@ def _cmd_nogo(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    k = _coupling_of(args)
+    k = _float_coupling(args)
     binding = _binding(args, k)
     explicit = _explicit_generator(args, binding)
     if explicit is not None:
@@ -685,7 +702,7 @@ def main(argv=None) -> int:
             section = reader[args.command] if reader.has_section(args.command) else None
             _merge(args, section)
         return args.func(args)
-    except BoxOverflow as exc:
+    except (BoxOverflow, MomentOverflow) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     except _CONFIG_EXIT_2 as exc:

@@ -39,13 +39,8 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import ndimage
 
-from .algebra import (
-    GENERATOR_NAMES,
-    GENERATORS,
-    Monomial,
-    OperatorPolynomial,
-)
-from .observables import Expectation
+from .algebra import GENERATOR_NAMES, Monomial, OperatorPolynomial
+from .observables import Expectation, FiniteDensity
 from .reporting import write_atomic
 
 __all__ = [
@@ -57,7 +52,6 @@ __all__ = [
     "GridSpec",
     "GridState",
     "PropagatorPlan",
-    "DensityMatrix",
     "EvolutionResult",
     "set_workers",
     "gaussian_state",
@@ -272,9 +266,7 @@ def _per_axis(spec: GridSpec, values, what: str) -> list[float]:
 class _PhaseGroup:
     # rep[i] is "pos", "mom", or None (axis unconstrained by this group)
     rep: tuple
-    phase: np.ndarray  # exp(-i * V * sub_dt), broadcastable to the grid
-    sub_dt: float
-    terms: tuple
+    phase: np.ndarray  # exp(-i * V * dt/2), or dt for the last group
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,6 @@ class PropagatorPlan:
     spec: GridSpec
     dt: float
     groups: tuple
-    terms: tuple  # (monomial, coefficient, rep map) triples, for inspection
 
     @property
     def sequence(self) -> list[int]:
@@ -373,7 +364,6 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
     momentum_terms: list = []
     mixed_groups: list[list] = []
     mixed_reps: list[tuple] = []
-    all_terms: list = []
 
     ordered = sorted(k_op.terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
     for mono, coeff in ordered:
@@ -384,7 +374,6 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
             )
         rep = _term_representation(spec, mono)
         entry = (mono, float(coeff.real), rep)
-        all_terms.append(entry)
         kinds = {r for r in rep if r is not None}
         if kinds <= {"pos"}:
             position_terms.append(entry)
@@ -421,8 +410,8 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
         sub_dt = float(dt) if gi == n - 1 else float(dt) / 2.0
         potential = _group_potential(spec, terms)
         phase = np.exp(-1j * sub_dt * potential)
-        groups.append(_PhaseGroup(rep, phase, sub_dt, tuple(terms)))
-    return PropagatorPlan(spec, float(dt), tuple(groups), tuple(all_terms))
+        groups.append(_PhaseGroup(rep, phase))
+    return PropagatorPlan(spec, float(dt), tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -732,44 +721,7 @@ def marginal_density(state: GridState, keep) -> np.ndarray:
     return density
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix over one grid axis."""
-
-    matrix: np.ndarray
-    axis_label: str
-    spacing: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
-            raise ValueError(f"hermiticity residual {herm:.2e} exceeds 1e-12")
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"trace {trace!r} deviates from 1 beyond 1e-10")
-        min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if min_eig < -1e-8:
-            raise ValueError(f"negative eigenvalue {min_eig:.2e} below -1e-8")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
-
-
-def reduced_quantum_density(state: GridState) -> DensityMatrix:
+def reduced_quantum_density(state: GridState) -> FiniteDensity:
     """Partial trace over the classical axes: rho(q, q') on the q grid.
 
     rho[q, q'] = sum over classical cells of psi(. , q) conj(psi(. , q'))
@@ -782,7 +734,7 @@ def reduced_quantum_density(state: GridState) -> DensityMatrix:
     flat = moved.reshape(-1, nq)
     rho = (flat.T @ flat.conj()) * state.spec.cell_volume
     rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, "q", state.spec.axes[qi].spacing)
+    return FiniteDensity(rho)
 
 
 def operator_matrix_1d(axis: AxisSpec, pos_exp: int, mom_exp: int) -> np.ndarray:

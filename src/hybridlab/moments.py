@@ -30,6 +30,7 @@ __all__ = [
     "NonlinearDynamics",
     "DegreeTooHigh",
     "InsufficientData",
+    "MomentOverflow",
     "IllConditionedWarning",
     "GeneratorMatrix",
     "MomentState",
@@ -74,6 +75,10 @@ class DegreeTooHigh(Exception):
 
 class InsufficientData(Exception):
     """Too few samples or oscillation periods for an envelope fit."""
+
+
+class MomentOverflow(Exception):
+    """The propagated moments left the float range; the run is unreliable."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -253,12 +258,18 @@ def propagate_moments(G: GeneratorMatrix, s0: MomentState, t: float) -> MomentSt
     v(t) = M v(0) + d implies m -> M m + d and
     S -> M S M^T + (M m) d^T + d (M m)^T + d d^T; symmetry and the
     ordering content of S are preserved because the flow is linear.
+    Raises MomentOverflow if the moments at t are not finite floats.
     """
     M, d = _flow_with_drift(G, t)
     m1 = M @ s0.mean + d
     Mm = M @ s0.mean
     S1 = M @ s0.second @ M.T + np.outer(Mm, d) + np.outer(d, Mm) + np.outer(d, d)
-    return MomentState(m1, (S1 + S1.T) / 2)
+    try:
+        return MomentState(m1, (S1 + S1.T) / 2)
+    except ValueError:
+        if np.all(np.isfinite(m1)) and np.all(np.isfinite(S1)):
+            raise
+    raise MomentOverflow(f"moment flow left the float range by t = {t!r}")
 
 
 def propagate_trajectory(

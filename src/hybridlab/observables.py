@@ -26,7 +26,11 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-_TRACE_TOL = 1e-12
+# One trace gate for every density here, the grid's reduced ones included.
+# A grid state's norm drifts with the step count (|tr rho - 1| was 8.2e-13
+# after 1 000 steps and 1.3e-11 after 16 000 on a 32^3 run), and criterion
+# 7 accepts norm drift up to 1e-10, so the gate sits there, not at roundoff.
+_TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _OBSERVABLE_HERMITICITY_TOL = 1e-10
 
@@ -53,14 +57,6 @@ class DensityReport:
     min_eigenvalue: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "hermiticity_residual": self.hermiticity_residual,
-            "trace_deviation": self.trace_deviation,
-            "min_eigenvalue": self.min_eigenvalue,
-            "passed": self.passed,
-        }
-
 
 def validate_density(rho) -> DensityReport:
     """Check Hermiticity, unit trace, and positivity; never raises."""
@@ -80,7 +76,7 @@ def validate_density(rho) -> DensityReport:
 
 @dataclass(frozen=True)
 class FiniteDensity:
-    """Validated d x d density matrix."""
+    """Validated d x d density matrix; also the grid's reduced density."""
 
     matrix: np.ndarray
 
@@ -99,6 +95,9 @@ class FiniteDensity:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()

@@ -313,6 +313,50 @@ def test_moment_overflow_mean_exits_2(capsys, tmp_path):
     assert not (tmp_path / "m" / "moments.csv").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--engine", "moments", "--observer", "c=q^3"], "degree 3"),
+    (["--engine", "both", "--grid-n", "8", "--mean", "q=7.5"], "half extent"),
+    (["--engine", "both", "--mode", "quantum-quantum", "--observer", "c=y"],
+     "needs axis 'y'"),
+])
+def test_engine_config_error_writes_nothing(capsys, tmp_path, flags, message):
+    out_dir = tmp_path / "none"
+    code, _, err = run(
+        capsys, "simulate", "--t-final", "0.1", "--out", str(out_dir), *flags
+    )
+    assert code == 2
+    assert message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "spectrum"])
+def test_k_beyond_float_range_exits_2(capsys, tmp_path, command):
+    out = [] if command == "spectrum" else ["--out", str(tmp_path / "k")]
+    code, _, err = run(capsys, command, "--k", "1e400", *out)
+    assert code == 2
+    assert "configuration error: --k is too large for a float: 1e400" in err
+    assert not (tmp_path / "k").exists()
+
+
+def test_exact_commands_accept_k_beyond_float_range(capsys):
+    code, out, _ = run(capsys, "derive", "--mode", "hybrid", "--k", "1e400")
+    assert code == 0
+    assert f"dp/dt = -q + {10**400}*p_y" in out
+    code, out, _ = run(capsys, "nogo", "--k", "1e400")
+    assert code == 0
+    assert f"witness = -{10**400}*i: FAIL" in out
+
+
+def test_moment_flow_overflow_is_runtime_failure(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "--engine", "moments", "--mode", "classical-classical",
+        "--k", "1e30", "--out", str(tmp_path / "m"),
+    )
+    assert code == 1
+    assert "runtime failure: moment flow left the float range by t = 0.1" in err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("observers", [["a=q", "a=p"], ["norm=q"], ["t=q"]])
 def test_clashing_observer_labels_exit_2(capsys, tmp_path, observers):
     flags = [arg for obs in observers for arg in ("--observer", obs)]

@@ -9,6 +9,7 @@ import pytest
 from hybridlab import (
     AxisSpec,
     BoxOverflow,
+    FiniteDensity,
     GENERATOR_NAMES,
     GridSpec,
     GridState,
@@ -340,6 +341,16 @@ def test_reduced_density_diagonal_is_marginal():
     dq = spec.axis("q").spacing
     assert np.allclose(rho.diagonal(), marginal_density(state, ("q",)) * dq,
                        atol=1e-12)
+
+
+def test_reduced_density_is_the_one_density_type():
+    spec = _spec3()
+    state = gaussian_state(spec, {"x": 0.5, "y": 0.0, "q": -0.25}, WIDTH)
+    assert type(reduced_quantum_density(state)) is FiniteDensity
+    drifted = GridState(spec, state.array * math.sqrt(1.0 + 3e-12))
+    assert reduced_quantum_density(drifted).trace() == pytest.approx(1.0, abs=1e-11)
+    with pytest.raises(ValueError, match="trace deviation"):
+        reduced_quantum_density(GridState(spec, state.array * math.sqrt(1.0 + 1e-9)))
 
 
 def test_uncoupled_run_stays_product():

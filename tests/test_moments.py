@@ -19,6 +19,7 @@ from hybridlab import (
     DegreeTooHigh,
     IllConditionedWarning,
     InsufficientData,
+    MomentOverflow,
     MomentState,
     NonlinearDynamics,
     classical_flow_generator,
@@ -301,6 +302,15 @@ def test_moment_state_validation():
 def test_moment_state_rejects_non_finite(mean, second):
     with pytest.raises(ValueError, match="finite"):
         MomentState(mean, second)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+def test_propagation_beyond_float_range_raises_moment_overflow():
+    G = mode_generator_matrix("classical-classical", Fraction(10**30))
+    assert np.isfinite(propagate_moments(G, default_moment_state(), 0.0).mean).all()
+    with pytest.raises(MomentOverflow, match="by t = 0.5"):
+        propagate_moments(G, default_moment_state(), 0.5)
 
 
 # -- envelope fits -----------------------------------------------------------

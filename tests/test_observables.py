@@ -111,6 +111,20 @@ def test_finite_density_rejects_invalid():
     assert np.allclose(rho.diagonal(), [0.25, 0.75])
 
 
+def test_one_trace_gate_admits_grid_norm_drift():
+    # a long grid run's |tr rho - 1| reaches ~1e-11; the shared gate is 1e-10
+    drifted = np.diag([0.25, 0.75 + 3e-12])
+    assert validate_density(drifted).passed
+    assert FiniteDensity(drifted).trace() == pytest.approx(1.0 + 3e-12, abs=1e-15)
+    DiagonalDistribution(np.diag(drifted).copy())
+    off = np.diag([0.25, 0.75 + 1e-9])
+    assert not validate_density(off).passed
+    with pytest.raises(ValueError, match="trace deviation"):
+        FiniteDensity(off)
+    with pytest.raises(ValueError, match="sum to"):
+        DiagonalDistribution(np.diag(off).copy())
+
+
 def test_trace_expectation_and_variance():
     rho = FiniteDensity(np.diag([0.25, 0.75]))
     a = np.diag([1.0, -1.0])

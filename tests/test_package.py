@@ -1,0 +1,41 @@
+"""The package surface: one list of public names, and README's example."""
+
+import contextlib
+import importlib
+import io
+import re
+from pathlib import Path
+
+import hybridlab
+
+MODULES = ("algebra", "expressions", "moments", "benchmark", "observables", "grid",
+           "reporting")
+
+
+def test_all_is_version_plus_each_modules_all():
+    expected = ["__version__"]
+    for name in MODULES:
+        expected += importlib.import_module(f"hybridlab.{name}").__all__
+    assert hybridlab.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for name in expected:
+        assert hasattr(hybridlab, name), name
+
+
+def test_sample_steps_is_exported():
+    from hybridlab import sample_steps
+    from hybridlab.grid import sample_steps as grid_sample_steps
+
+    assert sample_steps is grid_sample_steps
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "-q + 0.2*p_y"
+    assert float(lines[1]) > 50.0  # <q^2> grew from 0.5: secular growth
