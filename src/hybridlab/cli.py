@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
@@ -48,6 +49,7 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
+    compile_exact,
     compile_splitting,
     evolve,
     gaussian_state,
@@ -83,6 +85,7 @@ class ConfigError(Exception):
 
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
+_MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +195,27 @@ def _coupling_of(args) -> Fraction:
     return _parse_fraction(raw)
 
 
+def _check_float_range(numbers, message: str) -> None:
+    """For the commands that compute with exact numbers as floats."""
+    for number in numbers:
+        try:
+            float(number.real), float(number.imag)
+        except OverflowError as exc:
+            raise ConfigError(message) from exc
+
+
 def _float_coupling(args) -> Fraction:
-    """The coupling, checked for the commands that compute with it as a float."""
     k = _coupling_of(args)
-    try:
-        float(k)
-    except OverflowError as exc:
-        raise ConfigError(f"--k is too large for a float: {args.k}") from exc
+    _check_float_range([k], f"--k is too large for a float: {args.k}")
     return k
 
 
-def _binding(args, k: Fraction) -> ParameterBinding:
+def _binding(args, k: Fraction, numeric: bool = True) -> ParameterBinding:
     params = {"k": k}
     for name, value in _parse_pairs(getattr(args, "param", None), "--param").items():
         params[name] = _parse_fraction(value)
+        if numeric:
+            _check_float_range([params[name]], f"--param {name} is too large for a float: {value}")
     try:
         return ParameterBinding(params)
     except ValueError as exc:
@@ -249,7 +259,9 @@ def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding):
         label, _, expr = item.partition("=")
         if not expr:
             label, expr = item, item
-        observers.append((label.strip(), parse_polynomial(expr.strip(), binding)))
+        poly = parse_polynomial(expr.strip(), binding)
+        _check_float_range(poly.terms.values(), f"--observer {item}: too large for a float")
+        observers.append((label.strip(), poly))
     labels = [label for label, _ in observers]
     if len(set(labels)) < len(labels) or {"t", "norm"} & set(labels):
         raise ConfigError(f"observer labels must be unique and not t or norm, got {labels}")
@@ -277,6 +289,9 @@ def _simulation_settings(args, engines=None):
     dt = _as_float(_required(args, "dt", 0.01), "dt")
     if dt <= 0:
         raise ConfigError("--dt must be positive")
+    propagator = _required(args, "propagator", "exact")
+    if propagator not in ("exact", "strang"):
+        raise ConfigError(f"unknown propagator {propagator!r}; choose exact or strang")
     t_final = _as_float(_required(args, "t-final", 10.0), "t-final")
     stride = _as_int(_required(args, "stride", 10), "stride")
     grid_n = _as_int(_required(args, "grid-n", 64), "grid-n")
@@ -290,7 +305,7 @@ def _simulation_settings(args, engines=None):
             raise ConfigError(f"--mean supports q, x, y; got {name!r}")
     # The engines' own constructors validate these inputs with ValueError.
     try:
-        marks, _ = sample_steps(t_final, dt, stride)
+        marks, steps = sample_steps(t_final, dt, stride)
         grid_spec = _grid_spec_for(mode, grid_l, grid_n) if "grid" in engines else None
         moment_state = (
             benchmark.default_moment_state(means) if "moments" in engines else None
@@ -310,6 +325,8 @@ def _simulation_settings(args, engines=None):
         dt=dt,
         t_final=t_final,
         stride=stride,
+        steps=steps,
+        propagator=propagator,
         grid_spec=grid_spec,
         moment_state=moment_state,
         means=means,
@@ -321,6 +338,7 @@ def _simulation_settings(args, engines=None):
             "mode": mode,
             "k": str(k),
             "engine": engine,
+            "propagator": propagator,
             "dt": dt,
             "t_final": t_final,
             "stride": stride,
@@ -375,18 +393,30 @@ def _grid_columns(settings):
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)
     K = benchmark.mode_koopmanian(settings.mode, settings.k)
-    plan = compile_splitting(K, spec, settings.dt)
-    result = evolve(
-        state,
-        plan,
-        settings.t_final,
-        observers=settings.observers,
-        stride=settings.stride,
-    )
+    plan, stride = _grid_plan(K, settings)
+    result = evolve(state, plan, settings.t_final, observers=settings.observers, stride=stride)
     columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
     resid = result.imag_residuals
-    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0}
+    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0,
+             "plan_tau": plan.dt, "plan_steps": int(round(settings.t_final / plan.dt))}
     return columns, extra, result.final_state if settings.snapshot else None
+
+
+def _grid_plan(K, settings):
+    """The grid plan, and the evolve stride that samples at settings.times.
+
+    Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the smallest
+    split compile_exact accepts; stride * j / g of them make a sample interval.
+    """
+    if settings.propagator == "strang":
+        return compile_splitting(K, settings.grid_spec, settings.dt), settings.stride
+    spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
+    for j in itertools.count(1):
+        try:
+            return compile_exact(K, spec, settings.dt * g / j), settings.stride // g * j
+        except NonSplittableTerm:
+            if j >= _MAX_SPLIT * g:
+                raise
 
 
 # Engine name -> table builder: (named sample columns at settings.times,
@@ -460,7 +490,7 @@ def _write_snapshots(final_state, out_dir: str) -> None:
 
 def _cmd_derive(args) -> int:
     k = _coupling_of(args)
-    binding = _binding(args, k)
+    binding = _binding(args, k, numeric=False)
     generator_poly = _explicit_generator(args, binding)
     if generator_poly is None:
         mode = _mode_of(args)
@@ -497,6 +527,7 @@ def _cmd_spectrum(args) -> int:
     if explicit is not None:
         from .moments import derive_generator
 
+        _check_float_range(explicit.terms.values(), "generator too large for a float")
         G = derive_generator(explicit)
     else:
         G = benchmark.mode_generator_matrix(_mode_of(args), k)
@@ -610,6 +641,8 @@ def _add_mode_flags(sub):
 def _add_sim_flags(sub):
     _add_mode_flags(sub)
     sub.add_argument("--engine", help="moments | grid | both")
+    sub.add_argument("--propagator",
+                     help="grid plan: exact (default; chirps per sample interval) | strang")
     sub.add_argument("--dt", help="time step (default 0.01)")
     sub.add_argument("--t-final", help="total time (default 10)")
     sub.add_argument("--stride", help="sample every N steps (default 10)")

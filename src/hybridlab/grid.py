@@ -8,6 +8,12 @@ representations of one axis splits into groups of simultaneously diagonal
 terms; evolution applies exact phase factors exp(-i * term * dt) per group
 in a Strang-symmetric sweep, so each substep is exactly unitary.
 
+When every monomial is diagonal in one frame R1 (a representation per axis)
+or in its full flip R2, the propagator of a step tau of any length is exact:
+the linear flow M of K factors as L U L, a chirp in R1, one in R2 and the
+first again (compile_exact).  Each chirp is held as one factor per pair of
+axes, with the diagonal terms folded in, so no phase array spans the grid.
+
 Stepping works in place on one buffer the engine owns (phases multiplied in
 place, FFTs allowed to overwrite it).  The sweep opens and closes with the
 same dt/2 phase, so between samples the closing half of one step and the
@@ -29,6 +35,7 @@ the boundary edge masses come from the same marginals.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -37,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import ndimage
 
 from .algebra import GENERATOR_NAMES, Monomial, OperatorPolynomial
 from .observables import Expectation, FiniteDensity
@@ -56,6 +62,7 @@ __all__ = [
     "set_workers",
     "gaussian_state",
     "compile_splitting",
+    "compile_exact",
     "sample_steps",
     "evolve",
     "grid_expectation",
@@ -81,8 +88,9 @@ class OutOfBox(Exception):
 
 
 class NonSplittableTerm(Exception):
-    """A monomial needs both representations of one axis (or is not
-    a real-coefficient term, so its phase would not be unitary)."""
+    """A monomial needs both representations of one axis, or is not a
+    real-coefficient term (its phase would not be unitary); or K has no
+    exact plan at this step."""
 
 
 class UnknownAxis(Exception):
@@ -266,17 +274,19 @@ def _per_axis(spec: GridSpec, values, what: str) -> list[float]:
 class _PhaseGroup:
     # rep[i] is "pos", "mom", or None (axis unconstrained by this group)
     rep: tuple
-    phase: np.ndarray  # exp(-i * V * dt/2), or dt for the last group
+    phase: np.ndarray  # diagonal factor applied at each visit of the sweep
 
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Strang-symmetric factorization of exp(-i K dt) into diagonal phases.
+    """Symmetric factorization of exp(-i K dt) into diagonal phases.
 
-    Groups are ordered position-diagonal, then mixed, then
-    momentum-diagonal; one full step applies all groups at dt/2, the last
-    at dt, then the rest mirrored.  Applying the plan with dt and again
-    with -dt undoes it to roundoff.
+    One full step applies every group, the last at dt, then the rest
+    mirrored.  compile_splitting's Strang groups are ordered
+    position-diagonal, then mixed, then momentum-diagonal, each at dt/2;
+    compile_exact's are the R1 chirp's factors, then the R2 chirp's at
+    dt/2.  Applying the plan with dt and again with -dt undoes it to
+    roundoff.
     """
 
     spec: GridSpec
@@ -412,6 +422,77 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
         phase = np.exp(-1j * sub_dt * potential)
         groups.append(_PhaseGroup(rep, phase))
     return PropagatorPlan(spec, float(dt), tuple(groups))
+
+
+def _pair_quadratics(S: np.ndarray, values: list) -> list:
+    """w^T S w / 2 as one broadcastable term per axis pair, diagonals folded in."""
+    pairs = list(itertools.combinations(range(len(values)), 2)) or [(0, 0)]
+    home = {a: next(p for p in pairs if a in p) for a in range(len(values))}
+    return [
+        (i != j) * S[i, j] * values[i] * values[j]
+        + sum(0.5 * S[a, a] * values[a] ** 2 for a in {i, j} if home[a] == (i, j))
+        for i, j in pairs
+    ]
+
+
+def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> PropagatorPlan:
+    """Exact plan for a real quadratic K: exp(-i K tau) as three chirps L U L.
+
+    The frame R1 (a representation per axis) makes every monomial diagonal
+    in R1 or in its full flip R2.  With u the R1 variables, v their
+    conjugates and M = expm(J H tau) = [[A, B], [C, D]] the flow of
+    K = (u, v) H (u, v)^T / 2: L = exp(+i u^T P u / 2) in R1, P = (D - I) B^-1,
+    and U = exp(-i v^T B v / 2) in R2.  Raises NonSplittableTerm when no frame
+    exists, a term is not a real quadratic, B is singular, or a chirp's phase
+    steps by more than pi between neighbouring grid points (it would alias).
+    """
+    from scipy.linalg import expm
+
+    tau, n = float(tau), len(spec.axes)
+    entries = []
+    for mono, coeff in k_op.terms.items():
+        if not coeff.is_real or sum(mono.exponents) != 2:
+            raise NonSplittableTerm(f"{OperatorPolynomial({mono: coeff})} is not a real quadratic")
+        entries.append((mono, float(coeff.real), _term_representation(spec, mono)))
+    for frame in itertools.product(("pos", "mom"), repeat=n):
+        flip = tuple(_FLIP[r] for r in frame)
+        if all(_compatible(rep, frame) or _compatible(rep, flip) for _, _, rep in entries):
+            break
+    else:
+        raise NonSplittableTerm("no frame makes every term diagonal in it or in its flip")
+    # generator -> (index in z, sign); on a momentum axis u = p_y, v = -y
+    slot = {}
+    for i, (ax, r) in enumerate(zip(spec.axes, frame)):
+        pos, mom = ((i, 1.0), (n + i, 1.0)) if r == "pos" else ((n + i, -1.0), (i, 1.0))
+        slot[ax.label], slot[MOMENTUM_OF[ax.label]] = pos, mom
+    H = np.zeros((2 * n, 2 * n))
+    for mono, coeff, _ in entries:
+        (a, sa), (b, sb) = [
+            slot[GENERATOR_NAMES[g]] for g, e in enumerate(mono.exponents) for _ in range(e)
+        ]
+        H[a, b] += coeff * sa * sb
+        H[b, a] += coeff * sa * sb
+    J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    M = expm(J @ H * tau)
+    B, D = M[:n, n:], M[n:, n:]
+    if np.linalg.cond(B) > 1e12:
+        raise NonSplittableTerm(f"the flow's B block is singular at tau = {tau:g}")
+    P = np.linalg.solve(B.T, (D - np.eye(n)).T)  # (D - I) B^-1; P and B are symmetric
+    u = [spec._axis_values(i, r) for i, r in enumerate(frame)]
+    v = [spec._axis_values(i, r) * (-1.0 if r == "pos" else 1.0) for i, r in enumerate(flip)]
+    for S, w in ((P, u), (B, v)):
+        # the phase w^T S w / 2 changes by at most step_i * |S| reach along axis i
+        reach = np.array([np.max(np.abs(x)) for x in w])
+        step = np.array([abs(x.flat[1] - x.flat[0]) for x in w])
+        worst = float(np.max(step * (np.abs(S) @ reach)))
+        if worst > math.pi:
+            raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
+    *halves, last = _pair_quadratics(B, v)
+    return PropagatorPlan(spec, tau, (
+        *[_PhaseGroup(frame, np.exp(1j * t)) for t in _pair_quadratics(P, u)],
+        *[_PhaseGroup(flip, np.exp(-0.5j * t)) for t in halves],
+        _PhaseGroup(flip, np.exp(-1j * last)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +883,8 @@ def characteristics_reference(
     too coarse: its O(dx^2) error alone exceeds the agreement this oracle
     is used to certify).  Independent of the spectral engine.
     """
+    from scipy import ndimage
+
     if spec.labels != ("x", "y"):
         raise UnknownAxis("characteristics need a 2-D grid with axes ('x', 'y')")
     f0 = np.asarray(f0, dtype=float)

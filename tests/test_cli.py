@@ -338,6 +338,25 @@ def test_k_beyond_float_range_exits_2(capsys, tmp_path, command):
     assert not (tmp_path / "k").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--engine", "moments", "--observer", "c=a*q^2", "--param", "a=1e400"],
+     "--param a is too large for a float: 1e400"),
+    (["simulate", "--engine", "grid", "--grid-n", "8", "--observer", "c=a*q^2",
+      "--param", "a=1e400"], "--param a is too large for a float: 1e400"),
+    (["spectrum", "--koopmanian", "a*q*p_y+p^2", "--param", "a=1e400"],
+     "--param a is too large for a float: 1e400"),
+    (["simulate", "--engine", "moments", "--observer", "c=a*b*q^2", "--param", "a=1e200",
+      "--param", "b=1e200"], "--observer c=a*b*q^2: too large for a float"),
+    (["spectrum", "--koopmanian", "10^400*q*p_y+p^2"], "generator too large for a float"),
+])
+def test_coefficient_beyond_float_range_exits_2(capsys, tmp_path, argv, message):
+    extra = ["--t-final", "0.1", "--out", str(tmp_path / "c")] if argv[0] == "simulate" else []
+    code, _, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert f"configuration error: {message}" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_exact_commands_accept_k_beyond_float_range(capsys):
     code, out, _ = run(capsys, "derive", "--mode", "hybrid", "--k", "1e400")
     assert code == 0
@@ -480,13 +499,56 @@ def test_benchmark_tracer_entry_points_resolve(capsys, tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "evolve", recording)
+    for propagator, dt in (["--propagator", "strang"], 0.01), ([], 0.1):
+        seen.clear()
+        code, _, _ = run(
+            capsys, "simulate", "--mode", "quantum-quantum", "--engine", "grid",
+            "--grid-n", "16", "--t-final", "0.1", "--out", str(tmp_path / "tr"), *propagator,
+        )
+        assert code == 0
+        assert len(seen) == 1 and len(seen[0]) >= 3
+        assert seen[0][1].dt == dt and seen[0][2] == 0.1
+
+
+@pytest.mark.parametrize("grid_n, dt, t_final, every, tau, stride", [
+    # 25 steps with stride 10: tau = 5 dt, sampled every 2 steps of tau
+    (32, 0.01, 0.25, 10, 0.05, 2),
+    # tau = 10 dt = 1 breaks the p chirp's sampling bound at N = 64, so it splits in two
+    (64, 0.1, 2.0, 10, 0.5, 2),
+])
+def test_exact_plan_keeps_the_sample_times(capsys, tmp_path, monkeypatch, grid_n, dt,
+                                           t_final, every, tau, stride):
+    seen = []
+    original = cli.evolve
+
+    def recording(*args, **kwargs):
+        seen.append((args[1].dt, kwargs["stride"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", recording)
+    out_dir = tmp_path / "tau"
     code, _, _ = run(
-        capsys, "simulate", "--mode", "quantum-quantum", "--engine", "grid",
-        "--grid-n", "16", "--t-final", "0.1", "--out", str(tmp_path / "tr"),
+        capsys, "compare", "--mode", "quantum-quantum", "--mean", "q=0.3", "--grid-l", "8",
+        "--grid-n", str(grid_n), "--dt", str(dt), "--t-final", str(t_final),
+        "--stride", str(every), "--out", str(out_dir),
     )
     assert code == 0
-    assert len(seen) == 1 and len(seen[0]) >= 3
-    assert seen[0][1].dt == 0.01 and seen[0][2] == 0.1
+    assert seen == [(tau, stride)]
+    _, mcols = read_csv(out_dir / "moments.csv")
+    _, gcols = read_csv(out_dir / "grid.csv")
+    marks, _ = sample_steps(t_final, dt, every)
+    assert np.array_equal(gcols["t"], marks * dt) and np.array_equal(mcols["t"], gcols["t"])
+    report = json.loads((out_dir / "report-grid.json").read_text())
+    assert report["config"]["propagator"] == "exact"
+    assert (report["plan_tau"], report["plan_steps"]) == (tau, round(t_final / tau))
+    assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] < 1e-10
+
+
+def test_unknown_propagator_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "simulate", "--engine", "grid", "--propagator", "rk4",
+                       "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert "unknown propagator 'rk4'" in err
 
 
 def test_report_aggregates_runs(capsys, tmp_path):
@@ -503,6 +565,26 @@ def test_report_aggregates_runs(capsys, tmp_path):
     assert "| moments | hybrid |" in md
     data = json.loads((out_dir / "summary.json").read_text())
     assert data["count"] == 1
+
+
+def test_report_shows_the_grid_propagator(capsys, tmp_path):
+    runs = []
+    for propagator in ("exact", "strang"):
+        run_dir = tmp_path / propagator
+        assert run(
+            capsys, "simulate", "--mode", "quantum-quantum", "--engine", "both",
+            "--grid-n", "16", "--t-final", "0.2", "--propagator", propagator,
+            "--out", str(run_dir),
+        )[0] == 0
+        runs += ["--runs", str(run_dir)]
+    code, out, _ = run(capsys, "report", *runs, "--out", str(tmp_path / "sum"))
+    assert code == 0
+    assert "| propagator |" in out
+    assert "| grid | quantum-quantum | 1/5 | 0.2 | exact |" in out
+    assert "| grid | quantum-quantum | 1/5 | 0.2 | strang |" in out
+    assert out.count("| moments | quantum-quantum | 1/5 | 0.2 | - |") == 2
+    strang = json.loads((tmp_path / "strang" / "report-grid.json").read_text())
+    assert (strang["plan_tau"], strang["plan_steps"]) == (0.01, 20)
 
 
 def test_report_requires_existing_runs(capsys, tmp_path):

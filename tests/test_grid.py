@@ -18,6 +18,7 @@ from hybridlab import (
     UnknownAxis,
     characteristics_reference,
     classical_liouvillian,
+    compile_exact,
     compile_splitting,
     default_moment_state,
     default_observers,
@@ -28,6 +29,7 @@ from hybridlab import (
     load_snapshot,
     marginal_density,
     mode_generator_matrix,
+    mode_koopmanian,
     operator_matrix_1d,
     parse_polynomial,
     period_residual,
@@ -147,6 +149,82 @@ def test_splitting_requires_matching_axes():
 def test_splitting_rejects_zero_dt():
     with pytest.raises(ValueError):
         compile_splitting(quantum_energy(), _spec1(), 0.0)
+
+
+def test_exact_plan_structure():
+    n = 16
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), _spec3(n), 0.1)
+    assert plan.dt == 0.1
+    assert len(plan.groups) == 6
+    assert list(plan.sequence) == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
+    r1, r2 = ("pos", "mom", "pos"), ("mom", "pos", "mom")  # (x, y, q)
+    assert [g.rep for g in plan.groups] == [r1] * 3 + [r2] * 3
+    # one factor per axis pair: no phase array spans the whole grid
+    assert [g.phase.shape for g in plan.groups] == [(n, n, 1), (n, 1, n), (1, n, n)] * 2
+    qq_spec = GridSpec((AxisSpec("x", 8.0, n), AxisSpec("q", 8.0, n)))
+    qq = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), qq_spec, 0.1)
+    assert [g.rep for g in qq.groups] == [("pos", "pos"), ("mom", "mom")]
+    assert list(qq.sequence) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("text, spec, reason", [
+    ("q*p + p^2", _spec1(), "both representations"),
+    ("q^2/2", _spec1(), "singular"),  # no kinetic term
+    ("q^2/2 + p^2/2 + q^3", _spec1(), "not a real quadratic"),
+    ("q^2/2 + p^2/2 + q", _spec1(), "not a real quadratic"),
+    ("i*p^2", _spec1(), "not a real quadratic"),
+    ("x*p_y + x*y + p_x^2 + p_y^2", _spec2(), "no frame"),
+])
+def test_exact_plan_rejects(text, spec, reason):
+    with pytest.raises(NonSplittableTerm, match=reason):
+        compile_exact(parse_polynomial(text), spec, 0.1)
+
+
+def test_exact_plan_keeps_chirps_within_the_sampling_bound():
+    spec = GridSpec((AxisSpec("x", 8.0, 64), AxisSpec("q", 8.0, 64)))
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    with pytest.raises(NonSplittableTerm, match="> pi"):
+        compile_exact(K, spec, 1.0)  # the p chirp steps ~4.1 rad between momenta
+    assert compile_exact(K, spec, 0.5).dt == 0.5
+
+
+@pytest.mark.parametrize("mode, spec, t_final", [
+    ("hybrid", _spec3(32), 2.0),
+    ("quantum-quantum", GridSpec((AxisSpec("x", 8.0, 64), AxisSpec("q", 8.0, 64))), 10.0),
+])
+def test_exact_plan_matches_moment_engine(mode, spec, t_final):
+    observers = default_observers(mode, K_COUPLING)
+    means = {"x": 0.3, "q": -0.2, "y": 0.1} if mode == "hybrid" else {"x": 0.3, "q": -0.2}
+    state = gaussian_state(spec, means, WIDTH)
+    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1)
+    result = evolve(state, plan, t_final, observers=observers, stride=2)
+    G = mode_generator_matrix(mode, K_COUPLING)
+    s0 = default_moment_state(means)
+    worst = 0.0
+    for i, t in enumerate(result.times):
+        s = propagate_moments(G, s0, float(t))
+        for j, (label, poly) in enumerate(observers):
+            worst = max(worst, abs(result.values[i, j] - quadratic_expectation(poly, s)))
+    assert worst <= 1e-10
+    assert result.norm_drift < 1e-12
+
+
+def test_strang_converges_to_exact_plan_at_second_order():
+    # criterion 7's grid, generator, state and dt, over a shorter run
+    spec = _spec3(64)
+    K = hybrid_koopmanian(K_COUPLING)
+    observers = default_observers("hybrid", K_COUPLING)
+    state = gaussian_state(spec, {}, WIDTH)
+    exact = evolve(state, compile_exact(K, spec, 0.1), 0.5, observers=observers, stride=1)
+
+    def deviation(dt):
+        stride = int(round(0.1 / dt))
+        strang = evolve(state, compile_splitting(K, spec, dt), 0.5, observers=observers,
+                        stride=stride)
+        return float(np.max(np.abs(strang.values - exact.values)))
+
+    ratio = deviation(0.01) / deviation(0.005)
+    assert 3.5 <= ratio <= 4.5
 
 
 # -- evolution ---------------------------------------------------------------

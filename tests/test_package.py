@@ -3,7 +3,10 @@
 import contextlib
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hybridlab
@@ -27,6 +30,15 @@ def test_sample_steps_is_exported():
     from hybridlab.grid import sample_steps as grid_sample_steps
 
     assert sample_steps is grid_sample_steps
+
+
+def test_cli_import_leaves_ndimage_out():
+    # only characteristics_reference needs scipy.ndimage; the CLI never calls it
+    code = "import sys, hybridlab.cli; print('scipy.ndimage' in sys.modules)"
+    src = str(Path(hybridlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_readme_python_example_runs():
