@@ -50,7 +50,7 @@ from .grid import (
     OutOfBox,
     UnknownAxis,
     compile_exact,
-    compile_splitting,
+    compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
     evolve,
     gaussian_state,
     marginal_density,
@@ -289,9 +289,6 @@ def _simulation_settings(args, engines=None):
     dt = _as_float(_required(args, "dt", 0.01), "dt")
     if dt <= 0:
         raise ConfigError("--dt must be positive")
-    propagator = _required(args, "propagator", "exact")
-    if propagator not in ("exact", "strang"):
-        raise ConfigError(f"unknown propagator {propagator!r}; choose exact or strang")
     t_final = _as_float(_required(args, "t-final", 10.0), "t-final")
     stride = _as_int(_required(args, "stride", 10), "stride")
     grid_n = _as_int(_required(args, "grid-n", 64), "grid-n")
@@ -326,7 +323,6 @@ def _simulation_settings(args, engines=None):
         t_final=t_final,
         stride=stride,
         steps=steps,
-        propagator=propagator,
         grid_spec=grid_spec,
         moment_state=moment_state,
         means=means,
@@ -338,7 +334,6 @@ def _simulation_settings(args, engines=None):
             "mode": mode,
             "k": str(k),
             "engine": engine,
-            "propagator": propagator,
             "dt": dt,
             "t_final": t_final,
             "stride": stride,
@@ -403,13 +398,11 @@ def _grid_columns(settings):
 
 
 def _grid_plan(K, settings):
-    """The grid plan, and the evolve stride that samples at settings.times.
+    """The exact grid plan, and the evolve stride that samples at settings.times.
 
     Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the smallest
     split compile_exact accepts; stride * j / g of them make a sample interval.
     """
-    if settings.propagator == "strang":
-        return compile_splitting(K, settings.grid_spec, settings.dt), settings.stride
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
     for j in itertools.count(1):
         try:
@@ -641,8 +634,6 @@ def _add_mode_flags(sub):
 def _add_sim_flags(sub):
     _add_mode_flags(sub)
     sub.add_argument("--engine", help="moments | grid | both")
-    sub.add_argument("--propagator",
-                     help="grid plan: exact (default; chirps per sample interval) | strang")
     sub.add_argument("--dt", help="time step (default 0.01)")
     sub.add_argument("--t-final", help="total time (default 10)")
     sub.add_argument("--stride", help="sample every N steps (default 10)")

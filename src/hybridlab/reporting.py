@@ -128,21 +128,17 @@ def aggregate_reports(report_paths) -> tuple[dict, str]:
     combined = {"runs": runs, "count": len(runs)}
 
     lines = ["# Run summary", "", f"{len(runs)} run(s) aggregated.", ""]
-    lines.append(
-        "| engine | mode | k | t_final | propagator | norm drift | K drift | envelope degree |"
-    )
-    lines.append("|---|---|---|---|---|---|---|---|")
+    lines.append("| engine | mode | k | t_final | norm drift | K drift | envelope degree |")
+    lines.append("|---|---|---|---|---|---|---|")
     for data in runs:
         cfg = data.get("config", {})
         env = data.get("envelope") or {}
         lines.append(
-            "| {engine} | {mode} | {k} | {t} | {prop} | {nd} | {kd} | {deg} |".format(
+            "| {engine} | {mode} | {k} | {t} | {nd} | {kd} | {deg} |".format(
                 engine=data.get("engine", "?"),
                 mode=cfg.get("mode", "?"),
                 k=cfg.get("k", "?"),
                 t=cfg.get("t_final", "?"),
-                # only a grid run has a plan (its report carries plan_tau)
-                prop=cfg.get("propagator", "?") if "plan_tau" in data else "-",
                 nd=_fmt_opt(data.get("norm_drift")),
                 kd=_fmt_opt(data.get("koopmanian_drift")),
                 deg=env.get("degree", "-"),

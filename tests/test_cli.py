@@ -499,15 +499,14 @@ def test_benchmark_tracer_entry_points_resolve(capsys, tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "evolve", recording)
-    for propagator, dt in (["--propagator", "strang"], 0.01), ([], 0.1):
-        seen.clear()
-        code, _, _ = run(
-            capsys, "simulate", "--mode", "quantum-quantum", "--engine", "grid",
-            "--grid-n", "16", "--t-final", "0.1", "--out", str(tmp_path / "tr"), *propagator,
-        )
-        assert code == 0
-        assert len(seen) == 1 and len(seen[0]) >= 3
-        assert seen[0][1].dt == dt and seen[0][2] == 0.1
+    code, _, _ = run(
+        capsys, "simulate", "--mode", "quantum-quantum", "--engine", "grid",
+        "--grid-n", "16", "--t-final", "0.1", "--out", str(tmp_path / "tr"),
+    )
+    assert code == 0
+    assert len(seen) == 1 and len(seen[0]) >= 3
+    # one exact step of tau = dt * stride = 0.1 per sample interval
+    assert seen[0][1].dt == 0.1 and seen[0][2] == 0.1
 
 
 @pytest.mark.parametrize("grid_n, dt, t_final, every, tau, stride", [
@@ -539,16 +538,8 @@ def test_exact_plan_keeps_the_sample_times(capsys, tmp_path, monkeypatch, grid_n
     marks, _ = sample_steps(t_final, dt, every)
     assert np.array_equal(gcols["t"], marks * dt) and np.array_equal(mcols["t"], gcols["t"])
     report = json.loads((out_dir / "report-grid.json").read_text())
-    assert report["config"]["propagator"] == "exact"
     assert (report["plan_tau"], report["plan_steps"]) == (tau, round(t_final / tau))
     assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] < 1e-10
-
-
-def test_unknown_propagator_exits_2(capsys, tmp_path):
-    code, _, err = run(capsys, "simulate", "--engine", "grid", "--propagator", "rk4",
-                       "--out", str(tmp_path / "p"))
-    assert code == 2
-    assert "unknown propagator 'rk4'" in err
 
 
 def test_report_aggregates_runs(capsys, tmp_path):
@@ -565,26 +556,6 @@ def test_report_aggregates_runs(capsys, tmp_path):
     assert "| moments | hybrid |" in md
     data = json.loads((out_dir / "summary.json").read_text())
     assert data["count"] == 1
-
-
-def test_report_shows_the_grid_propagator(capsys, tmp_path):
-    runs = []
-    for propagator in ("exact", "strang"):
-        run_dir = tmp_path / propagator
-        assert run(
-            capsys, "simulate", "--mode", "quantum-quantum", "--engine", "both",
-            "--grid-n", "16", "--t-final", "0.2", "--propagator", propagator,
-            "--out", str(run_dir),
-        )[0] == 0
-        runs += ["--runs", str(run_dir)]
-    code, out, _ = run(capsys, "report", *runs, "--out", str(tmp_path / "sum"))
-    assert code == 0
-    assert "| propagator |" in out
-    assert "| grid | quantum-quantum | 1/5 | 0.2 | exact |" in out
-    assert "| grid | quantum-quantum | 1/5 | 0.2 | strang |" in out
-    assert out.count("| moments | quantum-quantum | 1/5 | 0.2 | - |") == 2
-    strang = json.loads((tmp_path / "strang" / "report-grid.json").read_text())
-    assert (strang["plan_tau"], strang["plan_steps"]) == (0.01, 20)
 
 
 def test_report_requires_existing_runs(capsys, tmp_path):
