@@ -86,6 +86,7 @@ class ConfigError(Exception):
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
+_MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +375,18 @@ def _report_numbers(columns) -> dict:
 
 
 def _moment_columns(settings):
-    columns = {label: [] for label, _ in settings.observers}
-    for t in settings.times:
-        state = propagate_moments(settings.generator, settings.moment_state, float(t))
-        for label, poly in settings.observers:
-            columns[label].append(quadratic_expectation(poly, state))
+    """Observer columns from one batched propagation per block of sample times."""
+    times = settings.times
+    blocks = []
+    for start in range(0, len(times), _MOMENT_BLOCK):
+        state = propagate_moments(
+            settings.generator, settings.moment_state, times[start:start + _MOMENT_BLOCK]
+        )
+        blocks.append([quadratic_expectation(poly, state) for _, poly in settings.observers])
+    columns = {
+        label: np.concatenate(parts)
+        for (label, _), parts in zip(settings.observers, zip(*blocks))
+    }
     return columns, {}, None
 
 

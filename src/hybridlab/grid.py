@@ -655,12 +655,16 @@ class EvolutionResult:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
+_MAX_SAMPLES = 10**7
+
+
 def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, int]:
     """Sampled step indices and step count of a run of t_final in steps of dt.
 
     t_final must be a whole number of |dt| steps (the sign of dt is the
     direction of time).  Every `stride`-th step is sampled, and so are
-    step 0 and the last step.
+    step 0 and the last step.  More than 10**7 samples is refused before
+    any array is allocated.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -669,6 +673,12 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     if steps < 1 or abs(steps_float - steps) > 1e-9:
         raise ValueError(
             f"t_final = {t_final} is not a positive whole number of dt = {dt} steps"
+        )
+    samples = steps // stride + 1 + (steps % stride != 0)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(
+            f"{steps} steps at stride {stride} make {samples} samples, "
+            f"more than the cap of {_MAX_SAMPLES}"
         )
     marks = np.arange(0, steps + 1, stride)
     if marks[-1] != steps:

@@ -199,9 +199,11 @@ def structure_residual(G: GeneratorMatrix | np.ndarray) -> float:
 class MomentState:
     """First moments m = <v> and symmetrized second moments S.
 
-    S_ij = <(v_i v_j + v_j v_i)/2>.  Both must be finite and the covariance
-    S - m m^T must have nonnegative diagonal; construction enforces
-    symmetry of S.
+    S_ij = <(v_i v_j + v_j v_i)/2>.  A single state has a 6-vector mean and
+    a 6x6 S; a time series of states has a leading time axis, mean (T, 6)
+    and S (T, 6, 6), and every check below holds along the trailing axes.
+    Both must be finite and the covariance S - m m^T must have nonnegative
+    diagonal; construction enforces symmetry of S.
     """
 
     mean: np.ndarray
@@ -210,14 +212,15 @@ class MomentState:
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
         S = np.asarray(self.second, dtype=float)
-        if m.shape != (_DIM,) or S.shape != (_DIM, _DIM):
+        if m.ndim not in (1, 2) or m.shape[-1] != _DIM or S.shape != m.shape + (_DIM,):
             raise ValueError("moment state needs a 6-vector mean and 6x6 second moments")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(S))):
             raise ValueError("moment state needs finite means and second moments")
-        if not np.allclose(S, S.T, atol=1e-10):
+        ST = np.swapaxes(S, -1, -2)
+        if not np.allclose(S, ST, atol=1e-10):
             raise ValueError("second-moment matrix must be symmetric")
-        S = (S + S.T) / 2
-        variances = np.diag(S) - m * m
+        S = (S + ST) / 2
+        variances = np.diagonal(S, axis1=-2, axis2=-1) - m * m
         if np.any(variances < -1e-10):
             raise ValueError("covariance diagonal has a negative entry")
         object.__setattr__(self, "mean", m)
@@ -231,52 +234,69 @@ class MomentState:
         return MomentState(m, S)
 
     def covariance(self) -> np.ndarray:
-        return self.second - np.outer(self.mean, self.mean)
+        return self.second - _outer(self.mean, self.mean)
 
 
-def matrix_exponential(G: GeneratorMatrix, t: float) -> np.ndarray:
-    """M(t) = exp(matrix * t) via scaling and squaring."""
-    return expm(G.matrix * float(t))
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer along the last axis, batched over any leading axes."""
+    return a[..., :, None] * b[..., None, :]
 
 
-def _flow_with_drift(G: GeneratorMatrix, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M(t), d(t)) with d the accumulated affine response."""
+def matrix_exponential(G: GeneratorMatrix, t) -> np.ndarray:
+    """M(t) = exp(matrix * t) via scaling and squaring.
+
+    A 1-D array of times gives the stacked (T, 6, 6) flows in one call.
+    """
+    return expm(G.matrix * np.asarray(t, dtype=float)[..., None, None])
+
+
+def _flow_with_drift(G: GeneratorMatrix, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M(t), d(t)) with d the accumulated affine response, stacked like t."""
     if not np.any(G.affine):
-        return matrix_exponential(G, t), np.zeros(_DIM)
+        M = matrix_exponential(G, t)
+        return M, np.zeros(M.shape[:-1])
     # Augmented block [[G, c], [0, 0]]: its exponential's last column is
     # the integral of e^{G(t-s)} c ds.
     aug = np.zeros((_DIM + 1, _DIM + 1))
     aug[:_DIM, :_DIM] = G.matrix
     aug[:_DIM, _DIM] = G.affine
-    E = expm(aug * float(t))
-    return E[:_DIM, :_DIM], E[:_DIM, _DIM]
+    E = expm(aug * t[..., None, None])
+    return E[..., :_DIM, :_DIM], E[..., :_DIM, _DIM]
 
 
-def propagate_moments(G: GeneratorMatrix, s0: MomentState, t: float) -> MomentState:
+def propagate_moments(G: GeneratorMatrix, s0: MomentState, t) -> MomentState:
     """Exact moment propagation under the affine flow of G.
 
     v(t) = M v(0) + d implies m -> M m + d and
     S -> M S M^T + (M m) d^T + d (M m)^T + d d^T; symmetry and the
     ordering content of S are preserved because the flow is linear.
-    Raises MomentOverflow if the moments at t are not finite floats.
+    A scalar t gives one state; a 1-D array of T times gives one state
+    with a leading time axis (mean (T, 6), second (T, 6, 6)) from one
+    stacked exponential, equal bit for bit to T scalar calls.  Raises
+    MomentOverflow naming the first time whose moments are not finite.
     """
-    M, d = _flow_with_drift(G, t)
-    m1 = M @ s0.mean + d
+    times = np.asarray(t, dtype=float)
+    M, d = _flow_with_drift(G, times)
     Mm = M @ s0.mean
-    S1 = M @ s0.second @ M.T + np.outer(Mm, d) + np.outer(d, Mm) + np.outer(d, d)
+    m1 = Mm + d
+    S1 = M @ s0.second @ np.swapaxes(M, -1, -2) + _outer(Mm, d) + _outer(d, Mm) + _outer(d, d)
+    S1 = (S1 + np.swapaxes(S1, -1, -2)) / 2
     try:
-        return MomentState(m1, (S1 + S1.T) / 2)
+        return MomentState(m1, S1)
     except ValueError:
-        if np.all(np.isfinite(m1)) and np.all(np.isfinite(S1)):
+        finite = np.isfinite(m1).all(axis=-1) & np.isfinite(S1).all(axis=(-2, -1))
+        if np.all(finite):
             raise
-    raise MomentOverflow(f"moment flow left the float range by t = {t!r}")
+    first_bad = float(times.flat[np.argmin(finite)])
+    raise MomentOverflow(f"moment flow left the float range by t = {first_bad!r}")
 
 
 def propagate_trajectory(
     G: GeneratorMatrix, s0: MomentState, times
 ) -> list[MomentState]:
     """Propagated states at each requested time (each exact from t=0)."""
-    return [propagate_moments(G, s0, float(t)) for t in np.asarray(times, dtype=float)]
+    batch = propagate_moments(G, s0, times)
+    return [MomentState(m, S) for m, S in zip(batch.mean, batch.second)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +475,20 @@ def classify_spectrum(G: GeneratorMatrix, tol: float = 1e-9) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float:
+def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float | np.ndarray:
     """<k_op> on a MomentState, exact through degree 2.
 
-    Symmetrized second moments carry no ordering information, so the
-    normal-ordered cross term of a conjugate pair picks up the exact
-    correction <u v> = S_uv + i/2 from u v = (uv+vu)/2 + [u,v]/2.  The
-    correction is purely imaginary and is dropped with the rest of the
-    imaginary part (it cancels for every Hermitian-symmetric input; for
-    the benchmark generators all cross terms commute and it is zero).
+    Returns a float for a single state and a (T,) array for a state with a
+    leading time axis; each element sees the float operations of the
+    single-state sum.  Symmetrized second moments carry no ordering
+    information, so the normal-ordered cross term of a conjugate pair picks
+    up the exact correction <u v> = S_uv + i/2 from u v = (uv+vu)/2 +
+    [u,v]/2.  The correction is purely imaginary and is dropped with the
+    rest of the imaginary part (it cancels for every Hermitian-symmetric
+    input; for the benchmark generators all cross terms commute and it is
+    zero).
     """
-    total = 0.0
+    total = np.zeros(s.mean.shape[:-1])
     for mono, coeff in k_op.monomials():
         deg = mono.degree
         if deg > 2:
@@ -476,15 +499,14 @@ def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float:
         if deg == 0:
             value = 1.0
         elif deg == 1:
-            value = float(s.mean[mono.exponents.index(1)])
+            value = s.mean[..., mono.exponents.index(1)]
         else:
             idx = [i for i, e in enumerate(mono.exponents) for _ in range(e)]
-            a, b = idx[0], idx[1]
             # same-pair cross term: real part is the symmetrized moment,
             # the +i/2 ordering correction is imaginary and drops here
-            value = float(s.second[a, b])
-        total += float(coeff.real) * value
-    return total
+            value = s.second[..., idx[0], idx[1]]
+        total = total + float(coeff.real) * value
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------

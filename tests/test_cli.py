@@ -4,12 +4,21 @@ import ast
 import importlib
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridlab import cli, fit_envelope, read_csv
+from hybridlab import (
+    MomentOverflow,
+    cli,
+    default_moment_state,
+    fit_envelope,
+    mode_generator_matrix,
+    propagate_moments,
+    read_csv,
+)
 from hybridlab.cli import main
 from hybridlab.grid import sample_steps
 
@@ -182,6 +191,27 @@ def test_sample_times_pinned(dt, t_final, stride, marks):
     assert steps == marks[-1]
     assert np.array_equal(steps_at, marks)
     assert np.array_equal(steps_at * dt, np.array([j * dt for j in marks]))
+
+
+@pytest.mark.parametrize("t_final, dt, stride, samples", [
+    (20.0, 1e-6, 1, 20000001),
+    (10.0, 1e-9, 1, 10000000001),
+    (10.0, 1e-9, 1000, 10000001),
+    (9999999001.0, 1.0, 1000, 10000001),  # the last step is a sample of its own
+])
+def test_sample_count_above_cap_is_refused(t_final, dt, stride, samples):
+    with pytest.raises(ValueError, match=f"make {samples} samples, more than the cap of 10000000"):
+        sample_steps(t_final, dt, stride)
+
+
+def test_sample_count_above_cap_exits_2(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", "--engine", "moments", "--dt", "1e-6", "--t-final", "20",
+        "--stride", "1", "--out", str(tmp_path / "cap"),
+    )
+    assert code == 2
+    assert "20000000 steps at stride 1 make 20000001 samples, more than the cap of 10000000" in err
+    assert not (tmp_path / "cap").exists()
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):
@@ -376,6 +406,29 @@ def test_moment_flow_overflow_is_runtime_failure(capsys, tmp_path):
     assert not (tmp_path / "m").exists()
 
 
+# k = 250: the symmetrized second moments overflow while the raw ones are finite.
+@pytest.mark.parametrize("k", ["250", "300"])
+def test_moment_flow_overflow_past_first_block_names_first_bad_time(capsys, tmp_path, k):
+    G = mode_generator_matrix("classical-classical", Fraction(k))
+    marks, _ = sample_steps(30.0, 0.1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for first_bad in marks * 0.1:
+            try:
+                propagate_moments(G, default_moment_state(), float(first_bad))
+            except MomentOverflow:
+                break
+    assert first_bad > 128 * 0.1
+    code, _, err = run(
+        capsys, "simulate", "--engine", "moments", "--mode", "classical-classical",
+        "--k", k, "--dt", "0.1", "--stride", "1", "--t-final", "30",
+        "--out", str(tmp_path / "m"),
+    )
+    assert code == 1
+    assert f"runtime failure: moment flow left the float range by t = {float(first_bad)!r}" in err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("observers", [["a=q", "a=p"], ["norm=q"], ["t=q"]])
 def test_clashing_observer_labels_exit_2(capsys, tmp_path, observers):
     flags = [arg for obs in observers for arg in ("--observer", obs)]
@@ -467,6 +520,26 @@ def test_compare_classifies_once_and_reads_each_csv_once(capsys, tmp_path, monke
     _, mcols = read_csv(out_dir / "moments.csv")
     _, gcols = read_csv(out_dir / "grid.csv")
     assert np.array_equal(mcols["t"], gcols["t"])
+
+
+def test_moment_engine_propagates_once_per_block(capsys, tmp_path, monkeypatch):
+    argv = ["simulate", "--mode", "hybrid", "--engine", "moments", "--stride", "1",
+            "--deterministic"]
+    plain = tmp_path / "plain"
+    assert run(capsys, *argv, "--out", str(plain))[0] == 0
+    calls = []
+    original = cli.propagate_moments
+
+    def counted(G, s0, t):
+        calls.append(len(t))
+        return original(G, s0, t)
+
+    monkeypatch.setattr(cli, "propagate_moments", counted)
+    counted_dir = tmp_path / "counted"
+    assert run(capsys, *argv, "--out", str(counted_dir))[0] == 0
+    # 1001 samples in blocks of 128
+    assert calls == [128] * 7 + [105]
+    assert (counted_dir / "moments.csv").read_bytes() == (plain / "moments.csv").read_bytes()
 
 
 def _tracer_entry_points():

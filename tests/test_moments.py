@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from hybridlab import (
+    MODES,
     DegreeTooHigh,
     IllConditionedWarning,
     InsufficientData,
@@ -26,6 +28,7 @@ from hybridlab import (
     classify_spectrum,
     coupled_hamiltonian,
     default_moment_state,
+    default_observers,
     derive_generator,
     fit_envelope,
     gens,
@@ -188,6 +191,50 @@ def test_trajectory_matches_pointwise_propagation():
         assert np.allclose(s.second, single.second, atol=1e-13)
 
 
+_BATCH_GENERATORS = {
+    **{mode: mode_generator_matrix(mode, K_COUPLING) for mode in MODES},
+    # dx/dt = y, dy/dt = -x - 1: a non-zero affine part takes the 7x7 path
+    "affine": hamilton_generator((X * X + Y * Y) * parse_polynomial("1/2") + X),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_GENERATORS))
+def test_batched_propagation_is_bit_identical_to_scalar_calls(name):
+    G = _BATCH_GENERATORS[name]
+    assert np.any(G.affine) == (name == "affine")
+    s0 = default_moment_state({"q": 0.3, "x": -0.2})
+    times = np.arange(300) * 0.037  # longer than the CLI's 128-sample block
+    observers = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
+    observers.append(parse_polynomial("3 + q - 2*x*p_y"))
+    flows = matrix_exponential(G, times)
+    assert all(np.array_equal(M, expm(G.matrix * float(t))) for M, t in zip(flows, times))
+    batch = propagate_moments(G, s0, times)
+    assert batch.mean.shape == (300, 6) and batch.second.shape == (300, 6, 6)
+    singles = [propagate_moments(G, s0, float(t)) for t in times]
+    assert np.array_equal(batch.mean, [s.mean for s in singles])
+    assert np.array_equal(batch.second, [s.second for s in singles])
+    for poly in observers:
+        values = [quadratic_expectation(poly, s) for s in singles]
+        assert all(type(v) is float for v in values)
+        assert np.array_equal(quadratic_expectation(poly, batch), values)
+    assert singles[7].mean.shape == (6,) and singles[7].second.shape == (6, 6)
+
+
+def test_moment_state_validates_each_time():
+    s0 = default_moment_state()
+    series = MomentState(np.zeros((3, 6)), np.stack([s0.second] * 3))
+    assert series.covariance().shape == (3, 6, 6)
+    bad = np.stack([s0.second] * 3)
+    bad[2, 0, 0] = -1.0
+    with pytest.raises(ValueError, match="negative"):
+        MomentState(np.zeros((3, 6)), bad)
+    bad[2, 0, 0], bad[1, 0, 1] = 0.5, 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        MomentState(np.zeros((3, 6)), bad)
+    with pytest.raises(ValueError, match="6-vector"):
+        MomentState(np.zeros((3, 6)), s0.second)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
 def test_propagation_preserves_state_shape(t):
@@ -311,6 +358,8 @@ def test_propagation_beyond_float_range_raises_moment_overflow():
     assert np.isfinite(propagate_moments(G, default_moment_state(), 0.0).mean).all()
     with pytest.raises(MomentOverflow, match="by t = 0.5"):
         propagate_moments(G, default_moment_state(), 0.5)
+    with pytest.raises(MomentOverflow, match="by t = 0.5$"):
+        propagate_moments(G, default_moment_state(), np.array([0.0, 0.0, 0.5, 0.75]))
 
 
 # -- envelope fits -----------------------------------------------------------
