@@ -209,8 +209,9 @@ def _monomial_product(a: Monomial, b: Monomial) -> Iterator[tuple[Monomial, Comp
                 exps = [0] * 6
                 for (pos, mom), k in zip(CONJUGATE_PAIRS, ks):
                     m, n = ea[mom], eb[pos]
-                    weight = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
-                    coeff = coeff.scale(Fraction(weight)) * _MINUS_I_POWERS[k % 4]
+                    if k:  # k = 0 multiplies by exactly one
+                        weight = math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+                        coeff = coeff.scale(Fraction(weight)) * _MINUS_I_POWERS[k % 4]
                     exps[pos] = ea[pos] + n - k
                     exps[mom] = m - k + eb[mom]
                 yield Monomial(tuple(exps)), coeff
@@ -330,7 +331,8 @@ class OperatorPolynomial:
             for mb, cb in other._terms.items():
                 cab = ca * cb
                 for mono, reorder in _monomial_product(ma, mb):
-                    total = acc.get(mono, CR_ZERO) + cab * reorder
+                    term = cab if reorder is CR_ONE else cab * reorder
+                    total = acc.get(mono, CR_ZERO) + term
                     if total.is_zero:
                         acc.pop(mono, None)
                     else:

@@ -71,7 +71,7 @@ from .moments import (
 from .reporting import (
     RunReport,
     aggregate_reports,
-    read_csv,
+    read_csv,  # not called here: perfbench's tracer wraps cli.read_csv
     write_atomic,
     write_csv,
 )
@@ -86,6 +86,7 @@ class ConfigError(Exception):
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
+_MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
 _MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
 
 
@@ -352,7 +353,7 @@ def _simulation_settings(args, engines=None):
 
 
 def _report_numbers(columns) -> dict:
-    """Derive the report's numeric claims from the CSV columns as read back."""
+    """Derive the report's numeric claims from the columns the CSV holds."""
     numbers = {"norm_drift": None, "koopmanian_drift": None, "envelope": None}
     if "norm" in columns:
         numbers["norm_drift"] = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
@@ -392,11 +393,10 @@ def _moment_columns(settings):
 
 def _grid_columns(settings):
     spec = settings.grid_spec
+    plan, stride = _grid_plan(benchmark.mode_koopmanian(settings.mode, settings.k), settings)
     means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)
-    K = benchmark.mode_koopmanian(settings.mode, settings.k)
-    plan, stride = _grid_plan(K, settings)
     result = evolve(state, plan, settings.t_final, observers=settings.observers, stride=stride)
     columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
     resid = result.imag_residuals
@@ -410,9 +410,16 @@ def _grid_plan(K, settings):
 
     Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the smallest
     split compile_exact accepts; stride * j / g of them make a sample interval.
+    A run of more than _MAX_GRID_STEPS exact steps is refused before compiling.
     """
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
     for j in itertools.count(1):
+        exact_steps = settings.steps // g * j
+        if exact_steps > _MAX_GRID_STEPS:
+            raise ConfigError(
+                f"the grid run needs {exact_steps} exact steps of tau = "
+                f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
+            )
         try:
             return compile_exact(K, spec, settings.dt * g / j), settings.stride // g * j
         except NonSplittableTerm:
@@ -428,7 +435,9 @@ _ENGINES = {"moments": _moment_columns, "grid": _grid_columns}
 def _run_engines(settings) -> list[tuple[RunReport, dict]]:
     """Run every engine, then write <engine>.csv and report-<engine>.json.
 
-    Returns each engine's report with the columns read back from its CSV.
+    Returns each engine's report with its CSV's columns.  The CSV holds
+    every float to 17 significant digits, which round-trips it, so these
+    in-memory columns equal the file's bit for bit.
     """
     spectrum = classify_spectrum(settings.generator)
     tables = {}
@@ -446,8 +455,8 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
         if snapshot_state is not None:
             _write_snapshots(snapshot_state, out_dir)
         csv_path = os.path.join(out_dir, f"{engine}.csv")
-        write_csv(csv_path, ["t", *columns], [settings.times, *columns.values()])
-        _, written = read_csv(csv_path)
+        written = {"t": settings.times, **columns}
+        write_csv(csv_path, list(written), list(written.values()))
         report = RunReport(
             config=settings.config_echo,
             engine=engine,

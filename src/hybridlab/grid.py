@@ -46,6 +46,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .algebra import GENERATOR_NAMES, Monomial, OperatorPolynomial
+from .moments import expm
 from .observables import Expectation, FiniteDensity
 from .reporting import write_atomic
 
@@ -446,8 +447,6 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
     exists, a term is not a real quadratic, B is singular, or a chirp's phase
     steps by more than pi between neighbouring grid points (it would alias).
     """
-    from scipy.linalg import expm
-
     tau, n = float(tau), len(spec.axes)
     entries = []
     for mono, coeff in k_op.terms.items():

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     GENERATOR_NAMES,
@@ -240,6 +239,56 @@ class MomentState:
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.outer along the last axis, batched over any leading axes."""
     return a[..., :, None] * b[..., None, :]
+
+
+# Degree-13 Pade coefficients b_0..b_13 and the 1-norm bound theta_13 below
+# which the [13/13] approximant is accurate to unit roundoff (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 1179-1193, 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential of a square matrix or a stack of them.
+
+    Pade-13 scaling and squaring (Higham 2005): each matrix is scaled by
+    2^-s with s = max(0, ceil(log2(|A|_1 / theta_13))), put through the
+    [13/13] approximant (one batched solve for the stack), and squared
+    back s times.  Every step acts on each matrix alone, so a stacked call
+    equals per-matrix calls bit for bit.  A matrix with a non-finite entry,
+    or whose exponential overflows, gives non-finite entries in its result.
+    """
+    A = np.asarray(A, dtype=float)
+    shape, n = A.shape, A.shape[-1]
+    A = A.reshape(-1, n, n)
+    norm = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
+    finite = np.isfinite(norm)
+    # frexp gives x = m * 2^e with m in [0.5, 1): ceil(log2(x)) is e - (m == 0.5)
+    mant, expo = np.frexp(np.where(finite, norm, 0.0) / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    A = np.ldexp(np.where(finite[:, None, None], A, 0.0), -s[:, None, None])
+    b, eye = _PADE13, np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf or nan
+        for k in range(int(s.max(initial=0))):
+            todo = s > k
+            Rk = R[todo]
+            R[todo] = Rk @ Rk
+    # LAPACK may divide by multiplying with a rounded reciprocal: pin exp(0) = I
+    R[norm == 0] = eye
+    R[~finite] = np.nan
+    return R.reshape(shape)
 
 
 def matrix_exponential(G: GeneratorMatrix, t) -> np.ndarray:

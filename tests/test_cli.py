@@ -214,6 +214,23 @@ def test_sample_count_above_cap_exits_2(capsys, tmp_path):
     assert not (tmp_path / "cap").exists()
 
 
+def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    # 12 samples pass the sample cap, but a stride coprime to the 10**10 steps
+    # makes the exact plan step at tau = dt
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid engine started")
+
+    for name in ("compile_exact", "gaussian_state", "evolve"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, _, err = run(
+        capsys, "simulate", "--engine", "grid", "--dt", "1e-9", "--t-final", "10",
+        "--stride", "999999999", "--out", str(tmp_path / "cap"),
+    )
+    assert code == 2
+    assert "needs 10000000000 exact steps of tau = 1e-09, more than the cap of 10000000" in err
+    assert not (tmp_path / "cap").exists()
+
+
 def test_classical_mode_via_moments(capsys, tmp_path):
     out_dir = tmp_path / "cc"
     code, _, _ = run(
@@ -500,7 +517,7 @@ def test_compare_emits_deviation_table(capsys, tmp_path):
     assert summary["max_deviation"] < 1e-2
 
 
-def test_compare_classifies_once_and_reads_each_csv_once(capsys, tmp_path, monkeypatch):
+def test_compare_classifies_once_and_reads_no_csv(capsys, tmp_path, monkeypatch):
     calls = {"classify_spectrum": 0, "read_csv": 0}
     for name in calls:
         original = getattr(cli, name)
@@ -516,10 +533,33 @@ def test_compare_classifies_once_and_reads_each_csv_once(capsys, tmp_path, monke
         "--t-final", "0.2", "--dt", "0.01", "--out", str(out_dir),
     )
     assert code == 0
-    assert calls == {"classify_spectrum": 1, "read_csv": 2}
+    assert calls == {"classify_spectrum": 1, "read_csv": 0}
     _, mcols = read_csv(out_dir / "moments.csv")
     _, gcols = read_csv(out_dir / "grid.csv")
     assert np.array_equal(mcols["t"], gcols["t"])
+    summary = json.loads((out_dir / "compare.json").read_text())
+    assert summary["observables"]
+    for name, deviation in summary["observables"].items():
+        assert deviation == float(np.max(np.abs(mcols[name] - gcols[name])))
+
+
+@pytest.mark.parametrize("argv, claims", [
+    (["compare", "--mode", "quantum-quantum", "--grid-n", "32"],
+     {"norm_drift", "koopmanian_drift"}),
+    (["simulate", "--mode", "hybrid", "--engine", "moments", "--t-final", "70"],
+     {"koopmanian_drift", "envelope"}),
+])
+def test_report_numbers_recompute_from_written_csv(capsys, tmp_path, argv, claims):
+    out_dir = tmp_path / "run"
+    assert run(capsys, *argv, "--out", str(out_dir))[0] == 0
+    made = set()
+    for path in sorted(out_dir.glob("report-*.json")):
+        report = json.loads(path.read_text())
+        _, columns = read_csv(report["csv_path"])
+        recomputed = cli._report_numbers(columns)
+        assert {name: report[name] for name in recomputed} == recomputed
+        made.update(name for name, value in recomputed.items() if value is not None)
+    assert made == claims
 
 
 def test_moment_engine_propagates_once_per_block(capsys, tmp_path, monkeypatch):

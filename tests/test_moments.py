@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 from hybridlab import (
     MODES,
@@ -43,6 +43,7 @@ from hybridlab import (
     quadratic_expectation,
     structure_residual,
 )
+from hybridlab.moments import expm
 
 K_COUPLING = Fraction(1, 5)
 Q, P, X, Y, PX, PY = gens()
@@ -198,18 +199,34 @@ _BATCH_GENERATORS = {
 }
 
 
+def _flow_matrix(G):
+    """What propagate_moments exponentiates: G, or [[G, c], [0, 0]] with a drift c."""
+    if not np.any(G.affine):
+        return G.matrix
+    aug = np.zeros((7, 7))
+    aug[:6, :6], aug[:6, 6] = G.matrix, G.affine
+    return aug
+
+
 @pytest.mark.parametrize("name", sorted(_BATCH_GENERATORS))
 def test_batched_propagation_is_bit_identical_to_scalar_calls(name):
     G = _BATCH_GENERATORS[name]
     assert np.any(G.affine) == (name == "affine")
     s0 = default_moment_state({"q": 0.3, "x": -0.2})
-    times = np.arange(300) * 0.037  # longer than the CLI's 128-sample block
+    # longer than the CLI's 128-sample block, then on to t = 100
+    times = np.concatenate([np.arange(300) * 0.037, np.linspace(11.5, 100.0, 60)])
     observers = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
     observers.append(parse_polynomial("3 + q - 2*x*p_y"))
-    flows = matrix_exponential(G, times)
-    assert all(np.array_equal(M, expm(G.matrix * float(t))) for M, t in zip(flows, times))
+    A = _flow_matrix(G)
+    flows = expm(A * times[:, None, None])
+    assert all(np.array_equal(E, expm(A * t)) for E, t in zip(flows, times))
+    for E, t in zip(flows, times):
+        reference = scipy_expm(A * t)
+        assert np.linalg.norm(E - reference) <= 2e-12 * np.linalg.norm(reference), t
+    if A.shape == (6, 6):
+        assert np.array_equal(matrix_exponential(G, times), flows)
     batch = propagate_moments(G, s0, times)
-    assert batch.mean.shape == (300, 6) and batch.second.shape == (300, 6, 6)
+    assert batch.mean.shape == (360, 6) and batch.second.shape == (360, 6, 6)
     singles = [propagate_moments(G, s0, float(t)) for t in times]
     assert np.array_equal(batch.mean, [s.mean for s in singles])
     assert np.array_equal(batch.second, [s.second for s in singles])
@@ -218,6 +235,38 @@ def test_batched_propagation_is_bit_identical_to_scalar_calls(name):
         assert all(type(v) is float for v in values)
         assert np.array_equal(quadratic_expectation(poly, batch), values)
     assert singles[7].mean.shape == (6,) and singles[7].second.shape == (6, 6)
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_GENERATORS))
+def test_expm_of_zero_is_exactly_the_identity(name):
+    G = _BATCH_GENERATORS[name]
+    A = _flow_matrix(G)
+    for E in (expm(0.0 * A), expm(A * np.array([0.0, 1.0])[:, None, None])[0]):
+        assert np.array_equal(E, np.eye(len(A))) and not np.signbit(E).any()
+    # so a moment CSV's t = 0 row is the initial state itself
+    s0 = default_moment_state({"q": 0.3, "x": -0.2})
+    start = propagate_moments(G, s0, 0.0)
+    assert np.array_equal(start.mean, s0.mean) and np.array_equal(start.second, s0.second)
+
+
+def test_expm_keeps_the_shape_of_an_empty_stack():
+    assert expm(np.zeros((0, 6, 6))).shape == (0, 6, 6)
+    assert expm(np.zeros((2, 0, 7, 7))).shape == (2, 0, 7, 7)
+
+
+def test_expm_of_non_finite_or_overflowing_input_is_non_finite():
+    stack = np.stack([
+        np.eye(3),
+        np.full((3, 3), np.inf),
+        np.full((3, 3), np.nan),
+        np.full((3, 3), 1e300),  # finite, but its exponential overflows
+        np.full((3, 3), 1e-300),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = expm(stack)
+    assert np.isfinite(result).all(axis=(-2, -1)).tolist() == [True, False, False, False, True]
+    assert np.allclose(result[0], np.diag(np.full(3, np.e)), rtol=1e-15, atol=0)
 
 
 def test_moment_state_validates_each_time():

@@ -32,13 +32,22 @@ def test_sample_steps_is_exported():
     assert sample_steps is grid_sample_steps
 
 
-def test_cli_import_leaves_ndimage_out():
-    # only characteristics_reference needs scipy.ndimage; the CLI never calls it
-    code = "import sys, hybridlab.cli; print('scipy.ndimage' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    code = f"import sys, hybridlab.cli; print({module!r} in sys.modules)"
     src = str(Path(hybridlab.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_ndimage_out():
+    # only characteristics_reference needs scipy.ndimage; the CLI never calls it
+    assert not _loaded_by_cli_import("scipy.ndimage")
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # the moment engine and the exact grid plan use the package's own expm
+    assert not _loaded_by_cli_import("scipy.linalg")
 
 
 def test_readme_python_example_runs():
