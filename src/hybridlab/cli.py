@@ -87,6 +87,7 @@ _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
 _MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
+_GRID_LIVE_COPIES = 4  # full-grid arrays a run holds: state, step buffer, sample scratch, |psi|^2
 _MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
 
 
@@ -276,7 +277,24 @@ def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
             "the grid engine supports hybrid and quantum-quantum runs; "
             "classical-classical moments close exactly, use --engine moments"
         )
-    return GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
+    spec = GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
+    _check_grid_memory(len(spec.axes), points)
+    return spec
+
+
+def _check_grid_memory(ndim: int, points: int) -> None:
+    """Refuse a grid whose arrays would not fit in physical memory, before any exist.
+
+    The estimate counts _GRID_LIVE_COPIES complex state arrays, plus the exact
+    plan's chirps: two factors per axis pair and the fused FSAL factor, each N^2.
+    """
+    need = 16 * (_GRID_LIVE_COPIES * points**ndim + (2 * math.comb(ndim, 2) + 1) * points**2)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"a {ndim}-axis grid of {points} points per axis needs about {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def _simulation_settings(args, engines=None):

@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 from .algebra import GENERATOR_NAMES, Monomial, OperatorPolynomial
 from .moments import expm
@@ -109,6 +108,17 @@ def set_workers(n: int) -> None:
     """Cap the FFT worker count; 1 (the default) is fully deterministic."""
     global _workers
     _workers = max(1, int(n))
+
+
+def _scipy_fft():
+    """scipy.fft, imported on first use: only a grid run pays its import.
+
+    Callers look up fft/ifft on the returned module at each call, so a
+    wrapper or monkeypatch set on scipy.fft sees every transform.
+    """
+    from scipy import fft
+
+    return fft
 
 
 def _env_workers() -> int:
@@ -293,6 +303,9 @@ class PropagatorPlan:
     spec: GridSpec
     dt: float
     groups: tuple
+
+    def __post_init__(self):
+        _scipy_fft()  # a run pays the one-time import when it compiles, not in a step
 
     @property
     def sequence(self) -> list[int]:
@@ -502,11 +515,9 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
 def _transform_axis(
     arr: np.ndarray, axis: int, target: str, overwrite: bool = False
 ) -> np.ndarray:
-    if target == "mom":
-        return _fft.fft(arr, axis=axis, norm="ortho", workers=_workers,
-                        overwrite_x=overwrite)
-    return _fft.ifft(arr, axis=axis, norm="ortho", workers=_workers,
-                     overwrite_x=overwrite)
+    fft = _scipy_fft()
+    transform = fft.fft if target == "mom" else fft.ifft
+    return transform(arr, axis=axis, norm="ortho", workers=_workers, overwrite_x=overwrite)
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple) -> np.ndarray:
@@ -840,7 +851,7 @@ def operator_matrix_1d(axis: AxisSpec, pos_exp: int, mom_exp: int) -> np.ndarray
     n = axis.points
     out = np.eye(n, dtype=complex)
     if mom_exp:
-        F = _fft.fft(np.eye(n), axis=0, norm="ortho")
+        F = _scipy_fft().fft(np.eye(n), axis=0, norm="ortho")
         out = F.conj().T @ np.diag(axis.momenta() ** mom_exp) @ F
     if pos_exp:
         out = np.diag(axis.positions() ** pos_exp).astype(complex) @ out

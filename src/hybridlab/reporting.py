@@ -58,9 +58,9 @@ def write_csv(path, header, columns) -> None:
         raise ValueError("one header entry per column required")
     if cols and any(c.shape != cols[0].shape for c in cols):
         raise ValueError("columns must share one length")
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(format_number(v) for v in row))
+    # one %-format per row; it spells each float as format_number does
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(header), *(row % cells for cells in zip(*(c.tolist() for c in cols)))]
     write_atomic(path, "\n".join(lines) + "\n")
 
 

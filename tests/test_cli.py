@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -229,6 +230,23 @@ def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, m
     assert code == 2
     assert "needs 10000000000 exact steps of tau = 1e-09, more than the cap of 10000000" in err
     assert not (tmp_path / "cap").exists()
+
+
+def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    # 4096^3 complex amplitudes are 1 TiB for the state alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid engine started")
+
+    for name in ("compile_exact", "gaussian_state"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, _, err = run(
+        capsys, "simulate", "--engine", "grid", "--grid-n", "4096", "--out", str(tmp_path / "big"),
+    )
+    assert code == 2
+    match = re.search(r"3-axis grid of 4096 points per axis needs about (\d+) bytes", err)
+    assert match and int(match.group(1)) >= 16 * 4096**3
+    assert "bytes of physical memory" in err
+    assert not (tmp_path / "big").exists()
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):

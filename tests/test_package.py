@@ -32,8 +32,9 @@ def test_sample_steps_is_exported():
     assert sample_steps is grid_sample_steps
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    code = f"import sys, hybridlab.cli; print({module!r} in sys.modules)"
+def _loaded_by_cli_import(module: str, then: str = "") -> bool:
+    """Whether a fresh process has `module` loaded after importing the CLI, then `then`."""
+    code = f"import sys, hybridlab.cli\n{then}\nprint({module!r} in sys.modules)"
     src = str(Path(hybridlab.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
@@ -48,6 +49,34 @@ def test_cli_import_leaves_ndimage_out():
 def test_cli_import_leaves_scipy_linalg_out():
     # the moment engine and the exact grid plan use the package's own expm
     assert not _loaded_by_cli_import("scipy.linalg")
+
+
+def test_cli_import_loads_no_scipy():
+    # any scipy submodule would load the scipy package itself
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_commands_off_the_grid_load_no_scipy(tmp_path):
+    # derive, nogo, spectrum and moment runs need numpy alone; any scipy
+    # submodule would load the scipy package itself
+    then = f"""
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["derive"], ["nogo"], ["spectrum"],
+                 ["simulate", "--engine", "moments", "--out", {str(tmp_path)!r}]):
+        assert hybridlab.cli.main(argv) == 0, argv
+"""
+    assert not _loaded_by_cli_import("scipy", then)
+
+
+def test_compiling_a_grid_plan_loads_scipy_fft():
+    then = """
+from hybridlab import benchmark, grid
+spec = grid.GridSpec(tuple(grid.AxisSpec(lbl, 8.0, 16) for lbl in "xyq"))
+grid.compile_exact(benchmark.mode_koopmanian("hybrid", 0.2), spec, 0.1)
+"""
+    assert not _loaded_by_cli_import("scipy.fft")
+    assert _loaded_by_cli_import("scipy.fft", then)
 
 
 def test_readme_python_example_runs():
