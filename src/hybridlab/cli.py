@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import benchmark
+from . import benchmark, moments
 from .algebra import (
     GENERATOR_NAMES,
     OperatorPolynomial,
@@ -550,19 +550,19 @@ def _cmd_nogo(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     k = _float_coupling(args)
-    binding = _binding(args, k)
-    explicit = _explicit_generator(args, binding)
-    if explicit is not None:
-        from .moments import derive_generator
-
-        _check_float_range(explicit.terms.values(), "generator too large for a float")
-        G = derive_generator(explicit)
-    else:
-        G = benchmark.mode_generator_matrix(_mode_of(args), k)
+    explicit = _explicit_generator(args, _binding(args, k))
+    try:
+        G = (benchmark.mode_generator_matrix(_mode_of(args), k) if explicit is None
+             else moments.derive_generator(explicit))
+    except OverflowError as exc:
+        raise ConfigError("generator too large for a float") from exc
     tol = _as_float(_required(args, "tol", 1e-9), "tol")
     if tol <= 0:
         raise ConfigError("--tol must be positive")
-    report = classify_spectrum(G, tol)
+    try:
+        report = classify_spectrum(G, tol)
+    except OverflowError as exc:
+        raise ConfigError("eigenvalues too large, or too far apart, for floats") from exc
     for line in report.lines:
         ev = line.eigenvalue
         print(
@@ -708,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("spectrum", help="classify the dynamics generator")
     _add_expression_flags(sub)
     _add_mode_flags(sub)
-    sub.add_argument("--tol", help="eigenvalue clustering tolerance (default 1e-9)")
+    sub.add_argument("--tol", help="imaginary-axis tolerance for secular growth (default 1e-9)")
     sub.add_argument("--json", help="also write the report as JSON to this path")
     sub.set_defaults(func=_cmd_spectrum)
 

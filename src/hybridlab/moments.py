@@ -10,8 +10,10 @@ envelopes to scalar time series.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -30,7 +32,6 @@ __all__ = [
     "DegreeTooHigh",
     "InsufficientData",
     "MomentOverflow",
-    "IllConditionedWarning",
     "GeneratorMatrix",
     "MomentState",
     "SpectrumLine",
@@ -48,13 +49,6 @@ __all__ = [
 ]
 
 _DIM = 6
-
-# Relative SVD cutoff for the numerical rank decisions inside
-# classify_spectrum.  Large against roundoff in small matrix powers, small
-# against every structural singular value met in practice (the clean gap is
-# ~1e-2 vs ~1e-15).
-RANK_RTOL = 1e-8
-
 
 class NonlinearDynamics(Exception):
     """The Heisenberg flow of a basis element leaves the affine span."""
@@ -80,10 +74,6 @@ class MomentOverflow(Exception):
     """The propagated moments left the float range; the run is unreliable."""
 
 
-class IllConditionedWarning(UserWarning):
-    """Eigenvalue clustering was ambiguous at the requested tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # Generator matrices.
 # ---------------------------------------------------------------------------
@@ -95,12 +85,14 @@ class GeneratorMatrix:
 
     Rows and columns follow `labels` (always the canonical generator
     order).  For every quadratic generator with no linear part the affine
-    vector is zero.
+    vector is zero.  `exact` holds the matrix as given, in rows of
+    Fractions: rational entries stay exact, floats convert exactly.
     """
 
     matrix: np.ndarray
     affine: np.ndarray = field(default_factory=lambda: np.zeros(_DIM))
     labels: tuple[str, ...] = GENERATOR_NAMES
+    exact: tuple[tuple[Fraction, ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -109,6 +101,8 @@ class GeneratorMatrix:
             raise ValueError(f"generator matrix must be {_DIM}x{_DIM}, got {m.shape}")
         if c.shape != (_DIM,):
             raise ValueError(f"affine vector must have length {_DIM}, got {c.shape}")
+        if self.exact is None:
+            object.__setattr__(self, "exact", tuple(tuple(map(Fraction, r)) for r in self.matrix))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "affine", c)
 
@@ -116,22 +110,29 @@ class GeneratorMatrix:
         return float(self.matrix[GENERATORS[row].index, GENERATORS[col].index])
 
 
-def _affine_expansion(rhs: OperatorPolynomial, label: str) -> tuple[np.ndarray, float]:
+def _affine_expansion(rhs: OperatorPolynomial, label: str) -> tuple[list, Fraction]:
     """Split an affine polynomial into (linear coefficients, constant)."""
-    row = np.zeros(_DIM)
-    const = 0.0
+    row, const = [0] * _DIM, 0
     for mono, coeff in rhs.monomials():
         if not coeff.is_real:
             raise NonlinearDynamics(label, OperatorPolynomial({mono: coeff}))
         deg = mono.degree
         if deg == 0:
-            const = float(coeff.real)
+            const = coeff.real
         elif deg == 1:
-            idx = mono.exponents.index(1)
-            row[idx] = float(coeff.real)
+            row[mono.exponents.index(1)] = coeff.real
         else:
             raise NonlinearDynamics(label, OperatorPolynomial({mono: coeff}))
     return row, const
+
+
+def _exact_generator(flows: dict[str, OperatorPolynomial]) -> GeneratorMatrix:
+    """GeneratorMatrix whose row b expands flows[b]; absent rows stay zero."""
+    rows, consts = [[0] * _DIM] * _DIM, [0] * _DIM
+    for name, rhs in flows.items():
+        i = GENERATORS[name].index
+        rows[i], consts[i] = _affine_expansion(rhs, name)
+    return GeneratorMatrix(rows, consts)
 
 
 def derive_generator(k_op: OperatorPolynomial) -> GeneratorMatrix:
@@ -140,14 +141,13 @@ def derive_generator(k_op: OperatorPolynomial) -> GeneratorMatrix:
     Row b holds the expansion of heisenberg_rhs(b, k_op) over the
     generators; constants land in the affine vector.  Raises
     NonlinearDynamics naming the basis element whose flow leaves the
-    affine span (or carries a non-real coefficient).
+    affine span (or carries a non-real coefficient), and OverflowError
+    when an entry is too large for a float.
     """
-    G = np.zeros((_DIM, _DIM))
-    c = np.zeros(_DIM)
-    for i, name in enumerate(GENERATOR_NAMES):
-        rhs = heisenberg_rhs(OperatorPolynomial.generator(name), k_op)
-        G[i], c[i] = _affine_expansion(rhs, name)
-    return GeneratorMatrix(G, c)
+    return _exact_generator({
+        name: heisenberg_rhs(OperatorPolynomial.generator(name), k_op)
+        for name in GENERATOR_NAMES
+    })
 
 
 def hamilton_generator(h: OperatorPolynomial) -> GeneratorMatrix:
@@ -158,18 +158,12 @@ def hamilton_generator(h: OperatorPolynomial) -> GeneratorMatrix:
     dp/dt = -dh/dq, dx/dt = dh/dy, dy/dt = -dh/dx.  The shift rows stay
     zero; h must be free of shift operators and at most quadratic.
     """
-    flows = {
+    return _exact_generator({
         "q": partial_derivative(h, "p"),
         "p": -partial_derivative(h, "q"),
         "x": partial_derivative(h, "y"),
         "y": -partial_derivative(h, "x"),
-    }
-    G = np.zeros((_DIM, _DIM))
-    c = np.zeros(_DIM)
-    for name, rhs in flows.items():
-        i = GENERATORS[name].index
-        G[i], c[i] = _affine_expansion(rhs, name)
-    return GeneratorMatrix(G, c)
+    })
 
 
 def structure_residual(G: GeneratorMatrix | np.ndarray) -> float:
@@ -410,111 +404,115 @@ class SpectrumReport:
         }
 
 
-def _numerical_nullity(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] == 0.0:
-        return M.shape[0]
-    return int(np.sum(svals <= rtol * svals[0]))
+# Exact arithmetic on integer matrices (lists of rows) and polynomials
+# (coefficient lists, constant term first, no trailing zeros).
+
+
+def _matmul(A, B, c=0):  # A @ B + c I
+    return [[sum(map(mul, row, col)) + c * (i == j) for j, col in enumerate(zip(*B))]
+            for i, row in enumerate(A)]
+
+
+def _divmod(a, b):
+    """Pseudo-division: (q, r) with lc(b)^len(q) a = q b + r and deg r < deg b."""
+    q, r = [], a[:]
+    while len(r) >= len(b):
+        lead, k = r.pop(), len(r) - len(b) + 1
+        q = [lead] + [b[-1] * x for x in q]
+        r = [b[-1] * x - lead * (b[i - k] if i >= k else 0) for i, x in enumerate(r)]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd(a, b):
+    """Monic gcd of a monic a and b; integral by Gauss's lemma."""
+    while b:
+        r = _divmod(a, b)[1]
+        a, b = b, [x // math.gcd(*r) for x in r]
+    return [x // a[-1] for x in a]
+
+
+def _nullity(M):
+    """Nullity over Q by fraction-free (Bareiss) elimination; pivot rows drop out."""
+    rows, prev = M, 1
+    for col in range(len(M)):
+        top = next((row for row in rows if row[col]), None)
+        if top is not None:
+            rows = [[(top[col] * x - row[col] * y) // prev for x, y in zip(row, top)]
+                    for row in rows if row is not top]
+            prev = top[col]
+    return len(rows)
+
+
+def _jordan(B, h, m):
+    """(geometric multiplicity, chain length) of the roots of a monic factor h
+    of multiplicity m, from the nullities of h(B)^j, which reach m deg h."""
+    e, H = len(h) - 1, [[0] * _DIM] * _DIM
+    for c in reversed(h):
+        H = _matmul(B, H, c)
+    power, nullities = H, [_nullity(H)]
+    while nullities[-1] < m * e:
+        power = _matmul(power, H)
+        nullities.append(_nullity(power))
+    if any(k % e for k in nullities):
+        raise ValueError(f"roots of one factor differ in Jordan structure: {nullities}")
+    return nullities[0] // e, len(nullities)
+
+
+def _roots(h, d):
+    """Roots of h(d x), for a monic factor h of the polynomial of B = d A.
+
+    An even h(x) = u(x^2) gives x = +-sqrt(mu) over the roots mu of u, so
+    imaginary pairs have real part exactly 0 (+ 0.0 clears the -0.0 of
+    negated roots).  The variable is scaled by a power of two near the
+    roots' geometric mean, so coefficients beyond the float range still
+    give finite roots.
+    """
+    step = 1 if any(h[1::2]) else 2
+    u = [Fraction(c * d ** i, d ** (len(h) - 1)) for i, c in enumerate(h)][::step]
+    deg = len(u) - 1
+    t = (u[0].numerator.bit_length() - u[0].denominator.bit_length()) // deg // 2 * 2
+    scaled = [float(c * Fraction(2) ** (t * (i - deg))) for i, c in enumerate(u)]
+    roots = np.roots(scaled[::-1]).astype(complex)
+    if not roots.all():
+        raise OverflowError("a coefficient underflowed")
+    if step == 2:
+        roots = np.concatenate([np.sqrt(roots), -np.sqrt(roots)])
+    return [complex(math.ldexp(r.real, t // step) + 0.0, math.ldexp(r.imag, t // step) + 0.0)
+            for r in roots.tolist()]
 
 
 def classify_spectrum(G: GeneratorMatrix, tol: float = 1e-9) -> SpectrumReport:
-    """Cluster eigenvalues, then certify multiplicities by numerical rank.
+    """Exact eigenvalue multiplicities and Jordan chains of G's matrix.
 
-    Defective eigenvalues are computed by eig with an O(eps^(1/m)) scatter
-    that can exceed any reasonable clustering tolerance, so after the
-    first pass each cluster's algebraic multiplicity is certified from
-    nullity((A - lam I)^6); when the certificate exceeds the cluster size,
-    nearby clusters are merged (with an IllConditionedWarning) until the
-    counts agree.  Geometric multiplicity and Jordan chain length come
-    from ranks of (A - lam I)^m.
+    Splits the characteristic polynomial of the integer B = d A into the
+    root 0 and squarefree factors h of multiplicity m (Musser), and reads
+    each root's structure off the exact ranks of h(B)^j; only the simple
+    roots of h are found in floats.  tol only decides which defective
+    eigenvalues are on the imaginary axis.  Raises OverflowError for
+    eigenvalues too large, or too far apart, for floats.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    A = G.matrix
-    eigvals = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-
-    # Pass 1: union-find clustering at the requested tolerance.
-    parent = list(range(_DIM))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(_DIM):
-        for j in range(i + 1, _DIM):
-            if abs(eigvals[i] - eigvals[j]) <= tol:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(_DIM):
-        clusters.setdefault(find(i), []).append(i)
-    groups = [sorted(members) for members in clusters.values()]
-
-    # Pass 2: rank-certified merging of scattered defective clusters.
-    eps = np.finfo(float).eps
-    merged_any = False
-    result_groups: list[list[int]] = []
-    remaining = sorted(groups, key=lambda g: (eigvals[g[0]].real, eigvals[g[0]].imag))
-    while remaining:
-        group = remaining.pop(0)
-        center = complex(np.mean(eigvals[group]))
-        cert = _numerical_nullity(np.linalg.matrix_power(A - center * np.eye(_DIM), _DIM))
-        while cert > len(group) and remaining:
-            # Worst-case eig scatter for a chain of length m is
-            # O(eps^(1/m)); the merge radius covers it with margin while
-            # staying far below the O(k) >= 0.05 physical splittings.
-            radius = min(100.0 * (6 * eps) ** (1.0 / max(cert, 2)) * scale, 0.01 * scale)
-            near = [
-                g for g in remaining
-                if abs(complex(np.mean(eigvals[g])) - center) <= radius
-            ]
-            if not near:
-                break
-            closest = min(near, key=lambda g: abs(complex(np.mean(eigvals[g])) - center))
-            remaining.remove(closest)
-            group = sorted(group + closest)
-            center = complex(np.mean(eigvals[group]))
-            cert = _numerical_nullity(
-                np.linalg.matrix_power(A - center * np.eye(_DIM), _DIM)
-            )
-            merged_any = True
-        result_groups.append(group)
-
-    if merged_any:
-        warnings.warn(
-            "eigenvalue clusters were merged using rank certificates; "
-            "the clustering tolerance alone was ambiguous",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-
-    # Warn when distinct clusters sit uncomfortably close to the tolerance.
-    centers = [complex(np.mean(eigvals[g])) for g in result_groups]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * tol:
-                warnings.warn(
-                    f"eigenvalue gap |{centers[i]:.3e} - {centers[j]:.3e}| is within "
-                    f"10x the clustering tolerance {tol:.1e}",
-                    IllConditionedWarning,
-                    stacklevel=2,
-                )
-
-    lines = []
-    for group, center in zip(result_groups, centers):
-        algebraic = len(group)
-        shifted = A - center * np.eye(_DIM)
-        geometric = min(_numerical_nullity(shifted), algebraic)
-        chain = 1
-        power = shifted.copy()
-        while _numerical_nullity(power) < algebraic and chain < _DIM:
-            chain += 1
-            power = power @ shifted
-        lines.append(SpectrumLine(center, algebraic, geometric, chain))
-
+    d = math.lcm(*(x.denominator for row in G.exact for x in row))
+    B = [[x.numerator * (d // x.denominator) for x in row] for row in G.exact]
+    n, p, M = _DIM, [0] * _DIM + [1], [[0] * _DIM] * _DIM
+    for k in range(1, n + 1):  # Faddeev-LeVerrier; every division is exact
+        M = _matmul(B, M, p[n - k + 1])
+        p[n - k] = -sum(B[i][j] * M[j][i] for i in range(n) for j in range(n)) // k
+    zeros = next(i for i, c in enumerate(p) if c)
+    lines = [SpectrumLine(0j, zeros, *_jordan(B, [0, 1], zeros))] if zeros else []
+    f = p[zeros:]  # Musser: s has each root of multiplicity >= m once, g the powers beyond m
+    g = _gcd(f, [i * c for i, c in enumerate(f)][1:])
+    s, m = _divmod(f, g)[0], 1
+    while len(s) > 1:
+        t = _gcd(s, g)
+        if len(t) < len(s):  # h = s / t has the roots of multiplicity exactly m
+            h = _divmod(s, t)[0]
+            structure = _jordan(B, h, m)
+            lines += [SpectrumLine(value, m, *structure) for value in _roots(h, d)]
+        g, s, m = _divmod(g, t)[0], t, m + 1
     lines.sort(key=lambda line: (line.eigenvalue.real, line.eigenvalue.imag))
     return SpectrumReport(tuple(lines), tol)
 

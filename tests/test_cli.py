@@ -113,6 +113,67 @@ def test_spectrum_of_explicit_expression(capsys):
     assert "secular growth: no" in out
 
 
+@pytest.mark.parametrize("k", ["1e-12", "1e20", "1e150", "1e200"])
+def test_spectrum_hybrid_at_any_coupling_is_defective(capsys, k):
+    code, out, _ = run(capsys, "spectrum", "--mode", "hybrid", "--k", k)
+    assert code == 0
+    assert out.splitlines() == [
+        "eigenvalue +0-1i: algebraic 3, geometric 1, Jordan chain 3",
+        "eigenvalue +0+1i: algebraic 3, geometric 1, Jordan chain 3",
+        "secular growth: yes",
+    ]
+
+
+@pytest.mark.parametrize("mode", ["quantum-quantum", "classical-classical"])
+def test_spectrum_at_huge_coupling_is_finite(capsys, mode):
+    # normal-mode frequencies sqrt(1 +- k): coefficients near k^2 overflow floats
+    code, out, _ = run(capsys, "spectrum", "--mode", mode, "--k", "1e200")
+    assert code == 0
+    values = [complex(v.replace("i", "j")) for v in re.findall(r"eigenvalue (\S+):", out)]
+    assert len(values) == 5
+    for want in (-1e100, 1e100, -1e100j, 1e100j, 0):
+        assert min(abs(v - want) for v in values) <= 1e-12 * abs(want)
+    assert "secular growth: no" in out
+
+
+def test_spectrum_wide_tolerance_keeps_simple_lines(capsys):
+    code, out, _ = run(capsys, "spectrum", "--mode", "quantum-quantum", "--k", "0.2",
+                       "--tol", "0.5")
+    assert code == 0
+    assert "geometric 0" not in out
+    assert out.count("algebraic 1, geometric 1, Jordan chain 1") == 4
+    assert "eigenvalue +0+0i: algebraic 2, geometric 2, Jordan chain 1" in out
+    assert "secular growth: no" in out
+
+
+_TWO_SCALES = "a*(q^2 + p^2)/2 + (x^2 + p_x^2)/2"  # frequencies a and 1
+
+
+@pytest.mark.parametrize("koopmanian, a", [
+    ("a*q*p + a*p^2/2 - a*q^2/2", "1.5e308"),  # real pair +-sqrt(2)*a past the float range
+    (_TWO_SCALES, "1e250"),  # more orders of magnitude apart than one float scale spans
+])
+def test_spectrum_beyond_float_range_exits_2(capsys, koopmanian, a):
+    code, _, err = run(capsys, "spectrum", "--koopmanian", koopmanian, "--param", f"a={a}")
+    assert code == 2
+    assert "configuration error: eigenvalues too large, or too far apart, for floats" in err
+
+
+@pytest.mark.parametrize("a", ["1e-200", "1e200"])
+def test_spectrum_spans_two_far_apart_scales(capsys, a):
+    code, out, _ = run(capsys, "spectrum", "--koopmanian", _TWO_SCALES, "--param", f"a={a}")
+    assert code == 0
+    assert f"eigenvalue +0+{a}i: algebraic 1, geometric 1" in out.replace("e+", "e")
+    assert "eigenvalue +0+1i: algebraic 1, geometric 1" in out
+
+
+def test_spectrum_and_moment_run_leave_stderr_empty(capfd, tmp_path):
+    assert main(["spectrum", "--mode", "hybrid"]) == 0
+    assert main(["simulate", "--engine", "moments", "--t-final", "1",
+                 "--out", str(tmp_path / "m")]) == 0
+    assert capfd.readouterr().err == ""
+
+
 # -- simulate ----------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from scipy.linalg import expm as scipy_expm
 from hybridlab import (
     MODES,
     DegreeTooHigh,
-    IllConditionedWarning,
+    GeneratorMatrix,
     InsufficientData,
     MomentOverflow,
     MomentState,
@@ -298,18 +298,74 @@ def test_propagation_preserves_state_shape(t):
 
 
 def test_hybrid_spectrum_is_defective():
-    with pytest.warns(IllConditionedWarning):
-        report = classify_spectrum(mode_generator_matrix("hybrid", K_COUPLING))
+    report = classify_spectrum(mode_generator_matrix("hybrid", K_COUPLING))
     assert len(report.lines) == 2
     for line in report.lines:
-        assert abs(abs(line.eigenvalue.imag) - 1.0) < 1e-9
-        assert abs(line.eigenvalue.real) < 1e-9
+        assert abs(line.eigenvalue.imag) == 1.0
+        assert line.eigenvalue.real == 0.0
         assert line.algebraic == 3
         assert line.geometric == 1
         assert line.chain == 3
         assert line.defective
     assert report.secular
     assert report.max_chain == 3
+
+
+def test_degenerate_normal_modes_are_not_split():
+    # both oscillators at frequency sqrt(0.03): a diagonalizable double pair
+    K = parse_polynomial("(p^2 + 0.03*q^2)/2 + (0.1*p_x^2 + 0.3*x^2)/2")
+    report = classify_spectrum(derive_generator(K))
+    for sign in (1, -1):
+        line = report.closest(sign * 0.03 ** 0.5 * 1j)
+        assert line.eigenvalue.real == 0.0
+        assert abs(line.eigenvalue.imag - sign * 0.03 ** 0.5) < 1e-15
+        assert (line.algebraic, line.geometric, line.chain) == (2, 2, 1)
+    assert not report.secular
+
+
+def _conjugated(jordan: np.ndarray) -> GeneratorMatrix:
+    """P J P^-1 for a fixed integer P of determinant 1: an integer matrix."""
+    P = (np.eye(6) + np.diag([2, 1, 1, 1, 1], -1)) @ (np.eye(6) + np.triu(np.ones((6, 6)), 1))
+    return GeneratorMatrix(np.rint(P @ jordan @ np.linalg.inv(P)))
+
+
+def _blocks(*blocks) -> np.ndarray:
+    J, at = np.zeros((6, 6)), 0
+    for block in blocks:
+        block = np.atleast_2d(block)
+        J[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    return J
+
+
+_ROTATION = np.array([[0, 2], [-2, 0]])  # eigenvalues +-2i
+_REAL_JORDAN = np.block([[_ROTATION, np.eye(2)], [np.zeros((2, 2)), _ROTATION]])
+
+
+@pytest.mark.parametrize("jordan, expected", [
+    # nilpotent chain of 3 at 0, a rotation, and a real eigenvalue
+    (_blocks([[0, 1, 0], [0, 0, 1], [0, 0, 0]], _ROTATION, 3),
+     [(-2j, 1, 1, 1), (0j, 3, 1, 3), (2j, 1, 1, 1), (3, 1, 1, 1)]),
+    # +-2i each carrying one chain of 2, plus a two-dimensional kernel
+    (_blocks(_REAL_JORDAN, np.zeros((2, 2))), [(-2j, 2, 1, 2), (0j, 2, 2, 1), (2j, 2, 1, 2)]),
+    # a hyperbolic pair +-1 and a double rotation
+    (_blocks([[0, 1], [1, 0]], _ROTATION, _ROTATION),
+     [(-1, 1, 1, 1), (-2j, 2, 2, 1), (2j, 2, 2, 1), (1, 1, 1, 1)]),
+])
+def test_jordan_structure_survives_similarity(jordan, expected):
+    report = classify_spectrum(_conjugated(jordan))
+    assert len(report.lines) == len(expected)
+    for want, *structure in expected:
+        line = report.closest(want)
+        assert abs(line.eigenvalue - want) < 1e-12
+        assert [line.algebraic, line.geometric, line.chain] == structure
+
+
+def test_mixed_jordan_structure_within_a_factor_is_refused():
+    # 1 and 2 are both double roots, but only 1 is defective
+    G = _conjugated(_blocks([[1, 1], [0, 1]], np.diag([2, 2]), np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="Jordan structure"):
+        classify_spectrum(G)
 
 
 def test_uncoupled_spectrum_is_diagonalizable():
@@ -347,9 +403,7 @@ def test_quantum_pair_spectrum_matches_classical_pair():
 
 
 def test_spectrum_report_serializes():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = classify_spectrum(mode_generator_matrix("hybrid", K_COUPLING))
+    report = classify_spectrum(mode_generator_matrix("hybrid", K_COUPLING))
     data = report.to_dict()
     assert sum(line["algebraic"] for line in data["eigenvalues"]) == 6
     assert data["secular_growth"] is True
