@@ -85,14 +85,15 @@ class GeneratorMatrix:
 
     Rows and columns follow `labels` (always the canonical generator
     order).  For every quadratic generator with no linear part the affine
-    vector is zero.  `exact` holds the matrix as given, in rows of
-    Fractions: rational entries stay exact, floats convert exactly.
+    vector is zero.  `exact` is derived from `matrix`, as rows of Fractions:
+    int and Fraction entries stay exact, any other entry is the Fraction of
+    its float64 value.
     """
 
     matrix: np.ndarray
     affine: np.ndarray = field(default_factory=lambda: np.zeros(_DIM))
     labels: tuple[str, ...] = GENERATOR_NAMES
-    exact: tuple[tuple[Fraction, ...], ...] | None = field(default=None, repr=False)
+    exact: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -101,8 +102,12 @@ class GeneratorMatrix:
             raise ValueError(f"generator matrix must be {_DIM}x{_DIM}, got {m.shape}")
         if c.shape != (_DIM,):
             raise ValueError(f"affine vector must have length {_DIM}, got {c.shape}")
-        if self.exact is None:
-            object.__setattr__(self, "exact", tuple(tuple(map(Fraction, r)) for r in self.matrix))
+        if not np.isfinite(m).all():
+            raise ValueError("generator matrix entries must be finite")
+        given = self.matrix.tolist() if isinstance(self.matrix, np.ndarray) else self.matrix
+        object.__setattr__(self, "exact", tuple(
+            tuple(Fraction(x if isinstance(x, (int, Fraction)) else y) for x, y in zip(r, f))
+            for r, f in zip(given, m.tolist())))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "affine", c)
 
@@ -425,12 +430,23 @@ def _divmod(a, b):
     return q, r
 
 
+def _remainders(a, b):
+    """Euclid's sequence a, b, ... of pseudo-remainders, each divided by its
+    content and signed as the true remainder's negative: the last divides a
+    and b, and for b = a' the sequence is Sturm's."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        q, r = _divmod(seq[-2], b)  # the remainder is r / lc(b)^len(q)
+        sign = 1 if b[-1] < 0 and len(q) % 2 else -1
+        b = [sign * x // math.gcd(*r) for x in r]
+    return seq
+
+
 def _gcd(a, b):
     """Monic gcd of a monic a and b; integral by Gauss's lemma."""
-    while b:
-        r = _divmod(a, b)[1]
-        a, b = b, [x // math.gcd(*r) for x in r]
-    return [x // a[-1] for x in a]
+    g = _remainders(a, b)[-1]
+    return [x // g[-1] for x in g]
 
 
 def _nullity(M):
@@ -460,23 +476,68 @@ def _jordan(B, h, m):
     return nullities[0] // e, len(nullities)
 
 
+def _newton(c, z):
+    """c(z) / c'(z) for an integer polynomial c at a complex float z, exact
+    over the Gaussian integers and rounded once."""
+    (a, e), (b, f) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    a, b, e = a * f, b * e, e * f  # z = (a + ib) / e
+    (p, pi), (d, di), scale = (c[-1], 0), (0, 0), 1  # Horner: c(z) e^j, c'(z) e^(j-1)
+    for x in reversed(c[:-1]):
+        scale *= e
+        d, di = d * a - di * b + p, d * b + di * a + pi
+        p, pi = p * a - pi * b + x * scale, p * b + pi * a
+    d, di = d * e, di * e
+    norm = d * d + di * di
+    return complex((p * d + pi * di) / norm, (pi * d - p * di) / norm)
+
+
+def _polish(c, roots):
+    """Aberth-Ehrlich sweeps over float roots of a squarefree integer
+    polynomial c, each c(z) / c'(z) exact, until no root moves by more than
+    a float resolves.  The roots start turned slightly apart, so that equal
+    or conjugate floats standing for distinct real roots can separate, and
+    a root lost to underflow starts tiny.
+    """
+    roots = [(z or 2.0 ** -1000) * (1 + (3 + 4j) * 2.0 ** -40 * i) for i, z in enumerate(roots, 1)]
+    for _ in range(60):
+        settled = True
+        for i, z in enumerate(roots):
+            r = _newton(c, z)
+            s = sum(1 / (z - y) for y in roots[:i] + roots[i + 1:])
+            roots[i] = z - r / (1 - r * s)
+            if not abs(roots[i]) < math.inf:  # roots closer together than floats resolve
+                raise OverflowError("roots too far apart for floats")
+            settled &= abs(roots[i] - z) <= 4e-16 * abs(z)
+        if settled:
+            break
+    return roots
+
+
 def _roots(h, d):
     """Roots of h(d x), for a monic factor h of the polynomial of B = d A.
 
-    An even h(x) = u(x^2) gives x = +-sqrt(mu) over the roots mu of u, so
-    imaginary pairs have real part exactly 0 (+ 0.0 clears the -0.0 of
-    negated roots).  The variable is scaled by a power of two near the
-    roots' geometric mean, so coefficients beyond the float range still
-    give finite roots.
+    Float roots of the scaled polynomial are polished against its exact
+    integer coefficients; Sturm's theorem says how many are real, and those
+    get imaginary part exactly 0.  An even h(x) = u(x^2) gives x = +-sqrt(mu)
+    over the roots mu of u, so imaginary pairs have real part exactly 0 (+ 0.0
+    clears the -0.0 of negated roots).  The variable is scaled by a power of
+    two near the roots' geometric mean, so coefficients beyond the float
+    range still give finite roots.
     """
     step = 1 if any(h[1::2]) else 2
-    u = [Fraction(c * d ** i, d ** (len(h) - 1)) for i, c in enumerate(h)][::step]
-    deg = len(u) - 1
-    t = (u[0].numerator.bit_length() - u[0].denominator.bit_length()) // deg // 2 * 2
-    scaled = [float(c * Fraction(2) ** (t * (i - deg))) for i, c in enumerate(u)]
-    roots = np.roots(scaled[::-1]).astype(complex)
-    if not roots.all():
-        raise OverflowError("a coefficient underflowed")
+    v = h[::step]
+    n = len(v) - 1
+    t = (abs(v[0]).bit_length() - (d ** (step * n)).bit_length()) // n // 2 * 2
+    c = [x * d ** (step * i) << (t * i - min(t, 0) * n) for i, x in enumerate(v)]
+    start = np.roots([x / c[-1] for x in reversed(c)]).astype(complex).tolist()
+    roots = sorted(_polish(c, start), key=lambda z: abs(z.imag))
+    sturm = _remainders(v, [i * x for i, x in enumerate(v)][1:])
+    changes = lambda signs: sum(map(bool.__ne__, signs, signs[1:]))
+    real = (changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in sturm])  # at -inf
+            - changes([p[-1] > 0 for p in sturm]))  # at +inf
+    upper = sorted(roots[real:], key=lambda z: -z.imag)[:(n - real) // 2]
+    roots = np.array([complex(z.real, 0.0) for z in roots[:real]]
+                     + upper + [z.conjugate() for z in upper])
     if step == 2:
         roots = np.concatenate([np.sqrt(roots), -np.sqrt(roots)])
     return [complex(math.ldexp(r.real, t // step) + 0.0, math.ldexp(r.imag, t // step) + 0.0)

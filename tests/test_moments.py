@@ -85,6 +85,31 @@ def test_classical_flow_generator_rows():
             assert G.entry(row, col) == expected.get((row, col), 0.0), (row, col)
 
 
+def test_exact_matrix_is_derived_from_the_entries():
+    G = derive_generator(hybrid_koopmanian(K_COUPLING))
+    assert G.exact[1][5] == Fraction(1, 5)  # the algebra's coefficient, not float(0.2)
+    with pytest.raises(TypeError):
+        GeneratorMatrix(G.matrix, exact=G.exact)
+    # float32 entries take their float value exactly
+    tenth = GeneratorMatrix(np.eye(6, dtype=np.float32) / np.float32(10))
+    assert tenth.exact[0][0] == Fraction(float(np.float32(0.1)))
+    (line,) = classify_spectrum(tenth).lines
+    assert (line.eigenvalue, line.algebraic, line.geometric) == (float(np.float32(0.1)), 6, 6)
+    # int64 entries stay exact integers: the characteristic polynomial reaches 10^36
+    big = GeneratorMatrix(np.diag(np.arange(1, 7, dtype=np.int64) * 10**6))
+    assert all(type(x.numerator) is int for row in big.exact for x in row)
+    assert [line.eigenvalue for line in classify_spectrum(big).lines] == [
+        j * 1e6 for j in range(1, 7)]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_generator_matrix_rejects_non_finite_entries(bad):
+    matrix = np.zeros((6, 6))
+    matrix[2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GeneratorMatrix(matrix)
+
+
 def test_structure_residual():
     G = derive_generator(hybrid_koopmanian(K_COUPLING))
     assert structure_residual(G) == 0.0
@@ -320,6 +345,25 @@ def test_degenerate_normal_modes_are_not_split():
         assert line.eigenvalue.real == 0.0
         assert abs(line.eigenvalue.imag - sign * 0.03 ** 0.5) < 1e-15
         assert (line.algebraic, line.geometric, line.chain) == (2, 2, 1)
+    assert not report.secular
+
+
+@pytest.mark.parametrize("mode", ["quantum-quantum", "classical-classical"])
+@pytest.mark.parametrize("k", ["1e-5", "1e-6", "1e-8", "1e-12", "1e-15"])
+def test_nearly_degenerate_normal_modes_are_accurate(mode, k):
+    # frequencies sqrt(1 +- k), closer together than float roots of the
+    # characteristic polynomial can resolve without exact polishing
+    k = Fraction(k)
+    report = classify_spectrum(mode_generator_matrix(mode, k))
+    assert len(report.lines) == 5
+    for sign in (1, -1):
+        for shift in (k, -k):
+            # sqrt(1 + s) = 1 + s/2 - s^2/8 + s^3/16 - ..., exact to far below 1e-16 here
+            want = sign * float(1 + shift / 2 - shift ** 2 / 8 + shift ** 3 / 16)
+            line = report.closest(complex(0.0, want))
+            assert line.eigenvalue.real == 0.0
+            assert abs(line.eigenvalue.imag - want) <= 1e-15
+            assert (line.algebraic, line.geometric, line.chain) == (1, 1, 1)
     assert not report.secular
 
 
