@@ -56,7 +56,7 @@ from .grid import (
     marginal_density,
     sample_steps,
     save_snapshot,
-    set_workers,
+    set_workers,  # not called here: a no-op that perfbench's tracer still wraps
 )
 from .moments import (
     DegreeTooHigh,
@@ -330,8 +330,7 @@ def _simulation_settings(args, engines=None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = _required(args, "out", "hybridlab-run")
-    if _parse_bool(_required(args, "deterministic", False)):
-        set_workers(1)
+    _parse_bool(_required(args, "deterministic", False))  # validated; always single-threaded
     binding = _binding(args, k)
     observers = _observer_list(args, mode, k, binding)
     return argparse.Namespace(
@@ -684,7 +683,7 @@ def _add_sim_flags(sub):
     sub.add_argument("--snapshot", nargs="?", const="true",
                      help="write binary marginal snapshots of the final state")
     sub.add_argument("--deterministic", nargs="?", const="true",
-                     help="force single-threaded transforms")
+                     help="accepted for compatibility; transforms are always single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -59,7 +58,6 @@ __all__ = [
     "GridState",
     "PropagatorPlan",
     "EvolutionResult",
-    "set_workers",
     "gaussian_state",
     "compile_splitting",
     "compile_exact",
@@ -69,8 +67,6 @@ __all__ = [
     "marginal_density",
     "reduced_quantum_density",
     "operator_matrix_1d",
-    "characteristics_reference",
-    "period_residual",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -101,34 +97,13 @@ class BoxOverflow(Exception):
     """Probability mass reached the box boundary; the run is unreliable."""
 
 
+# Vestiges kept for the benchmark's tracer and worker, which read them: the
+# transforms are numpy.fft's, always single-threaded.
 _workers = 1
 
 
 def set_workers(n: int) -> None:
-    """Cap the FFT worker count; 1 (the default) is fully deterministic."""
-    global _workers
-    _workers = max(1, int(n))
-
-
-def _scipy_fft():
-    """scipy.fft, imported on first use: only a grid run pays its import.
-
-    Callers look up fft/ifft on the returned module at each call, so a
-    wrapper or monkeypatch set on scipy.fft sees every transform.
-    """
-    from scipy import fft
-
-    return fft
-
-
-def _env_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HYBRIDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-set_workers(_env_workers())
+    """No-op: every transform runs on one thread."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +278,6 @@ class PropagatorPlan:
     spec: GridSpec
     dt: float
     groups: tuple
-
-    def __post_init__(self):
-        _scipy_fft()  # a run pays the one-time import when it compiles, not in a step
 
     @property
     def sequence(self) -> list[int]:
@@ -515,9 +487,9 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
 def _transform_axis(
     arr: np.ndarray, axis: int, target: str, overwrite: bool = False
 ) -> np.ndarray:
-    fft = _scipy_fft()
-    transform = fft.fft if target == "mom" else fft.ifft
-    return transform(arr, axis=axis, norm="ortho", workers=_workers, overwrite_x=overwrite)
+    # looked up at each call, so a wrapper set on numpy.fft sees every transform
+    transform = np.fft.fft if target == "mom" else np.fft.ifft
+    return transform(arr, axis=axis, norm="ortho", out=arr if overwrite else None)
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple) -> np.ndarray:
@@ -569,28 +541,47 @@ class _Sampler:
     summed-out axes may be in either representation (Parseval).  The plan
     walks the fewest one-axis transforms from the base that meet every
     marginal, on a scratch copy, and takes |psi|^2 once per representation
-    that owes a marginal.
+    that owes a marginal.  Every output is a weighted sum of one marginal,
+    so each marginal (a key) holds the stacked weights that read it, with
+    coefficient and cell volume folded in: a sample makes one reduction and
+    one matrix-vector product per key.
     """
 
     def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
-        self.spec = spec
         ndim = len(spec.axes)
-        # a key ((axis, rep), ...) names the marginal over its axes
-        self.edge_keys = [((i, "pos"),) for i in range(ndim)] if boundary else []
-        self.terms = []  # per observer: [(key, weight, coeff)]
-        for poly in observers:
-            entries = []
+        volume = spec.cell_volume
+        self.n_edges = ndim if boundary else 0
+        self.n_observers = len(observers)
+        # a key ((axis, rep), ...) names the marginal over its axes; rows[key]
+        # maps an output slot to its weights on that marginal.  Slots: the
+        # squared norm, the edge mass per axis, each observer's value, then
+        # each observer's imaginary residual.
+        rows: dict[tuple, dict[int, np.ndarray]] = {}
+
+        def add(key: tuple, slot: int, weight: np.ndarray) -> None:
+            slots = rows.setdefault(key, {})
+            slots[slot] = slots.get(slot, 0.0) + weight.ravel()
+
+        for i in range(self.n_edges):
+            edge = np.zeros(spec.shape[i])
+            edge[:_BOUNDARY_CELLS] = edge[-_BOUNDARY_CELLS:] = volume
+            add(((i, "pos"),), 1 + i, edge)
+        first = 1 + self.n_edges
+        for o, poly in enumerate(observers):
             for mono, coeff in poly.monomials():
                 rep = _term_representation(spec, mono)
                 key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
-                entries.append((key, _monomial_values(spec, mono, rep), coeff))
-            self.terms.append(entries)
-        keys = list(dict.fromkeys(
-            self.edge_keys + [key for entries in self.terms for key, _, _ in entries]
-        )) or [()]
-        self.norm_key = keys[0]
+                weight = _monomial_values(spec, mono, rep) * volume
+                value, resid = first + o, first + self.n_observers + o
+                for slot, c in ((value, coeff.real), (resid, coeff.imag)):
+                    if c:
+                        add(key, slot, float(c) * weight)
+        norm_key = next(iter(rows), ())
+        add(norm_key, 0, np.full(math.prod(spec.shape[i] for i, _ in norm_key), volume))
+
+        keys = list(rows)
         path = _walk(tuple(base), keys)
-        self.stops = []  # (axis, target) transform into the stop, keys it owes
+        self.stops = []  # (axis, target) transform into the stop, [(drop, slots, weights)]
         for n, reps in enumerate(path):
             owed = [k for k in keys if _meets(reps, k)]
             keys = [k for k in keys if k not in owed]
@@ -598,40 +589,31 @@ class _Sampler:
             if n:
                 axis = next(i for i, r in enumerate(reps) if r != path[n - 1][i])
                 move = (axis, reps[axis])
-            self.stops.append((move, owed))
+            reductions = []
+            for key in owed:
+                kept = {i for i, _ in key}
+                drop = tuple(j for j in range(ndim) if j not in kept)
+                slots = rows[key]
+                reductions.append((drop, np.array(list(slots)), np.stack(list(slots.values()))))
+            self.stops.append((move, reductions))
 
     def measure(self, arr: np.ndarray):
         """(norm, edge mass per axis, Expectation per observer); arr is left as is."""
-        ndim = len(self.spec.axes)
-        marginals = {}
-        for n, (move, owed) in enumerate(self.stops):
+        out = np.zeros(1 + self.n_edges + 2 * self.n_observers)
+        for n, (move, reductions) in enumerate(self.stops):
             if move is not None:
                 # the first transform reads the caller's array: never overwrite it
                 arr = _transform_axis(arr, *move, overwrite=n > 1)
-            if owed:
+            if reductions:
                 density = np.abs(arr) ** 2
-                for key in owed:
-                    kept = {i for i, _ in key}
-                    drop = tuple(j for j in range(ndim) if j not in kept)
-                    marginals[key] = np.sum(density, axis=drop, keepdims=True)
+                for drop, slots, weights in reductions:
+                    out[slots] += weights @ np.sum(density, axis=drop).ravel()
                 del density  # one density alive at a time
-        volume = self.spec.cell_volume
-        norm = math.sqrt(float(np.sum(marginals[self.norm_key])) * volume)
-        edges = []
-        for key in self.edge_keys:
-            m = marginals[key].ravel()
-            edge = float(np.sum(m[:_BOUNDARY_CELLS]) + np.sum(m[-_BOUNDARY_CELLS:]))
-            edges.append(edge * volume)
-        values = []
-        for entries in self.terms:
-            value = 0.0
-            resid = 0.0
-            for key, weight, coeff in entries:
-                base = float(np.sum(weight * marginals[key])) * volume
-                value += float(coeff.real) * base
-                resid += float(coeff.imag) * base
-            values.append(Expectation(value, resid))
-        return norm, edges, values
+        out = out.tolist()
+        first = 1 + self.n_edges
+        resid = first + self.n_observers
+        values = [Expectation(v, r) for v, r in zip(out[first:resid], out[resid:])]
+        return math.sqrt(out[0]), out[1:first], values
 
 
 def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
@@ -851,117 +833,11 @@ def operator_matrix_1d(axis: AxisSpec, pos_exp: int, mom_exp: int) -> np.ndarray
     n = axis.points
     out = np.eye(n, dtype=complex)
     if mom_exp:
-        F = _scipy_fft().fft(np.eye(n), axis=0, norm="ortho")
+        F = np.fft.fft(np.eye(n), axis=0, norm="ortho")
         out = F.conj().T @ np.diag(axis.momenta() ** mom_exp) @ F
     if pos_exp:
         out = np.diag(axis.positions() ** pos_exp).astype(complex) @ out
     return out
-
-
-# ---------------------------------------------------------------------------
-# Classical reference solutions.
-# ---------------------------------------------------------------------------
-
-
-def _classical_velocity(h: OperatorPolynomial):
-    """Vectorized (dx/dt, dy/dt) = (dh/dy, -dh/dx) from a polynomial h."""
-    from .algebra import partial_derivative
-
-    def as_callable(poly: OperatorPolynomial):
-        terms = []
-        for mono, coeff in poly.monomials():
-            e = mono.exponents
-            if any(e[i] for i in (0, 1, 4, 5)):
-                raise ValueError("classical Hamiltonian must involve x and y only")
-            terms.append((float(coeff.real), e[2], e[3]))
-
-        def evaluate(X, Y):
-            total = np.zeros_like(X)
-            for c, a, b in terms:
-                total = total + c * X**a * Y**b
-            return total
-
-        return evaluate
-
-    vx = as_callable(partial_derivative(h, "y"))
-    vy = as_callable(-partial_derivative(h, "x"))
-    return vx, vy
-
-
-def characteristics_reference(
-    f0: np.ndarray,
-    spec: GridSpec,
-    h_classical: OperatorPolynomial,
-    t: float,
-    *,
-    steps: int | None = None,
-) -> np.ndarray:
-    """Transport a density along Hamilton's flow: f(z, t) = f0(flow_{-t}(z)).
-
-    The backward characteristics are integrated with fixed-step RK4 and
-    f0 is looked up by periodic cubic-spline interpolation (bilinear is
-    too coarse: its O(dx^2) error alone exceeds the agreement this oracle
-    is used to certify).  Independent of the spectral engine.
-    """
-    from scipy import ndimage
-
-    if spec.labels != ("x", "y"):
-        raise UnknownAxis("characteristics need a 2-D grid with axes ('x', 'y')")
-    f0 = np.asarray(f0, dtype=float)
-    if f0.shape != spec.shape:
-        raise ValueError(f"density shape {f0.shape} does not match grid {spec.shape}")
-    if t == 0:
-        return f0.copy()
-    vx, vy = _classical_velocity(h_classical)
-
-    X, Y = np.meshgrid(spec.axes[0].positions(), spec.axes[1].positions(), indexing="ij")
-    n_steps = steps if steps is not None else max(16, int(round(abs(t) / 0.01)))
-    h_step = -t / n_steps  # backward flow
-
-    for _ in range(n_steps):
-        k1x, k1y = vx(X, Y), vy(X, Y)
-        k2x, k2y = vx(X + 0.5 * h_step * k1x, Y + 0.5 * h_step * k1y), vy(
-            X + 0.5 * h_step * k1x, Y + 0.5 * h_step * k1y
-        )
-        k3x, k3y = vx(X + 0.5 * h_step * k2x, Y + 0.5 * h_step * k2y), vy(
-            X + 0.5 * h_step * k2x, Y + 0.5 * h_step * k2y
-        )
-        k4x, k4y = vx(X + h_step * k3x, Y + h_step * k3y), vy(
-            X + h_step * k3x, Y + h_step * k3y
-        )
-        X = X + (h_step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Y = Y + (h_step / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-
-    ux = (X + spec.axes[0].half_extent) / spec.axes[0].spacing
-    uy = (Y + spec.axes[1].half_extent) / spec.axes[1].spacing
-    return ndimage.map_coordinates(
-        f0, np.array([ux, uy]), order=3, mode="grid-wrap", prefilter=True
-    )
-
-
-_PERIOD_MEANS = {"x": 1.2, "y": 0.0}
-_PERIOD_WIDTHS = {"x": 0.6, "y": 0.9}
-
-
-def period_residual(spec: GridSpec, dt: float) -> float:
-    """Distance of the classical rotation from its exact period.
-
-    Evolves a fixed off-center Gaussian under the harmonic phase-space
-    flow y*p_x - x*p_y for one full turn (2*pi) and returns the L2
-    distance to the initial state.  The generator's integer spectrum
-    makes the exact propagator periodic, so the residual is purely
-    discretization error and shrinks at second order in dt.
-    """
-    if set(spec.labels) != {"x", "y"}:
-        raise UnknownAxis("the period check runs on the classical axes ('x', 'y')")
-    from .benchmark import classical_liouvillian
-
-    steps = int(round(2.0 * np.pi / dt))
-    plan = compile_splitting(classical_liouvillian(), spec, dt)
-    psi0 = gaussian_state(spec, _PERIOD_MEANS, _PERIOD_WIDTHS)
-    result = evolve(psi0, plan, steps * dt, stride=steps, boundary_check=False)
-    diff = result.final_state.array - psi0.array
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * spec.cell_volume)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,8 @@ class MomentState:
     def vacuum_like(mean=None) -> "MomentState":
         """Width-1/2 uncorrelated state, optionally displaced in the means."""
         m = np.zeros(_DIM) if mean is None else np.asarray(mean, dtype=float)
-        S = np.diag(np.full(_DIM, 0.5)) + np.outer(m, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects inf
+            S = np.diag(np.full(_DIM, 0.5)) + np.outer(m, m)
         return MomentState(m, S)
 
     def covariance(self) -> np.ndarray:
@@ -325,10 +326,11 @@ def propagate_moments(G: GeneratorMatrix, s0: MomentState, t) -> MomentState:
     """
     times = np.asarray(t, dtype=float)
     M, d = _flow_with_drift(G, times)
-    Mm = M @ s0.mean
-    m1 = Mm + d
-    S1 = M @ s0.second @ np.swapaxes(M, -1, -2) + _outer(Mm, d) + _outer(d, Mm) + _outer(d, d)
-    S1 = (S1 + np.swapaxes(S1, -1, -2)) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # MomentOverflow names the time
+        Mm = M @ s0.mean
+        m1 = Mm + d
+        S1 = M @ s0.second @ np.swapaxes(M, -1, -2) + _outer(Mm, d) + _outer(d, Mm) + _outer(d, d)
+        S1 = (S1 + np.swapaxes(S1, -1, -2)) / 2
     try:
         return MomentState(m1, S1)
     except ValueError:

@@ -47,7 +47,6 @@ from hybridlab import (
     nogo_witness,
     parse_polynomial,
     partial_derivative,
-    period_residual,
     propagate_moments,
     propagate_trajectory,
     purify_diagonal,
@@ -56,6 +55,7 @@ from hybridlab import (
     structure_residual,
     trace_expectation,
 )
+from oracles import period_residual
 
 K_COUPLING = Fraction(1, 5)
 Q, P, X, Y, PX, PY = gens()

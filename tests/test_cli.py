@@ -4,7 +4,6 @@ import ast
 import importlib
 import json
 import re
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,9 +24,7 @@ from hybridlab.grid import sample_steps
 
 
 def run(capsys, *argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(list(argv))
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -437,6 +434,18 @@ def test_moment_overflow_mean_exits_2(capsys, tmp_path):
     assert not (tmp_path / "m" / "moments.csv").exists()
 
 
+@pytest.mark.parametrize("flags, code, line", [
+    (["--mode", "classical-classical", "--k", "250", "--dt", "0.1", "--stride", "1",
+      "--t-final", "30"], 1, "runtime failure: moment flow left the float range by t = "),
+    (["--mean", "q=1e200"], 2, "configuration error: moment state needs finite means"),
+])
+def test_moment_overflow_stderr_is_the_error_line_alone(capfd, tmp_path, flags, code, line):
+    assert main(["simulate", "--engine", "moments", *flags, "--out", str(tmp_path / "m")]) == code
+    err = capfd.readouterr().err
+    assert err.startswith(line)
+    assert err.count("\n") == 1  # no numpy warning before it
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--engine", "moments", "--observer", "c=q^3"], "degree 3"),
     (["--engine", "both", "--grid-n", "8", "--mean", "q=7.5"], "half extent"),
@@ -505,13 +514,11 @@ def test_moment_flow_overflow_is_runtime_failure(capsys, tmp_path):
 def test_moment_flow_overflow_past_first_block_names_first_bad_time(capsys, tmp_path, k):
     G = mode_generator_matrix("classical-classical", Fraction(k))
     marks, _ = sample_steps(30.0, 0.1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for first_bad in marks * 0.1:
-            try:
-                propagate_moments(G, default_moment_state(), float(first_bad))
-            except MomentOverflow:
-                break
+    for first_bad in marks * 0.1:
+        try:
+            propagate_moments(G, default_moment_state(), float(first_bad))
+        except MomentOverflow:
+            break
     assert first_bad > 128 * 0.1
     code, _, err = run(
         capsys, "simulate", "--engine", "moments", "--mode", "classical-classical",

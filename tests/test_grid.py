@@ -16,7 +16,6 @@ from hybridlab import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
-    characteristics_reference,
     classical_liouvillian,
     compile_exact,
     compile_splitting,
@@ -32,13 +31,15 @@ from hybridlab import (
     mode_koopmanian,
     operator_matrix_1d,
     parse_polynomial,
-    period_residual,
     propagate_moments,
     quadratic_expectation,
     quantum_energy,
     reduced_quantum_density,
     save_snapshot,
 )
+from hybridlab.grid import _transform_axis
+from oracles import characteristics_reference, period_residual
+
 
 K_COUPLING = Fraction(1, 5)
 WIDTH = 1.0 / math.sqrt(2.0)
@@ -362,20 +363,22 @@ def test_marginal_expectations_match_full_grid_quadrature(mode, spec, extra):
 
 
 def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
-    import scipy.fft
-
     calls = []
     for name in ("fft", "ifft"):
-        original = getattr(scipy.fft, name)
+        original = getattr(np.fft, name)
 
         def counted(*args, _original=original, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     spec = _spec3(16)
     plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
     state = gaussian_state(spec, {}, WIDTH)
+    # a norm-only sample needs no transform: these are the steps' own
+    evolve(state, plan, 0.03, stride=3, boundary_check=False)
+    assert len(calls) > 0  # so the count below cannot pass with no transform seen
+    calls.clear()
     observers = default_observers("hybrid", K_COUPLING)
     evolve(state, plan, 0.03, observers=observers, stride=3)
     sparse = len(calls)
@@ -383,6 +386,20 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
     evolve(state, plan, 0.03, observers=observers, stride=1)
     # same steps; stride 1 adds the samples at steps 1 and 2
     assert (len(calls) - sparse) / 2 <= 3
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (128, 128)])
+def test_in_place_transform_matches_out_of_place_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi.flags.writeable = False  # the out-of-place transform must not write to it
+    for axis in range(len(shape)):
+        for target in ("mom", "pos"):
+            expected = _transform_axis(psi, axis, target)
+            work = psi.copy()
+            got = _transform_axis(work, axis, target, overwrite=True)
+            assert got is work  # transformed in the caller's buffer
+            assert np.array_equal(got, expected), (axis, target)
 
 
 def test_boundary_overflow_detection():

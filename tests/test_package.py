@@ -1,5 +1,6 @@
-"""The package surface: one list of public names, and README's example."""
+"""The package surface: public names, runtime dependencies, README's example."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hybridlab
 
@@ -42,7 +45,7 @@ def _loaded_by_cli_import(module: str, then: str = "") -> bool:
 
 
 def test_cli_import_leaves_ndimage_out():
-    # only characteristics_reference needs scipy.ndimage; the CLI never calls it
+    # scipy.ndimage serves only the tests' characteristics_reference oracle
     assert not _loaded_by_cli_import("scipy.ndimage")
 
 
@@ -69,14 +72,47 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert not _loaded_by_cli_import("scipy", then)
 
 
-def test_compiling_a_grid_plan_loads_scipy_fft():
-    then = """
-from hybridlab import benchmark, grid
-spec = grid.GridSpec(tuple(grid.AxisSpec(lbl, 8.0, 16) for lbl in "xyq"))
-grid.compile_exact(benchmark.mode_koopmanian("hybrid", 0.2), spec, 0.1)
+def test_grid_compare_loads_no_scipy(tmp_path):
+    # the grid's transforms are numpy.fft's: scipy is a test dependency only
+    then = f"""
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    argv = ["compare", "--mode", "hybrid", "--grid-n", "16", "--t-final", "0.1",
+            "--out", {str(tmp_path)!r}]
+    assert hybridlab.cli.main(argv) == 0, argv
 """
-    assert not _loaded_by_cli_import("scipy.fft")
-    assert _loaded_by_cli_import("scipy.fft", then)
+    assert not _loaded_by_cli_import("scipy", then)
+    assert (tmp_path / "grid.csv").exists()
+
+
+def _imported_modules(path: Path) -> list[tuple[str, int]]:
+    """(top-level module, level) for every import statement in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], 0) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(((node.module or "").split(".")[0], node.level))
+    return found
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    package = Path(hybridlab.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = [
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for name, level in _imported_modules(path)
+        if level == 0 and name not in allowed
+    ]
+    assert outside == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [re.split(r"[<>=!~ ;\[]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_readme_python_example_runs():
