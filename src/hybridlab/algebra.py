@@ -478,7 +478,29 @@ def constant(value: _NumberLike) -> OperatorPolynomial:
 
 
 def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:
-    return a * b - b * a
+    """[a, b] = a*b - b*a, accumulated in one pass over monomial pairs.
+
+    For each pair (ma, mb), the uncontracted term of ma*mb (the first that
+    _monomial_product yields, no reordering) is the merged monomial with
+    coefficient ca*cb, and so is that of mb*ma: the two cancel exactly, so
+    neither is accumulated.  Only the contraction terms of each order remain.
+    """
+    acc: dict[Monomial, ComplexRational] = {}
+    for ma, ca in a._terms.items():
+        for mb, cb in b._terms.items():
+            cab = ca * cb
+            for left, right, c in ((ma, mb, cab), (mb, ma, -cab)):
+                products = _monomial_product(left, right)
+                next(products)  # the uncontracted term, cancelled by the other order
+                for mono, reorder in products:
+                    total = acc.get(mono, CR_ZERO) + c * reorder
+                    if total.is_zero:
+                        acc.pop(mono, None)
+                    else:
+                        acc[mono] = total
+    out = OperatorPolynomial.__new__(OperatorPolynomial)
+    out._terms = acc
+    return out
 
 
 def jacobi_residual(
@@ -583,5 +605,13 @@ def hybridize(h_total: OperatorPolynomial) -> OperatorPolynomial:
 
 
 def heisenberg_rhs(x_op: OperatorPolynomial, k_op: OperatorPolynomial) -> OperatorPolynomial:
-    """Right-hand side of the Heisenberg equation of motion, -i*[x_op, k_op]."""
-    return OperatorPolynomial.constant(CR_MINUS_I) * commutator(x_op, k_op)
+    """Right-hand side of the Heisenberg equation of motion, -i*[x_op, k_op].
+
+    Multiplying by -i rotates each coefficient: -i*(a + b*i) = b - a*i.
+    """
+    out = OperatorPolynomial.__new__(OperatorPolynomial)
+    out._terms = {
+        mono: ComplexRational(c.imag, -c.real)
+        for mono, c in commutator(x_op, k_op)._terms.items()
+    }
+    return out

@@ -6,6 +6,10 @@ named like the long flags); explicit flags win over the file.  Exit codes:
 0 success, 1 runtime failure (for example a BoxOverflow mid-run) or
 internal error, 2 configuration error.
 
+main(argv) may be called any number of times in one process: the parser is
+built on the first call and reused, and each call parses into a fresh
+namespace, so no option carries over from one call to the next.
+
 simulate and compare share one runner: each engine is a table builder that
 returns its named sample columns.  The runner writes nothing until every
 engine has finished, so an engine that fails leaves no files; then it writes
@@ -740,10 +744,15 @@ _CONFIG_EXIT_2 = (
 )
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

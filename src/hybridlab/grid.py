@@ -12,7 +12,8 @@ When every monomial is diagonal in one frame R1 (a representation per axis)
 or in its full flip R2, the propagator of a step tau of any length is exact:
 the linear flow M of K factors as L U L, a chirp in R1, one in R2 and the
 first again (compile_exact).  Each chirp is held as one factor per pair of
-axes, with the diagonal terms folded in, so no phase array spans the grid.
+axes, with the diagonal terms folded in, so no phase array spans the grid;
+a pair the chirp leaves uncoupled gets no factor.
 
 Stepping works in place on one buffer the engine owns (phases multiplied in
 place, FFTs allowed to overwrite it).  The sweep opens and closes with the
@@ -471,9 +472,13 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
         worst = float(np.max(step * (np.abs(S) @ reach)))
         if worst > math.pi:
             raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
-    *halves, last = _pair_quadratics(B, v)
+    # a pair the chirp leaves uncoupled has an all-zero quadratic: no factor
+    l_terms, u_terms = (
+        [t for t in _pair_quadratics(S, w) if np.any(t)] for S, w in ((P, u), (B, v))
+    )
+    *halves, last = u_terms
     return PropagatorPlan(spec, tau, (
-        *[_PhaseGroup(frame, np.exp(1j * t)) for t in _pair_quadratics(P, u)],
+        *[_PhaseGroup(frame, np.exp(1j * t)) for t in l_terms],
         *[_PhaseGroup(flip, np.exp(-0.5j * t)) for t in halves],
         _PhaseGroup(flip, np.exp(-1j * last)),
     ))

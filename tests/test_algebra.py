@@ -76,6 +76,8 @@ def test_constant_term_and_coefficient():
 # -- small random polynomials for property tests ----------------------------
 
 _coeffs = st.integers(min_value=-3, max_value=3)
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_complex_coeffs = st.builds(ComplexRational, _fractions, _fractions)
 
 
 def _monomial(max_total=2, indices=tuple(range(6))):
@@ -85,14 +87,14 @@ def _monomial(max_total=2, indices=tuple(range(6))):
     ).map(lambda picks: Monomial(tuple(picks.count(i) for i in range(6))))
 
 
-def _polynomials(max_total=2, indices=range(6), max_terms=3):
+def _polynomials(max_total=2, indices=range(6), max_terms=3, coeffs=_coeffs):
     def build(pairs):
         total = OperatorPolynomial.zero()
         for mono, c in pairs:
             total = total + OperatorPolynomial({mono: ComplexRational.coerce(c)})
         return total
 
-    pair = st.tuples(_monomial(max_total, indices), _coeffs)
+    pair = st.tuples(_monomial(max_total, indices), coeffs)
     return st.lists(pair, min_size=0, max_size=max_terms).map(build)
 
 
@@ -113,6 +115,17 @@ def test_associativity(a, b, c):
 def test_commutator_is_a_derivation(a, b, c):
     assert commutator(a, b * c) == commutator(a, b) * c + b * commutator(a, c)
     assert commutator(a, b) == -(commutator(b, a))
+
+
+_complex_cubics = _polynomials(max_total=3, max_terms=4, coeffs=_complex_coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_cubics, _complex_cubics)
+def test_commutator_equals_the_product_difference(a, b):
+    # commutator skips the uncontracted terms; the full products are the oracle
+    assert commutator(a, b) == a * b - b * a
+    assert heisenberg_rhs(a, b) == constant(-1j) * (a * b - b * a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -350,6 +350,58 @@ def test_missing_config_file(capsys, tmp_path):
     assert "config" in err
 
 
+# -- repeated in-process calls ----------------------------------------------
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def spy():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["nogo", "--k", "0.2"], ["frobnicate"], ["derive", "--mode", "hybrid"],
+                 ["nogo"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_options_do_not_carry_over_between_calls(capsys, tmp_path, monkeypatch):
+    seen = []
+    original = cli._simulation_settings
+
+    def recording(args, *rest, **kwargs):
+        seen.append(dict(vars(args)))
+        return original(args, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_simulation_settings", recording)
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[simulate]\nobserver = c2=q^2; xq=x*q\nmean = y=0.25\nparam = b=3\n")
+    base = ["simulate", "--engine", "moments", "--t-final", "0.1"]
+    calls = [
+        ["--config", str(cfg), *base, "--out", str(tmp_path / "a")],
+        [*base, "--observer", "aq=a*q", "--param", "a=2", "--mean", "q=0.5",
+         "--out", str(tmp_path / "b")],
+        [*base, "--out", str(tmp_path / "c")],
+    ]
+    for argv in calls:
+        assert run(capsys, *argv)[0] == 0
+    assert seen[0]["observer"] == ["c2=q^2", "xq=x*q"] and seen[0]["param"] == ["b=3"]
+    assert seen[1]["observer"] == ["aq=a*q"] and seen[1]["mean"] == ["q=0.5"]
+    # the last call sees what a freshly built parser gives, every list still empty
+    assert seen[2] == vars(cli.build_parser().parse_args(calls[2]))
+    assert seen[2]["config"] is None
+    assert [seen[2][name] for name in ("observer", "param", "mean")] == [[], [], []]
+    _, columns = read_csv(tmp_path / "c" / "moments.csv")
+    defaults = cli.benchmark.default_observers("hybrid", Fraction(1, 5))
+    assert list(columns) == ["t"] + [label for label, _ in defaults]
+    assert columns["q"][0] == columns["y"][0] == 0.0
+
+
 # -- exit codes --------------------------------------------------------------
 
 

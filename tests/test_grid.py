@@ -156,16 +156,20 @@ def test_exact_plan_structure():
     n = 16
     plan = compile_exact(hybrid_koopmanian(K_COUPLING), _spec3(n), 0.1)
     assert plan.dt == 0.1
-    assert len(plan.groups) == 6
-    assert list(plan.sequence) == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
+    assert len(plan.groups) == 5
+    assert list(plan.sequence) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
     r1, r2 = ("pos", "mom", "pos"), ("mom", "pos", "mom")  # (x, y, q)
-    assert [g.rep for g in plan.groups] == [r1] * 3 + [r2] * 3
-    # one factor per axis pair: no phase array spans the whole grid
-    assert [g.phase.shape for g in plan.groups] == [(n, n, 1), (n, 1, n), (1, n, n)] * 2
+    assert [g.rep for g in plan.groups] == [r1] * 3 + [r2] * 2
+    # one factor per coupled axis pair: no phase array spans the whole grid,
+    # and the R2 chirp leaves (y, q) uncoupled, so it has no factor there
+    pairs = [(n, n, 1), (n, 1, n), (1, n, n)]
+    assert [g.phase.shape for g in plan.groups] == pairs + pairs[:2]
+    assert all(np.any(g.phase != 1) for g in plan.groups)
     qq_spec = GridSpec((AxisSpec("x", 8.0, n), AxisSpec("q", 8.0, n)))
     qq = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), qq_spec, 0.1)
     assert [g.rep for g in qq.groups] == [("pos", "pos"), ("mom", "mom")]
     assert list(qq.sequence) == [0, 1, 0]
+    assert all(np.any(g.phase != 1) for g in qq.groups)
 
 
 @pytest.mark.parametrize("text, spec, reason", [
