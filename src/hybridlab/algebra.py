@@ -487,9 +487,16 @@ def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomi
     """
     acc: dict[Monomial, ComplexRational] = {}
     for ma, ca in a._terms.items():
+        ea = ma.exponents
         for mb, cb in b._terms.items():
+            eb = mb.exponents
+            # an order with no conjugate pair to contract is its uncontracted term alone
+            ab = any(ea[mom] and eb[pos] for pos, mom in CONJUGATE_PAIRS)
+            ba = any(eb[mom] and ea[pos] for pos, mom in CONJUGATE_PAIRS)
+            if not (ab or ba):
+                continue
             cab = ca * cb
-            for left, right, c in ((ma, mb, cab), (mb, ma, -cab)):
+            for left, right, c in [(ma, mb, cab)] * ab + [(mb, ma, -cab)] * ba:
                 products = _monomial_product(left, right)
                 next(products)  # the uncontracted term, cancelled by the other order
                 for mono, reorder in products:

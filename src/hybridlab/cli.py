@@ -53,6 +53,7 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
+    _block_layout,
     compile_exact,
     compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
     evolve,
@@ -91,7 +92,7 @@ _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
 _MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
-_GRID_LIVE_COPIES = 4  # full-grid arrays a run holds: state, step buffer, sample scratch, |psi|^2
+_GRID_LIVE_COPIES = 2  # full-grid arrays a run holds besides its sample blocks: state, step buffer
 _MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
 
 
@@ -289,10 +290,14 @@ def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
 def _check_grid_memory(ndim: int, points: int) -> None:
     """Refuse a grid whose arrays would not fit in physical memory, before any exist.
 
-    The estimate counts _GRID_LIVE_COPIES complex state arrays, plus the exact
-    plan's chirps: two factors per axis pair and the fused FSAL factor, each N^2.
+    The estimate counts _GRID_LIVE_COPIES complex state arrays, evolve's sample
+    blocks and one more block for |psi|^2, and the exact plan's chirps: two
+    factors per axis pair and the fused FSAL factor, each N^2.
     """
-    need = 16 * (_GRID_LIVE_COPIES * points**ndim + (2 * math.comb(ndim, 2) + 1) * points**2)
+    state = 16 * points**ndim
+    buffers, per_block = _block_layout(state)
+    need = (_GRID_LIVE_COPIES + (buffers + 1) * per_block) * state
+    need += 16 * (2 * math.comb(ndim, 2) + 1) * points**2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(

@@ -29,9 +29,12 @@ touches few axes, so it is evaluated on the marginal of |psi|^2 over just
 those axes, in their required representations.  By Parseval the 1-D FFT
 along a summed-out axis preserves the sum, so the marginal does not depend
 on the representation of the axes it drops.  Sampling walks the fewest
-one-axis transforms (on a scratch copy) that reach every needed marginal
-and computes |psi|^2 once per representation on that walk; the norm and
-the boundary edge masses come from the same marginals.
+one-axis transforms that reach every needed marginal and computes |psi|^2
+once per representation on that walk; the norm and the boundary edge
+masses come from the same marginals.  No step depends on a sample, so
+evolve copies each sampled state into a block of scratch states and one
+worker thread measures full blocks while the caller keeps stepping (numpy's
+FFTs and large ufuncs release the GIL, so the two overlap).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -98,8 +102,8 @@ class BoxOverflow(Exception):
     """Probability mass reached the box boundary; the run is unreliable."""
 
 
-# Vestiges kept for the benchmark's tracer and worker, which read them: the
-# transforms are numpy.fft's, always single-threaded.
+# Vestiges kept for the benchmark's tracer and worker, which read them: each
+# transform is numpy.fft's on one thread, evolve's sampling thread included.
 _workers = 1
 
 
@@ -489,19 +493,17 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
 # ---------------------------------------------------------------------------
 
 
-def _transform_axis(
-    arr: np.ndarray, axis: int, target: str, overwrite: bool = False
-) -> np.ndarray:
-    # looked up at each call, so a wrapper set on numpy.fft sees every transform
+def _transform_axis(arr: np.ndarray, axis: int, target: str) -> np.ndarray:
+    # in place; looked up at each call, so a wrapper set on numpy.fft sees every transform
     transform = np.fft.fft if target == "mom" else np.fft.ifft
-    return transform(arr, axis=axis, norm="ortho", out=arr if overwrite else None)
+    return transform(arr, axis=axis, norm="ortho", out=arr)
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple) -> np.ndarray:
     """Transform the engine's own buffer in place into group_rep."""
     for i, want in enumerate(group_rep):
         if want is not None and reps[i] != want:
-            arr = _transform_axis(arr, i, want, overwrite=True)
+            arr = _transform_axis(arr, i, want)
             reps[i] = want
     return arr
 
@@ -545,11 +547,11 @@ class _Sampler:
     touches, each in the representation the monomial is diagonal in;
     summed-out axes may be in either representation (Parseval).  The plan
     walks the fewest one-axis transforms from the base that meet every
-    marginal, on a scratch copy, and takes |psi|^2 once per representation
-    that owes a marginal.  Every output is a weighted sum of one marginal,
-    so each marginal (a key) holds the stacked weights that read it, with
-    coefficient and cell volume folded in: a sample makes one reduction and
-    one matrix-vector product per key.
+    marginal and takes |psi|^2 once per representation that owes a
+    marginal.  Every output is a weighted sum of one marginal, so each
+    marginal (a key) holds the stacked weights that read it, with
+    coefficient and cell volume folded in: a block of samples makes one
+    reduction and one matrix product per key.
     """
 
     def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
@@ -597,28 +599,31 @@ class _Sampler:
             reductions = []
             for key in owed:
                 kept = {i for i, _ in key}
-                drop = tuple(j for j in range(ndim) if j not in kept)
+                drop = tuple(j + 1 for j in range(ndim) if j not in kept)  # axis 0: the block
                 slots = rows[key]
                 reductions.append((drop, np.array(list(slots)), np.stack(list(slots.values()))))
             self.stops.append((move, reductions))
 
-    def measure(self, arr: np.ndarray):
-        """(norm, edge mass per axis, Expectation per observer); arr is left as is."""
-        out = np.zeros(1 + self.n_edges + 2 * self.n_observers)
-        for n, (move, reductions) in enumerate(self.stops):
+    def measure_block(self, block: np.ndarray) -> np.ndarray:
+        """One row per state of block (states on axis 0): the squared norm, the
+        edge mass per axis, each observer's value, then each observer's
+        imaginary residual.  block is scratch: it is transformed in place."""
+        out = np.zeros((len(block), 1 + self.n_edges + 2 * self.n_observers))
+        for move, reductions in self.stops:
             if move is not None:
-                # the first transform reads the caller's array: never overwrite it
-                arr = _transform_axis(arr, *move, overwrite=n > 1)
+                block = _transform_axis(block, move[0] + 1, move[1])
             if reductions:
-                density = np.abs(arr) ** 2
+                density = np.abs(block)
+                np.square(density, out=density)
                 for drop, slots, weights in reductions:
-                    out[slots] += weights @ np.sum(density, axis=drop).ravel()
+                    marginal = np.sum(density, axis=drop) if drop else density
+                    out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
                 del density  # one density alive at a time
-        out = out.tolist()
-        first = 1 + self.n_edges
-        resid = first + self.n_observers
-        values = [Expectation(v, r) for v, r in zip(out[first:resid], out[resid:])]
-        return math.sqrt(out[0]), out[1:first], values
+        return out
+
+    def measure(self, arr: np.ndarray) -> np.ndarray:
+        """measure_block's row for the one state arr, which is left as is."""
+        return self.measure_block(arr[np.newaxis].copy())[0]
 
 
 def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
@@ -630,7 +635,8 @@ def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
     with the imaginary residual.
     """
     base = ("pos",) * len(state.spec.axes)
-    return _Sampler(state.spec, base, [a], boundary=False).measure(state.array)[2][0]
+    _, value, resid = _Sampler(state.spec, base, [a], boundary=False).measure(state.array)
+    return Expectation(float(value), float(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +689,42 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     return marks, steps
 
 
+_BLOCK_BYTES = 512 * 1024  # bytes of scratch states in one sample block
+
+
+def _block_layout(state_bytes: int) -> tuple[int, int]:
+    """(buffers, states per block): two blocks of what fits in _BLOCK_BYTES, or one state alone."""
+    return (1, 1) if state_bytes > _BLOCK_BYTES else (2, _BLOCK_BYTES // state_bytes)
+
+
+def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray):
+    """Step work in place, yielding (work, its representation) at each mark."""
+    reps = ["pos"] * len(plan.spec.axes)
+    # FSAL: a multi-group sequence opens and closes with the same dt/2
+    # phase, so between samples one step's closing half and the next
+    # step's opening half are applied together as one full-dt phase.
+    sweep = [plan.groups[gi] for gi in plan.sequence]
+    head = sweep[0]
+    fsal = len(sweep) > 1
+    fused = head.phase * head.phase if fsal else head.phase
+    owed = False  # the closing half-phase of the previous step is pending
+
+    yield work, tuple(reps)
+    for start, mark in zip(marks[:-1].tolist(), marks[1:].tolist()):
+        for _ in range(start, mark):
+            work = _bring_to(work, reps, head.rep)
+            work *= fused if owed else head.phase
+            for group in sweep[1:-1]:
+                work = _bring_to(work, reps, group.rep)
+                work *= group.phase
+            owed = fsal
+        if owed:
+            work = _bring_to(work, reps, head.rep)
+            work *= head.phase
+            owed = False
+        yield work, tuple(reps)
+
+
 def evolve(
     state: GridState,
     plan: PropagatorPlan,
@@ -699,83 +741,92 @@ def evolve(
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
-    point.  state.array is left untouched.
+    point.  state.array is left untouched.  Samples are measured on a
+    worker thread, which is joined before this returns or raises.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
     dt = plan.dt
     marks, _ = sample_steps(t_final, dt, stride)
 
-    labeled = []
-    for idx, obs in enumerate(observers):
-        if isinstance(obs, tuple):
-            labeled.append((str(obs[0]), obs[1]))
-        else:
-            labeled.append((f"obs{idx}", obs))
+    labeled = [(str(obs[0]), obs[1]) if isinstance(obs, tuple) else (f"obs{idx}", obs)
+               for idx, obs in enumerate(observers)]
     polys = [poly for _, poly in labeled]
 
     spec = plan.spec
-    ndim = len(spec.axes)
-    work = state.array.copy()
-    reps = ["pos"] * ndim
+    first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
+    buffers, per_block = _block_layout(state.array.nbytes)
+    scratch = np.empty((buffers, min(per_block, len(marks))) + spec.shape, dtype=complex)
     samplers: dict[tuple, _Sampler] = {}
+    posted, finished = threading.Semaphore(0), threading.Semaphore(0)
+    jobs: list = []  # (sampler, block) in the order posted; None ends the thread
+    measured: list = []  # each block's rows, or the exception measuring it raised
+    done, filled, base = 0, 0, None  # blocks checked; states in the block being filled
 
-    times: list[float] = []
-    rows: list[list[float]] = []
-    resid = np.zeros(len(labeled))
-    norms: list[float] = []
+    def serve() -> None:  # the sampling thread: measures the posted blocks in order
+        while posted.acquire() and jobs[len(measured)] is not None:
+            sampler, block = jobs[len(measured)]
+            try:
+                measured.append(sampler.measure_block(block))
+            except BaseException as exc:  # collect raises it again in the caller
+                measured.append(exc)
+            finished.release()
 
-    def sample(step: int) -> None:
-        t = step * dt
-        base = tuple(reps)
-        if base not in samplers:
-            samplers[base] = _Sampler(spec, base, polys, boundary_check)
-        norm, edges, expectations = samplers[base].measure(work)
-        for ax, edge in zip(spec.axes, edges):
-            if edge > _BOUNDARY_MASS_LIMIT:
-                raise BoxOverflow(
-                    f"axis {ax.label!r} holds {edge:.3e} probability mass within "
-                    f"{_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
-                )
-        norms.append(norm)
-        for oi, e in enumerate(expectations):
-            resid[oi] = max(resid[oi], abs(e.imag_residual))
-        times.append(t)
-        rows.append([e.value for e in expectations])
+    def collect() -> None:  # wait for the oldest block in flight and check its rows
+        nonlocal done
+        finished.acquire()
+        rows = measured[done]
+        if isinstance(rows, BaseException):
+            raise rows
+        hit = np.argwhere(rows[:, 1:first] > _BOUNDARY_MASS_LIMIT)
+        if len(hit):
+            row, axis = hit[0]
+            t = int(marks[sum(map(len, measured[:done])) + row]) * dt
+            raise BoxOverflow(
+                f"axis {spec.axes[axis].label!r} holds {rows[row, 1 + axis]:.3e} probability "
+                f"mass within {_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
+            )
+        done += 1
 
-    # FSAL: a multi-group sequence opens and closes with the same dt/2
-    # phase, so between samples one step's closing half and the next
-    # step's opening half are applied together as one full-dt phase.
-    sweep = [plan.groups[gi] for gi in plan.sequence]
-    head = sweep[0]
-    fsal = len(sweep) > 1
-    fused = head.phase * head.phase if fsal else head.phase
-    owed = False  # the closing half-phase of the previous step is pending
+    def submit() -> None:  # hand the block being filled to the sampling thread
+        nonlocal filled
+        jobs.append((samplers[base], scratch[len(jobs) % buffers, :filled]))
+        posted.release()
+        filled = 0
 
-    sample(0)
-    for start, mark in zip(marks[:-1].tolist(), marks[1:].tolist()):
-        for _ in range(start, mark):
-            work = _bring_to(work, reps, head.rep)
-            work *= fused if owed else head.phase
-            for group in sweep[1:-1]:
-                work = _bring_to(work, reps, group.rep)
-                work *= group.phase
-            owed = fsal
-        if owed:
-            work = _bring_to(work, reps, head.rep)
-            work *= head.phase
-            owed = False
-        sample(mark)
+    worker = threading.Thread(target=serve, name="hybridlab-sampler", daemon=True)
+    worker.start()
+    try:
+        for work, reps in _march(state.array.copy(), plan, marks):
+            if filled and reps != base:
+                submit()
+            while not filled and len(jobs) - done >= buffers:  # its buffer is still in use
+                collect()
+            base = reps
+            if base not in samplers:  # an observer the grid cannot sample fails here, at once
+                samplers[base] = _Sampler(spec, base, polys, boundary_check)
+            scratch[len(jobs) % buffers, filled] = work
+            filled += 1
+            if filled == scratch.shape[1]:
+                submit()
+        if filled:
+            submit()
+        while done < len(jobs):
+            collect()
+    finally:
+        jobs.append(None)
+        posted.release()
+        worker.join()
 
-    work = _bring_to(work, reps, ("pos",) * ndim)
-
+    out = np.concatenate(measured)
+    resid = first + len(polys)
     return EvolutionResult(
-        times=np.array(times),
+        times=marks * dt,
         labels=tuple(lbl for lbl, _ in labeled),
-        values=np.array(rows) if rows else np.zeros((0, 0)),
-        imag_residuals=resid,
-        norms=np.array(norms),
-        final_state=GridState(spec, work),
+        values=out[:, first:resid].copy(),
+        imag_residuals=np.abs(out[:, resid:]).max(axis=0),
+        norms=np.sqrt(out[:, 0]),
+        final_state=GridState(spec, _bring_to(work, list(reps), ("pos",) * len(spec.axes))),
     )
 
 

@@ -1,11 +1,14 @@
 """Exact operator algebra: CCR table, ordering, derivations, rendering."""
 
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridlab import algebra
 from hybridlab import (
     CONJUGATE_PAIRS,
     GENERATOR_NAMES,
@@ -126,6 +129,25 @@ def test_commutator_equals_the_product_difference(a, b):
     # commutator skips the uncontracted terms; the full products are the oracle
     assert commutator(a, b) == a * b - b * a
     assert heisenberg_rhs(a, b) == constant(-1j) * (a * b - b * a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complex_cubics, _complex_cubics)
+def test_commutator_expands_only_orders_with_a_contraction(a, b):
+    # an order whose full expansion is its uncontracted term alone adds nothing
+    expanded = []
+
+    def spy(left, right):
+        expanded.append((left, right))
+        return product(left, right)
+
+    product = algebra._monomial_product
+    with mock.patch.object(algebra, "_monomial_product", spy):
+        result = commutator(a, b)
+    assert result == a * b - b * a
+    orders = [(ma, mb) for ma, _ in a.monomials() for mb, _ in b.monomials()]
+    orders += [(mb, ma) for ma, mb in orders]
+    assert Counter(expanded) == Counter(o for o in orders if len(list(product(*o))) > 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import json
+import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +13,16 @@ import numpy as np
 import pytest
 
 from hybridlab import (
+    AxisSpec,
+    GridSpec,
     MomentOverflow,
+    benchmark,
     cli,
+    compile_exact,
     default_moment_state,
+    evolve,
     fit_envelope,
+    gaussian_state,
     mode_generator_matrix,
     propagate_moments,
     read_csv,
@@ -303,6 +311,29 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert match and int(match.group(1)) >= 16 * 4096**3
     assert "bytes of physical memory" in err
     assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("mode, axes", [("quantum-quantum", "xq"), ("hybrid", "xyq")])
+def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, monkeypatch):
+    # at 64 points the (x, q) state is 64 KiB, 8 to a double-buffered sample
+    # block, and the 64^3 state 4 MiB, alone in its one block
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)  # a one-byte machine
+    with pytest.raises(cli.ConfigError) as refused:
+        cli._check_grid_memory(len(axes), 64)
+    monkeypatch.undo()
+    need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+    k = Fraction(1, 5)
+    tracemalloc.start()
+    try:
+        spec = GridSpec(tuple(AxisSpec(label, 8.0, 64) for label in axes))
+        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1)
+        state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
+        evolve(state, plan, 0.5, observers=benchmark.default_observers(mode, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # leaving the sample blocks out, the (x, q) run would peak at 1.4 times the estimate
+    assert peak <= 1.25 * need
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):

@@ -1,6 +1,10 @@
 """Split-step spectral engine: states, plans, evolution, classical oracles."""
 
+import collections
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +39,11 @@ from hybridlab import (
     quadratic_expectation,
     quantum_energy,
     reduced_quantum_density,
+    sample_steps,
     save_snapshot,
 )
-from hybridlab.grid import _transform_axis
+from hybridlab import grid
+from hybridlab.grid import _march, _Sampler, _transform_axis
 from oracles import characteristics_reference, period_residual
 
 
@@ -55,6 +61,14 @@ def _spec2(n=64, L=8.0):
 
 def _spec1(n=64, L=8.0):
     return GridSpec((AxisSpec("q", L, n),))
+
+
+def _spec_xyq(nx, ny, nq, L=8.0):
+    return GridSpec((AxisSpec("x", L, nx), AxisSpec("y", L, ny), AxisSpec("q", L, nq)))
+
+
+def _qq_spec(n=64, L=8.0):
+    return GridSpec((AxisSpec("x", L, n), AxisSpec("q", L, n)))
 
 
 # -- axes and states ---------------------------------------------------------
@@ -318,6 +332,140 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
     assert np.array_equal(result.final_state.array, final)
 
 
+def _serial_samples(state, plan, t_final, observers, stride=1):
+    """Reference: each sample measured inline by one _Sampler.measure call.
+
+    Returns the sample times and one row per sample (squared norm, edge
+    masses, observer values, imaginary residuals), as evolve's sampler
+    lays them out.
+    """
+    marks, _ = sample_steps(t_final, plan.dt, stride)
+    polys = [poly for _, poly in observers]
+    samplers, rows = {}, []
+    for work, reps in _march(state.array.copy(), plan, marks):
+        if reps not in samplers:
+            samplers[reps] = _Sampler(plan.spec, reps, polys, boundary=True)
+        rows.append(samplers[reps].measure(work))
+    return marks * plan.dt, np.array(rows)
+
+
+@pytest.mark.parametrize("mode, spec, strang, t_final, stride, exact, slow", [
+    # 1 MiB states, above the block budget: one per block, so bit for bit
+    ("hybrid", _spec_xyq(64, 32, 32), False, 0.5, 1, True, False),
+    # 64 KiB states, 8 per block, double-buffered: 21 samples, not a multiple of 8
+    ("quantum-quantum", _qq_spec(), False, 2.0, 1, False, False),
+    # a Strang plan, stride 3: step 0 alone (all positions), then 4 states
+    # in the representation the stepping leaves
+    ("hybrid", _spec3(16), True, 0.1, 3, False, False),
+    # a slow sampling thread, so the stepping runs ahead: a buffer must not be
+    # refilled before its block is measured (one buffer; two of 32 states)
+    ("hybrid", _spec_xyq(64, 32, 32), False, 2.0, 1, True, True),
+    ("quantum-quantum", _qq_spec(32), False, 10.0, 1, False, True),
+])
+def test_pipelined_samples_match_a_serial_reference(mode, spec, strang, t_final, stride, exact,
+                                                    slow, monkeypatch):
+    K = mode_koopmanian(mode, K_COUPLING)
+    plan = compile_splitting(K, spec, 0.01) if strang else compile_exact(K, spec, 0.1)
+    means = {"x": 0.3, "q": -0.2}
+    state = gaussian_state(spec, {lbl: means.get(lbl, 0.0) for lbl in spec.labels}, WIDTH)
+    observers = default_observers(mode, K_COUPLING)
+    times, rows = _serial_samples(state, plan, t_final, observers, stride)
+    if slow:
+        measure_block = grid._Sampler.measure_block
+
+        def delayed(self, block):
+            time.sleep(0.005)
+            return measure_block(self, block)
+
+        monkeypatch.setattr(grid._Sampler, "measure_block", delayed)
+    result = evolve(state, plan, t_final, observers=observers, stride=stride)
+    first = 1 + len(spec.axes)
+    resid = first + len(observers)
+    assert np.array_equal(result.times, times)
+    pairs = [
+        (result.norms, np.sqrt(rows[:, 0])),
+        (result.values, rows[:, first:resid]),
+        (result.imag_residuals, np.max(np.abs(rows[:, resid:]), axis=0)),
+    ]
+    for got, expected in pairs:
+        assert got.shape == expected.shape
+        if exact:
+            assert np.array_equal(got, expected)
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, mode, means, widths, overflow_t", [
+    # one state per block: the overflow shows in the fourth block
+    (_spec_xyq(64, 32, 32, L=4.0), "hybrid", {"q": 1.0}, {"x": 0.5, "y": 0.5, "q": 0.3}, 0.3),
+    # 8 states per block: the overflow is the third row of the first block
+    (_qq_spec(L=4.0), "quantum-quantum", {"q": 2.0}, {"x": 0.5, "q": 0.3}, 0.2),
+])
+def test_box_overflow_matches_the_serial_reference(spec, mode, means, widths, overflow_t):
+    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, means, widths)
+    times, rows = _serial_samples(state, plan, 1.0, ())
+    edges = rows[:, 1:1 + len(spec.axes)]
+    first_over = np.flatnonzero(np.any(edges > grid._BOUNDARY_MASS_LIMIT, axis=1))[0]
+    assert times[first_over] == pytest.approx(overflow_t)
+    threads = threading.active_count()
+    with pytest.raises(BoxOverflow, match=f"at t = {times[first_over]:g}$"):
+        evolve(state, plan, 1.0)
+    assert threading.active_count() == threads
+
+
+def test_worker_failure_is_raised_and_the_thread_joined(monkeypatch):
+    measure_block = grid._Sampler.measure_block
+    seen = []
+
+    def failing(self, block):
+        seen.append(len(block))
+        if len(seen) == 2:
+            raise RuntimeError("measuring failed")
+        return measure_block(self, block)
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", failing)
+    spec = _spec_xyq(64, 32, 32)
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {}, WIDTH)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="measuring failed"):
+        evolve(state, plan, 1.0, observers=default_observers("hybrid", K_COUPLING))
+    assert threading.active_count() == threads
+    assert len(seen) == 2  # the failure stopped the run at the next block
+
+
+def test_concurrent_runs_under_rapid_thread_switching_match_the_reference():
+    # four runs at once, each with its own sampling thread: eight threads on
+    # however few cores, switching every microsecond
+    spec = _qq_spec(32)  # 16 KiB states, 32 to a block: 101 samples make 4 blocks
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    _, rows = _serial_samples(state, plan, 10.0, observers)
+    first = 1 + len(spec.axes)
+    expected = rows[:, first:first + len(observers)]
+    worst = []
+
+    def run() -> None:
+        for _ in range(3):
+            values = evolve(state, plan, 10.0, observers=observers).values
+            worst.append(float(np.max(np.abs(values - expected))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [threading.Thread(target=run) for _ in range(4)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert len(worst) == 12 and max(worst) <= 1e-15
+
+
 _POSITION_LABEL = {"q": "q", "x": "x", "y": "y", "p": "q", "p_x": "x", "p_y": "y"}
 
 
@@ -367,29 +515,48 @@ def test_marginal_expectations_match_full_grid_quadrature(mode, spec, extra):
 
 
 def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
-    calls = []
+    # samples are measured on evolve's worker thread, steps on the caller's:
+    # FFT calls are tallied per thread
+    calls = collections.Counter()
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, **kwargs):
-            calls.append(1)
+            calls[threading.current_thread()] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    spec = _spec3(16)
-    plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
-    state = gaussian_state(spec, {}, WIDTH)
-    # a norm-only sample needs no transform: these are the steps' own
-    evolve(state, plan, 0.03, stride=3, boundary_check=False)
-    assert len(calls) > 0  # so the count below cannot pass with no transform seen
-    calls.clear()
+    per_block = []  # (states, FFT calls) of each measured block
+    measure_block = grid._Sampler.measure_block
+
+    def spy(self, block):
+        before = calls[threading.current_thread()]
+        rows = measure_block(self, block)
+        per_block.append((len(block), calls[threading.current_thread()] - before))
+        return rows
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", spy)
     observers = default_observers("hybrid", K_COUPLING)
-    evolve(state, plan, 0.03, observers=observers, stride=3)
-    sparse = len(calls)
-    calls.clear()
-    evolve(state, plan, 0.03, observers=observers, stride=1)
-    # same steps; stride 1 adds the samples at steps 1 and 2
-    assert (len(calls) - sparse) / 2 <= 3
+    main = threading.main_thread()
+    # 16^3 (64 KiB) goes 8 states to a block, 64 x 32 x 32 (1 MiB) one state
+    for spec, most in ((_spec3(16), 6), (_spec_xyq(64, 32, 32), 1)):
+        plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
+        state = gaussian_state(spec, {}, WIDTH)
+        calls.clear()
+        evolve(state, plan, 0.06, stride=1, boundary_check=False)
+        # a norm-only sample needs no transform: these are the steps' own
+        steps = calls[main]
+        assert steps > 0 and sum(calls.values()) == steps  # the steps' FFTs are seen
+        calls.clear()
+        per_block.clear()
+        evolve(state, plan, 0.06, observers=observers, stride=1)
+        assert calls[main] == steps
+        assert sum(calls.values()) - steps == sum(n for _, n in per_block)
+        # block 0 holds step 0 alone, in the all-position representation; each
+        # later block, of one or several states, starts from the stepping one
+        assert per_block[0][0] == 1
+        assert max(size for size, _ in per_block[1:]) == most
+        assert [n for _, n in per_block[1:]] == [3] * (len(per_block) - 1)
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (128, 128)])
@@ -398,10 +565,10 @@ def test_in_place_transform_matches_out_of_place_bit_for_bit(shape):
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     psi.flags.writeable = False  # the out-of-place transform must not write to it
     for axis in range(len(shape)):
-        for target in ("mom", "pos"):
-            expected = _transform_axis(psi, axis, target)
+        for target, transform in (("mom", np.fft.fft), ("pos", np.fft.ifft)):
+            expected = transform(psi, axis=axis, norm="ortho")
             work = psi.copy()
-            got = _transform_axis(work, axis, target, overwrite=True)
+            got = _transform_axis(work, axis, target)
             assert got is work  # transformed in the caller's buffer
             assert np.array_equal(got, expected), (axis, target)
 
