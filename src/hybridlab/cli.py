@@ -53,7 +53,7 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
-    _block_layout,
+    _run_bytes,
     compile_exact,
     compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
     evolve,
@@ -88,11 +88,14 @@ class ConfigError(Exception):
     pass
 
 
+class NonFiniteOutput(Exception):
+    """An engine computed a column value that is not a finite float."""
+
+
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
 _MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
-_GRID_LIVE_COPIES = 2  # full-grid arrays a run holds besides its sample blocks: state, step buffer
 _MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
 
 
@@ -282,28 +285,7 @@ def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
             "the grid engine supports hybrid and quantum-quantum runs; "
             "classical-classical moments close exactly, use --engine moments"
         )
-    spec = GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
-    _check_grid_memory(len(spec.axes), points)
-    return spec
-
-
-def _check_grid_memory(ndim: int, points: int) -> None:
-    """Refuse a grid whose arrays would not fit in physical memory, before any exist.
-
-    The estimate counts _GRID_LIVE_COPIES complex state arrays, evolve's sample
-    blocks and one more block for |psi|^2, and the exact plan's chirps: two
-    factors per axis pair and the fused FSAL factor, each N^2.
-    """
-    state = 16 * points**ndim
-    buffers, per_block = _block_layout(state)
-    need = (_GRID_LIVE_COPIES + (buffers + 1) * per_block) * state
-    need += 16 * (2 * math.comb(ndim, 2) + 1) * points**2
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"a {ndim}-axis grid of {points} points per axis needs about {need} bytes, "
-            f"more than the {have} bytes of physical memory"
-        )
+    return GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
 
 
 def _simulation_settings(args, engines=None):
@@ -342,6 +324,14 @@ def _simulation_settings(args, engines=None):
     _parse_bool(_required(args, "deterministic", False))  # validated; always single-threaded
     binding = _binding(args, k)
     observers = _observer_list(args, mode, k, binding)
+    if grid_spec is not None:  # refuse a run beyond physical memory before any array exists
+        need = _run_bytes(grid_spec, observers)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(
+                f"a {len(grid_spec.axes)}-axis grid of {grid_n} points per axis needs about "
+                f"{need} bytes, more than the {have} bytes of physical memory"
+            )
     return argparse.Namespace(
         mode=mode,
         k=k,
@@ -409,7 +399,8 @@ def _moment_columns(settings):
         state = propagate_moments(
             settings.generator, settings.moment_state, times[start:start + _MOMENT_BLOCK]
         )
-        blocks.append([quadratic_expectation(poly, state) for _, poly in settings.observers])
+        with np.errstate(over="ignore", invalid="ignore"):  # _run_engines reports these
+            blocks.append([quadratic_expectation(poly, state) for _, poly in settings.observers])
     columns = {
         label: np.concatenate(parts)
         for (label, _), parts in zip(settings.observers, zip(*blocks))
@@ -470,6 +461,12 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
     for engine in settings.engines:
         t0 = time.perf_counter()
         tables[engine] = (*_ENGINES[engine](settings), time.perf_counter() - t0)
+    for engine, (columns, *_) in tables.items():
+        for label, column in columns.items():
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise NonFiniteOutput(f"the {engine} engine's column {label} is "
+                                      f"{column[bad[0]]} at t = {settings.times[bad[0]]:g}")
     out_dir = settings.out_dir
     os.makedirs(out_dir, exist_ok=True)
     spectrum_path = os.path.join(out_dir, "spectrum.json")
@@ -774,7 +771,7 @@ def main(argv=None) -> int:
             section = reader[args.command] if reader.has_section(args.command) else None
             _merge(args, section)
         return args.func(args)
-    except (BoxOverflow, MomentOverflow) as exc:
+    except (BoxOverflow, MomentOverflow, NonFiniteOutput) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     except _CONFIG_EXIT_2 as exc:

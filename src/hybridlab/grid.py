@@ -16,11 +16,13 @@ axes, with the diagonal terms folded in, so no phase array spans the grid;
 a pair the chirp leaves uncoupled gets no factor.
 
 Stepping works in place on one buffer the engine owns (phases multiplied in
-place, FFTs allowed to overwrite it).  The sweep opens and closes with the
-same dt/2 phase, so between samples the closing half of one step and the
-opening half of the next are applied as one full-dt phase (first same as
-last, FSAL); the dt/2 closing phase is applied only before a sample.  This
-regroups identical diagonal factors and leaves the scheme unchanged.
+place, FFTs allowed to overwrite it).  A step applies the plan's edge
+factors, its middle factors, then the edge again.  The edge factors are
+diagonal in one representation, so between samples the closing edge of one
+step and the opening edge of the next are applied as one phase, each edge
+factor squared once per run (first same as last, FSAL); the edge alone
+closes the last step before a sample.  This regroups commuting diagonal
+factors and leaves the scheme unchanged.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -270,26 +272,21 @@ class _PhaseGroup:
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Symmetric factorization of exp(-i K dt) into diagonal phases.
+    """exp(-i K dt) as diagonal phases: a step applies edge, middle, then edge.
 
-    One full step applies every group, the last at dt, then the rest
-    mirrored.  compile_splitting's Strang groups are ordered
-    position-diagonal, then mixed, then momentum-diagonal, each at dt/2;
-    compile_exact's are the R1 chirp's factors, then the R2 chirp's at
-    dt/2.  Applying the plan with dt and again with -dt undoes it to
+    The edge factors share one representation.  compile_splitting's Strang
+    plan has its first group (position-diagonal when K has one) at dt/2 as
+    the edge, and the other groups at dt/2 mirrored around the last at dt as
+    the middle; a one-group plan has no edge.  compile_exact's edge is the
+    R1 chirp's pair factors and its middle the R2 chirp's, both at the full
+    step.  Applying the plan with dt and again with -dt undoes it to
     roundoff.
     """
 
     spec: GridSpec
     dt: float
-    groups: tuple
-
-    @property
-    def sequence(self) -> list[int]:
-        n = len(self.groups)
-        if n == 1:
-            return [0]
-        return list(range(n)) + list(range(n - 2, -1, -1))
+    edge: tuple
+    middle: tuple
 
 
 def _term_representation(spec: GridSpec, mono: Monomial) -> tuple:
@@ -361,10 +358,8 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
     """
     if float(dt) == 0.0:
         raise ValueError("dt must be nonzero")
-    position_terms: list = []
-    momentum_terms: list = []
-    mixed_groups: list[list] = []
-    mixed_reps: list[tuple] = []
+    blind = (None,) * len(spec.axes)
+    position, momentum, mixed = [blind, []], [blind, []], []  # groups: [merged rep, terms]
 
     ordered = sorted(k_op.terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
     for mono, coeff in ordered:
@@ -374,45 +369,30 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
                 "coefficient; its split phase would not be unitary"
             )
         rep = _term_representation(spec, mono)
-        entry = (mono, float(coeff.real), rep)
         kinds = {r for r in rep if r is not None}
         if kinds <= {"pos"}:
-            position_terms.append(entry)
+            group = position
         elif kinds == {"mom"}:
-            momentum_terms.append(entry)
+            group = momentum
         else:
-            for gi, grep in enumerate(mixed_reps):
-                if _compatible(grep, rep):
-                    mixed_groups[gi].append(entry)
-                    mixed_reps[gi] = _merge_rep(grep, rep)
-                    break
-            else:
-                mixed_groups.append([entry])
-                mixed_reps.append(rep)
+            group = next((g for g in mixed if _compatible(g[0], rep)), None)
+            if group is None:
+                group = [blind, []]
+                mixed.append(group)
+        group[0] = _merge_rep(group[0], rep)
+        group[1].append((mono, float(coeff.real), rep))
 
-    raw_groups: list[tuple[tuple, list]] = []
-    if position_terms:
-        rep = (None,) * len(spec.axes)
-        for entry in position_terms:
-            rep = _merge_rep(rep, entry[2])
-        raw_groups.append((rep, position_terms))
-    raw_groups.extend(zip(mixed_reps, mixed_groups))
-    if momentum_terms:
-        rep = (None,) * len(spec.axes)
-        for entry in momentum_terms:
-            rep = _merge_rep(rep, entry[2])
-        raw_groups.append((rep, momentum_terms))
-    if not raw_groups:  # zero generator: identity plan
-        raw_groups.append(((None,) * len(spec.axes), []))
-
+    # a zero generator keeps the empty position group: the identity plan
+    raw_groups = [g for g in (position, *mixed, momentum) if g[1]] or [position]
     n = len(raw_groups)
-    groups = []
-    for gi, (rep, terms) in enumerate(raw_groups):
-        sub_dt = float(dt) if gi == n - 1 else float(dt) / 2.0
-        potential = _group_potential(spec, terms)
-        phase = np.exp(-1j * sub_dt * potential)
-        groups.append(_PhaseGroup(rep, phase))
-    return PropagatorPlan(spec, float(dt), tuple(groups))
+    groups = [
+        _PhaseGroup(rep, np.exp(-1j * (float(dt) if gi == n - 1 else float(dt) / 2.0)
+                                * _group_potential(spec, terms)))
+        for gi, (rep, terms) in enumerate(raw_groups)
+    ]
+    inner = groups[1:-1]
+    return PropagatorPlan(spec, float(dt), tuple(groups[:-1][:1]),
+                          (*inner, groups[-1], *reversed(inner)))
 
 
 def _pair_quadratics(S: np.ndarray, values: list) -> list:
@@ -463,6 +443,8 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
         H[b, a] += coeff * sa * sb
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     M = expm(J @ H * tau)
+    if not np.all(np.isfinite(M)):
+        raise NonSplittableTerm(f"the flow of K leaves the float range at tau = {tau:g}")
     B, D = M[:n, n:], M[n:, n:]
     if np.linalg.cond(B) > 1e12:
         raise NonSplittableTerm(f"the flow's B block is singular at tau = {tau:g}")
@@ -473,19 +455,16 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
         # the phase w^T S w / 2 changes by at most step_i * |S| reach along axis i
         reach = np.array([np.max(np.abs(x)) for x in w])
         step = np.array([abs(x.flat[1] - x.flat[0]) for x in w])
-        worst = float(np.max(step * (np.abs(S) @ reach)))
-        if worst > math.pi:
+        with np.errstate(over="ignore"):  # an overflow is a step beyond pi
+            worst = float(np.max(step * (np.abs(S) @ reach)))
+        if not worst <= math.pi:
             raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
     # a pair the chirp leaves uncoupled has an all-zero quadratic: no factor
     l_terms, u_terms = (
         [t for t in _pair_quadratics(S, w) if np.any(t)] for S, w in ((P, u), (B, v))
     )
-    *halves, last = u_terms
-    return PropagatorPlan(spec, tau, (
-        *[_PhaseGroup(frame, np.exp(1j * t)) for t in l_terms],
-        *[_PhaseGroup(flip, np.exp(-0.5j * t)) for t in halves],
-        _PhaseGroup(flip, np.exp(-1j * last)),
-    ))
+    return PropagatorPlan(spec, tau, tuple(_PhaseGroup(frame, np.exp(1j * t)) for t in l_terms),
+                          tuple(_PhaseGroup(flip, np.exp(-1j * t)) for t in u_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +560,9 @@ class _Sampler:
                 weight = _monomial_values(spec, mono, rep) * volume
                 value, resid = first + o, first + self.n_observers + o
                 for slot, c in ((value, coeff.real), (resid, coeff.imag)):
-                    if c:
-                        add(key, slot, float(c) * weight)
+                    if c:  # a weight beyond the float range shows as a non-finite output
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            add(key, slot, float(c) * weight)
         norm_key = next(iter(rows), ())
         add(norm_key, 0, np.full(math.prod(spec.shape[i] for i, _ in norm_key), volume))
 
@@ -617,7 +597,8 @@ class _Sampler:
                 np.square(density, out=density)
                 for drop, slots, weights in reductions:
                     marginal = np.sum(density, axis=drop) if drop else density
-                    out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
+                    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
+                        out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
                 del density  # one density alive at a time
         return out
 
@@ -697,31 +678,46 @@ def _block_layout(state_bytes: int) -> tuple[int, int]:
     return (1, 1) if state_bytes > _BLOCK_BYTES else (2, _BLOCK_BYTES // state_bytes)
 
 
+def _run_bytes(spec: GridSpec, observers) -> int:
+    """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
+
+    States: the caller's, the step buffer, the sample blocks, one block's
+    |psi|^2 and marginals.  Per axis pair an edge, a middle and a squared
+    edge chirp factor.  A ufunc buffer per thread.  Sampler weights, a row per
+    monomial part on its marginal plus edge and norm rows: two samplers, the
+    second's stacked copy while it is built, two rows in flight.
+    """
+    size = math.prod(spec.shape)
+    buffers, per_block = _block_layout(16 * size)
+    need = 16 * size * (2 + buffers * per_block) + 8 * per_block * (size + size // min(spec.shape))
+    chirps = 3 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) ** 2
+    need += 16 * (chirps + 2 * np.getbufsize())
+    rows = [max(spec.shape)] * (len(spec.axes) + 1)
+    for _, poly in observers:
+        for mono, coeff in poly.monomials():
+            rep = _term_representation(spec, mono)
+            marginal = math.prod(n for n, r in zip(spec.shape, rep) if r is not None)
+            rows += [marginal] * ((coeff.real != 0) + (coeff.imag != 0))
+    return need + 8 * (3 * sum(rows) + 2 * max(rows))
+
+
 def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray):
     """Step work in place, yielding (work, its representation) at each mark."""
     reps = ["pos"] * len(plan.spec.axes)
-    # FSAL: a multi-group sequence opens and closes with the same dt/2
-    # phase, so between samples one step's closing half and the next
-    # step's opening half are applied together as one full-dt phase.
-    sweep = [plan.groups[gi] for gi in plan.sequence]
-    head = sweep[0]
-    fsal = len(sweep) > 1
-    fused = head.phase * head.phase if fsal else head.phase
-    owed = False  # the closing half-phase of the previous step is pending
+    opening = (*plan.edge, *plan.middle)
+    fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in plan.edge), *plan.middle)
 
     yield work, tuple(reps)
     for start, mark in zip(marks[:-1].tolist(), marks[1:].tolist()):
+        sweep = opening
         for _ in range(start, mark):
-            work = _bring_to(work, reps, head.rep)
-            work *= fused if owed else head.phase
-            for group in sweep[1:-1]:
+            for group in sweep:
                 work = _bring_to(work, reps, group.rep)
                 work *= group.phase
-            owed = fsal
-        if owed:
-            work = _bring_to(work, reps, head.rep)
-            work *= head.phase
-            owed = False
+            sweep = fused
+        for group in plan.edge:
+            work = _bring_to(work, reps, group.rep)
+            work *= group.phase
         yield work, tuple(reps)
 
 

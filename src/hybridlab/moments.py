@@ -645,7 +645,8 @@ _TRANSIENT_FRACTION = 0.2
 
 def _count_periods(times: np.ndarray, values: np.ndarray) -> float:
     """Oscillation periods spanned, counted from detrended sign changes."""
-    detrended = values - np.polyval(np.polyfit(times, values, 2), times)
+    scaled = times / (np.max(np.abs(times)) or 1.0)  # a well-posed fit at any time scale
+    detrended = values - np.polyval(np.polyfit(scaled, values, 2), scaled)
     floor = 1e-7 * float(np.max(np.abs(values))) if np.any(values) else 0.0
     signs = np.sign(detrended)
     signs[np.abs(detrended) <= floor] = 0

@@ -23,6 +23,7 @@ from hybridlab import (
     evolve,
     fit_envelope,
     gaussian_state,
+    grid,
     mode_generator_matrix,
     propagate_moments,
     read_csv,
@@ -313,27 +314,28 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("mode, axes", [("quantum-quantum", "xq"), ("hybrid", "xyq")])
-def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, monkeypatch):
-    # at 64 points the (x, q) state is 64 KiB, 8 to a double-buffered sample
-    # block, and the 64^3 state 4 MiB, alone in its one block
-    monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)  # a one-byte machine
-    with pytest.raises(cli.ConfigError) as refused:
-        cli._check_grid_memory(len(axes), 64)
-    monkeypatch.undo()
-    need = int(re.search(r"needs about (\d+) bytes", str(refused.value)).group(1))
+@pytest.mark.parametrize("mode, axes, points", [
+    ("quantum-quantum", "xq", 64), ("hybrid", "xyq", 64),
+    ("quantum-quantum", "xq", 256), ("hybrid", "xyq", 32),
+], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32"])
+def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points):
+    # a 64^2 (x, q) state is 64 KiB, 8 to a double-buffered sample block; a
+    # 32^3 state is 512 KiB, one to each of two buffers; the 64^3 and 256^2
+    # states go alone in one buffer, and at 256^2 a chirp factor and the
+    # sampler's full-grid weight row are as large as the state
     k = Fraction(1, 5)
+    spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
+    observers = benchmark.default_observers(mode, k)
+    need = grid._run_bytes(spec, observers)
     tracemalloc.start()
     try:
-        spec = GridSpec(tuple(AxisSpec(label, 8.0, 64) for label in axes))
         plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1)
         state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
-        evolve(state, plan, 0.5, observers=benchmark.default_observers(mode, k))
+        evolve(state, plan, 0.5, observers=observers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # leaving the sample blocks out, the (x, q) run would peak at 1.4 times the estimate
-    assert peak <= 1.25 * need
+    assert peak <= need
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):
@@ -527,6 +529,26 @@ def test_moment_overflow_stderr_is_the_error_line_alone(capfd, tmp_path, flags, 
     err = capfd.readouterr().err
     assert err.startswith(line)
     assert err.count("\n") == 1  # no numpy warning before it
+
+
+@pytest.mark.parametrize("flags, code, line", [
+    (["--engine", "grid", "--grid-n", "8", "--k", "1e150", "--t-final", "0.1"], 2,
+     "configuration error: the flow of K leaves the float range"),
+    (["--engine", "grid", "--grid-l", "1e300", "--grid-n", "8"], 2,
+     "configuration error: tau = "),
+    (["--engine", "grid", "--grid-n", "32", "--observer", "Z=a*q^2", "--param", "a=1e308",
+      "--t-final", "0.1"], 1, "runtime failure: the grid engine's column Z is inf at t = 0\n"),
+    (["--engine", "moments", "--dt", "1e-300", "--t-final", "1e-298", "--stride", "1"], 0,
+     "[moments] wrote "),
+])
+def test_extreme_inputs_end_cleanly(capfd, tmp_path, flags, code, line):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--mode", "hybrid", *flags, "--out", str(out_dir)]) == code
+    out, err = capfd.readouterr()
+    assert line in (err if code else out)
+    for text in ("Traceback", "internal error", "Warning", "DLASCL"):
+        assert text not in out + err
+    assert code == 0 or not out_dir.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -142,8 +142,21 @@ def test_density_is_square_magnitude():
 def test_hybrid_splitting_structure():
     spec = _spec3()
     plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
-    assert len(plan.groups) == 4
-    assert list(plan.sequence) == [0, 1, 2, 3, 2, 1, 0]
+    # edge: the position group at dt/2; middle: the other three mirrored
+    # around the last, each group one object
+    (edge,) = plan.edge
+    assert set(edge.rep) <= {"pos", None}
+    assert len(plan.middle) == 5
+    assert all(plan.middle[i] is plan.middle[-1 - i] for i in range(5))
+    assert len({id(g) for g in (*plan.edge, *plan.middle)}) == 4
+    assert all(np.any(g.phase != 1) for g in (*plan.edge, *plan.middle))
+
+
+def test_single_group_splitting_has_no_edge():
+    plan = compile_splitting(parse_polynomial("p^2/2"), _spec1(), 0.01)
+    assert plan.edge == ()
+    (group,) = plan.middle
+    assert group.rep == ("mom",)
 
 
 def test_splitting_rejects_nondiagonalizable_terms():
@@ -170,20 +183,21 @@ def test_exact_plan_structure():
     n = 16
     plan = compile_exact(hybrid_koopmanian(K_COUPLING), _spec3(n), 0.1)
     assert plan.dt == 0.1
-    assert len(plan.groups) == 5
-    assert list(plan.sequence) == [0, 1, 2, 3, 4, 3, 2, 1, 0]
     r1, r2 = ("pos", "mom", "pos"), ("mom", "pos", "mom")  # (x, y, q)
-    assert [g.rep for g in plan.groups] == [r1] * 3 + [r2] * 2
+    # edge: the R1 chirp's factors; middle: the R2 chirp's, both at full tau
+    assert [g.rep for g in plan.edge] == [r1] * 3
+    assert [g.rep for g in plan.middle] == [r2] * 2
     # one factor per coupled axis pair: no phase array spans the whole grid,
     # and the R2 chirp leaves (y, q) uncoupled, so it has no factor there
     pairs = [(n, n, 1), (n, 1, n), (1, n, n)]
-    assert [g.phase.shape for g in plan.groups] == pairs + pairs[:2]
-    assert all(np.any(g.phase != 1) for g in plan.groups)
+    assert [g.phase.shape for g in plan.edge] == pairs
+    assert [g.phase.shape for g in plan.middle] == pairs[:2]
+    assert all(np.any(g.phase != 1) for g in (*plan.edge, *plan.middle))
     qq_spec = GridSpec((AxisSpec("x", 8.0, n), AxisSpec("q", 8.0, n)))
     qq = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), qq_spec, 0.1)
-    assert [g.rep for g in qq.groups] == [("pos", "pos"), ("mom", "mom")]
-    assert list(qq.sequence) == [0, 1, 0]
-    assert all(np.any(g.phase != 1) for g in qq.groups)
+    assert [g.rep for g in qq.edge] == [("pos", "pos")]
+    assert [g.rep for g in qq.middle] == [("mom", "mom")]
+    assert all(np.any(g.phase != 1) for g in (*qq.edge, *qq.middle))
 
 
 @pytest.mark.parametrize("text, spec, reason", [
