@@ -102,12 +102,16 @@ class ComplexRational:
         return not self.imag
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
+        if not (self.imag or other.imag):  # real coefficients: skip the imaginary Fractions
+            return ComplexRational(self.real + other.real)
         return ComplexRational(self.real + other.real, self.imag + other.imag)
 
     def __sub__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other: "ComplexRational") -> "ComplexRational":
+        if not (self.imag or other.imag):
+            return ComplexRational(self.real * other.real)
         return ComplexRational(
             self.real * other.real - self.imag * other.imag,
             self.real * other.imag + self.imag * other.real,

@@ -106,10 +106,11 @@ def mode_koopmanian(mode: str, k) -> OperatorPolynomial:
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def mode_generator_matrix(mode: str, k) -> GeneratorMatrix:
+def mode_generator_matrix(mode: str, k, koopmanian=None) -> GeneratorMatrix:
+    """The mode's mean-flow matrix; pass mode_koopmanian(mode, k) if already built."""
     if mode == "classical-classical":
         return classical_flow_generator(k)
-    return derive_generator(mode_koopmanian(mode, k))
+    return derive_generator(mode_koopmanian(mode, k) if koopmanian is None else koopmanian)
 
 
 def default_moment_state(means: dict[str, float] | None = None) -> MomentState:
@@ -126,8 +127,8 @@ def default_moment_state(means: dict[str, float] | None = None) -> MomentState:
     return MomentState.vacuum_like(m)
 
 
-def default_observers(mode: str, k) -> list[tuple[str, OperatorPolynomial]]:
-    """Labeled observables for CSV columns, shared by both engines."""
+def default_observers(mode: str, k, koopmanian=None) -> list[tuple[str, OperatorPolynomial]]:
+    """Labeled observables for CSV columns, shared by both engines (koopmanian: as above)."""
     q, p, x, y = (generator(n) for n in ("q", "p", "x", "y"))
     p_x = generator("p_x")
     if mode == "quantum-quantum":
@@ -149,6 +150,6 @@ def default_observers(mode: str, k) -> list[tuple[str, OperatorPolynomial]]:
     if mode == "classical-classical":
         observers.append(("K", coupled_hamiltonian(k)))
     else:
-        observers.append(("K", mode_koopmanian(mode, k)))
+        observers.append(("K", mode_koopmanian(mode, k) if koopmanian is None else koopmanian))
     observers.append(("Hq", quantum_energy()))
     return observers

@@ -68,6 +68,8 @@ from .moments import (
     InsufficientData,
     MomentOverflow,
     NonlinearDynamics,
+    _apply_flow,
+    _flow_with_drift,
     classify_spectrum,
     fit_envelope,
     propagate_moments,
@@ -96,7 +98,7 @@ _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
 _MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
-_MOMENT_BLOCK = 128  # sample times per batched moment propagation; bounds its temporaries
+_MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +263,10 @@ def _spectrum_summary(report) -> str:
     return "; ".join(parts) + "; " + tail
 
 
-def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding):
+def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding, koopmanian):
     raw = getattr(args, "observer", None) or []
     if not raw:
-        return benchmark.default_observers(mode, k)
+        return benchmark.default_observers(mode, k, koopmanian)
     observers = []
     for item in raw:
         label, _, expr = item.partition("=")
@@ -323,7 +325,8 @@ def _simulation_settings(args, engines=None):
     out_dir = _required(args, "out", "hybridlab-run")
     _parse_bool(_required(args, "deterministic", False))  # validated; always single-threaded
     binding = _binding(args, k)
-    observers = _observer_list(args, mode, k, binding)
+    koopmanian = None if mode == "classical-classical" else benchmark.mode_koopmanian(mode, k)
+    observers = _observer_list(args, mode, k, binding, koopmanian)
     if grid_spec is not None:  # refuse a run beyond physical memory before any array exists
         need = _run_bytes(grid_spec, observers)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -336,7 +339,8 @@ def _simulation_settings(args, engines=None):
         mode=mode,
         k=k,
         engines=engines,
-        generator=benchmark.mode_generator_matrix(mode, k),
+        koopmanian=koopmanian,
+        generator=benchmark.mode_generator_matrix(mode, k, koopmanian),
         dt=dt,
         t_final=t_final,
         stride=stride,
@@ -391,16 +395,34 @@ def _report_numbers(columns) -> dict:
     return numbers
 
 
+def _moment_states(settings):
+    """States at settings.times, block by block, from the moment flow in two levels.
+
+    Later blocks repeat the first block's offsets o from their starts t_b, and
+    exp(G (t_b + o)) = exp(G t_b) exp(G o): the first block is propagated from
+    t = 0, and one affine update per block carries it to t_b, in time order.
+    The flows at up to _MOMENT_BLOCK block starts come from one stacked
+    exponential.  A last block off the stride is propagated on its own.
+    """
+    G, s0, times, n = settings.generator, settings.moment_state, settings.times, _MOMENT_BLOCK
+    last = (len(times) - 1) // n * n  # the last block's first row
+    end = last if last and settings.steps % settings.stride else len(times)  # carried rows end
+    base = propagate_moments(G, s0, times[:n])
+    yield base
+    for first in range(n, end, n * n):
+        M, d = _flow_with_drift(G, times[first:end:n][:n])
+        for Mb, db, start in zip(M, d, range(first, end, n)):
+            k = min(n, end - start)
+            yield _apply_flow(Mb, db, base.mean[:k], base.second[:k], times[start:start + k])
+    if end < len(times):
+        yield propagate_moments(G, s0, times[end:])
+
+
 def _moment_columns(settings):
-    """Observer columns from one batched propagation per block of sample times."""
-    times = settings.times
-    blocks = []
-    for start in range(0, len(times), _MOMENT_BLOCK):
-        state = propagate_moments(
-            settings.generator, settings.moment_state, times[start:start + _MOMENT_BLOCK]
-        )
-        with np.errstate(over="ignore", invalid="ignore"):  # _run_engines reports these
-            blocks.append([quadratic_expectation(poly, state) for _, poly in settings.observers])
+    """Observer columns: one quadratic_expectation per observer and block of states."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _run_engines reports these
+        blocks = [[quadratic_expectation(poly, state) for _, poly in settings.observers]
+                  for state in _moment_states(settings)]
     columns = {
         label: np.concatenate(parts)
         for (label, _), parts in zip(settings.observers, zip(*blocks))
@@ -410,7 +432,7 @@ def _moment_columns(settings):
 
 def _grid_columns(settings):
     spec = settings.grid_spec
-    plan, stride = _grid_plan(benchmark.mode_koopmanian(settings.mode, settings.k), settings)
+    plan, stride = _grid_plan(settings.koopmanian, settings)
     means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)

@@ -226,7 +226,7 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     """
     means = _per_axis(spec, means, "means")
     widths = _per_axis(spec, widths, "widths")
-    psi = np.ones(spec.shape, dtype=complex)
+    head = np.ones(())  # the product over every axis but the last
     for i, ax in enumerate(spec.axes):
         mu, sigma = means[i], widths[i]
         if not (math.isfinite(mu) and math.isfinite(sigma)):
@@ -238,10 +238,12 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
                 f"axis {ax.label!r}: |{mu}| + 4*{sigma} reaches the half extent "
                 f"{ax.half_extent}"
             )
-        u = spec._axis_values(i, "pos")
-        psi = psi * np.exp(-((u - mu) ** 2) / (4.0 * sigma**2))
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.cell_volume)
-    return GridState(spec, psi / nrm)
+        g = np.exp(-((ax.positions() - mu) ** 2) / (4.0 * sigma**2))
+        g /= math.sqrt(float(g @ g) * ax.spacing)  # normalized on its own axis
+        if i < len(spec.axes) - 1:
+            head = np.multiply.outer(head, g)
+    psi = np.multiply(head[..., None], g, out=np.empty(spec.shape, dtype=complex))
+    return GridState(spec, psi)
 
 
 def _per_axis(spec: GridSpec, values, what: str) -> list[float]:

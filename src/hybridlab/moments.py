@@ -201,7 +201,8 @@ class MomentState:
     a 6x6 S; a time series of states has a leading time axis, mean (T, 6)
     and S (T, 6, 6), and every check below holds along the trailing axes.
     Both must be finite and the covariance S - m m^T must have nonnegative
-    diagonal; construction enforces symmetry of S.
+    diagonal, up to a roundoff that scales with the state's largest S_ii;
+    construction enforces symmetry of S.
     """
 
     mean: np.ndarray
@@ -215,11 +216,13 @@ class MomentState:
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(S))):
             raise ValueError("moment state needs finite means and second moments")
         ST = np.swapaxes(S, -1, -2)
-        if not np.allclose(S, ST, atol=1e-10):
+        if not np.all(np.abs(S - ST) <= 1e-10 + 1e-5 * np.abs(ST)):  # np.allclose, written out
             raise ValueError("second-moment matrix must be symmetric")
         S = (S + ST) / 2
-        variances = np.diagonal(S, axis1=-2, axis2=-1) - m * m
-        if np.any(variances < -1e-10):
+        diagonal = np.diagonal(S, axis1=-2, axis2=-1)
+        # S_ii - m_i^2 cancels: allow the roundoff of the state's largest S_ii
+        slack = 1e-10 + 64 * np.finfo(float).eps * np.abs(diagonal).max(axis=-1, keepdims=True)
+        if np.any(diagonal - m * m < -slack):
             raise ValueError("covariance diagonal has a negative entry")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "second", S)
@@ -313,23 +316,18 @@ def _flow_with_drift(G: GeneratorMatrix, t: np.ndarray) -> tuple[np.ndarray, np.
     return E[..., :_DIM, :_DIM], E[..., :_DIM, _DIM]
 
 
-def propagate_moments(G: GeneratorMatrix, s0: MomentState, t) -> MomentState:
-    """Exact moment propagation under the affine flow of G.
+def _apply_flow(M, d, mean, second, times) -> MomentState:
+    """The moments (mean, second) carried by the affine flow v -> M v + d.
 
-    v(t) = M v(0) + d implies m -> M m + d and
-    S -> M S M^T + (M m) d^T + d (M m)^T + d d^T; symmetry and the
-    ordering content of S are preserved because the flow is linear.
-    A scalar t gives one state; a 1-D array of T times gives one state
-    with a leading time axis (mean (T, 6), second (T, 6, 6)) from one
-    stacked exponential, equal bit for bit to T scalar calls.  Raises
-    MomentOverflow naming the first time whose moments are not finite.
+    m -> M m + d and S -> M S M^T + (M m) d^T + d (M m)^T + d d^T.  The
+    arguments broadcast along their leading axes to one result per entry
+    of times, in the same order.  Raises MomentOverflow naming the first
+    of times whose moments are not finite.
     """
-    times = np.asarray(t, dtype=float)
-    M, d = _flow_with_drift(G, times)
     with np.errstate(over="ignore", invalid="ignore"):  # MomentOverflow names the time
-        Mm = M @ s0.mean
+        Mm = (M @ mean[..., None])[..., 0]
         m1 = Mm + d
-        S1 = M @ s0.second @ np.swapaxes(M, -1, -2) + _outer(Mm, d) + _outer(d, Mm) + _outer(d, d)
+        S1 = M @ second @ np.swapaxes(M, -1, -2) + _outer(Mm, d) + _outer(d, Mm) + _outer(d, d)
         S1 = (S1 + np.swapaxes(S1, -1, -2)) / 2
     try:
         return MomentState(m1, S1)
@@ -339,6 +337,20 @@ def propagate_moments(G: GeneratorMatrix, s0: MomentState, t) -> MomentState:
             raise
     first_bad = float(times.flat[np.argmin(finite)])
     raise MomentOverflow(f"moment flow left the float range by t = {first_bad!r}")
+
+
+def propagate_moments(G: GeneratorMatrix, s0: MomentState, t) -> MomentState:
+    """Exact moment propagation under the affine flow v(t) = M v(0) + d of G.
+
+    Symmetry and the ordering content of S are preserved because the flow
+    is linear.  A scalar t gives one state; a 1-D array of T times gives one
+    state with a leading time axis (mean (T, 6), second (T, 6, 6)) from one
+    stacked exponential, equal bit for bit to T scalar calls.  Raises
+    MomentOverflow naming the first time whose moments are not finite.
+    """
+    times = np.asarray(t, dtype=float)
+    M, d = _flow_with_drift(G, times)
+    return _apply_flow(M, d, s0.mean, s0.second, times)
 
 
 def propagate_trajectory(

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridlab import (
     AxisSpec,
@@ -25,7 +27,10 @@ from hybridlab import (
     gaussian_state,
     grid,
     mode_generator_matrix,
+    moments,
+    parse_polynomial,
     propagate_moments,
+    quadratic_expectation,
     read_csv,
 )
 from hybridlab.cli import main
@@ -751,24 +756,80 @@ def test_report_numbers_recompute_from_written_csv(capsys, tmp_path, argv, claim
     assert made == claims
 
 
-def test_moment_engine_propagates_once_per_block(capsys, tmp_path, monkeypatch):
-    argv = ["simulate", "--mode", "hybrid", "--engine", "moments", "--stride", "1",
+@pytest.mark.parametrize("stride, calls", [("1", [128]), ("3", [128, 79])],
+                         ids=["on-stride", "off-stride-tail"])
+def test_moment_engine_propagates_one_block_per_run(capsys, tmp_path, monkeypatch,
+                                                    stride, calls):
+    # 1000 steps: stride 1 makes 1001 samples, all on the stride; stride 3 makes
+    # 335, whose last block (rows 256..334) ends in the tail sample at step 1000
+    argv = ["simulate", "--mode", "hybrid", "--engine", "moments", "--stride", stride,
             "--deterministic"]
     plain = tmp_path / "plain"
     assert run(capsys, *argv, "--out", str(plain))[0] == 0
-    calls = []
+    seen = []
     original = cli.propagate_moments
 
     def counted(G, s0, t):
-        calls.append(len(t))
+        seen.append(len(t))
         return original(G, s0, t)
 
     monkeypatch.setattr(cli, "propagate_moments", counted)
     counted_dir = tmp_path / "counted"
     assert run(capsys, *argv, "--out", str(counted_dir))[0] == 0
-    # 1001 samples in blocks of 128
-    assert calls == [128] * 7 + [105]
+    assert seen == calls
     assert (counted_dir / "moments.csv").read_bytes() == (plain / "moments.csv").read_bytes()
+
+
+_AFFINE_K = "(q^2 + p^2)/2 + x*p_y - y*p_x + 0.2*q*x + 0.3*p - 0.1*p_y"
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["hybrid", "quantum-quantum", "classical-classical", "affine"]),
+    steps=st.integers(1, 600),
+    stride=st.integers(1, 4),
+    q=st.floats(-1.0, 1.0),
+)
+@example(mode="hybrid", steps=600, stride=1, q=0.3)  # five blocks, the last one short
+@example(mode="affine", steps=599, stride=2, q=-0.5)  # a carried block, then one off the stride
+@example(mode="quantum-quantum", steps=389, stride=3, q=0.0)  # the second block ends off the stride
+def test_moment_columns_match_per_time_propagation(mode, steps, stride, q):
+    argv = ["simulate", "--mode", "hybrid" if mode == "affine" else mode, "--engine",
+            "moments", "--dt", "0.1", "--t-final", repr(steps / 10), "--stride", str(stride),
+            "--mean", f"q={q!r}", "--mean", "x=-0.25"]
+    run_settings = cli._simulation_settings(cli.build_parser().parse_args(argv))
+    if mode == "affine":  # a linear term in K gives the flow an affine drift
+        K = parse_polynomial(_AFFINE_K)
+        run_settings.generator = moments.derive_generator(K)
+        assert np.any(run_settings.generator.affine)
+        run_settings.observers = [(label, K if label == "K" else poly)
+                                  for label, poly in run_settings.observers]
+    columns, _, _ = cli._moment_columns(run_settings)
+    states = [propagate_moments(run_settings.generator, run_settings.moment_state, float(t))
+              for t in run_settings.times]
+    for label, poly in run_settings.observers:
+        reference = np.array([quadratic_expectation(poly, s) for s in states])
+        assert columns[label].shape == reference.shape
+        n = min(len(reference), 128)
+        assert np.array_equal(columns[label][:n], reference[:n]), label
+        bound = 1e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(columns[label] - reference)) <= bound, label
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "quantum-quantum", "classical-classical"])
+@pytest.mark.parametrize("mean", ["1e8", "1e100"])
+def test_large_finite_mean_runs(capsys, tmp_path, mode, mean):
+    # S ~ mean^2: the covariance check must allow S's roundoff, not 1e-10 absolute
+    out_dir = tmp_path / "m"
+    code, _, err = run(
+        capsys, "simulate", "--engine", "moments", "--mode", mode, "--k", "0.2",
+        "--mean", f"q={mean}", "--t-final", "100", "--dt", "0.1", "--stride", "1",
+        "--out", str(out_dir),
+    )
+    assert (code, err) == (0, "")
+    _, columns = read_csv(out_dir / "moments.csv")
+    assert np.isfinite(columns["q2"]).all()
+    assert columns["q"][0] == float(mean)
 
 
 def _tracer_entry_points():

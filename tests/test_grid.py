@@ -110,6 +110,22 @@ def test_gaussian_state_moments():
     )
 
 
+def test_gaussian_state_is_the_product_of_normalized_axis_gaussians():
+    spec = GridSpec((AxisSpec("x", 8.0, 32), AxisSpec("y", 6.0, 16), AxisSpec("q", 8.0, 64)))
+    means, widths = {"x": 0.4, "y": -1.0, "q": 0.125}, {"x": WIDTH, "y": 0.9, "q": 1.3}
+    state = gaussian_state(spec, means, widths)
+    assert abs(state.norm() - 1.0) <= 1e-15
+    factors = []
+    for ax in spec.axes:
+        u, mu, s = ax.positions(), means[ax.label], widths[ax.label]
+        g = np.exp(-((u - mu) ** 2) / (4.0 * s**2))
+        assert np.sum(g**2) * ax.spacing != pytest.approx(1.0)  # each factor needs normalizing
+        factors.append(g / math.sqrt(np.sum(g**2) * ax.spacing))
+    product = np.einsum("i,j,k->ijk", *factors)
+    np.testing.assert_allclose(state.array, product, rtol=1e-15, atol=0)
+    assert state.array.dtype == complex and not state.array.imag.any()
+
+
 def test_gaussian_state_out_of_box():
     with pytest.raises(OutOfBox):
         gaussian_state(_spec1(), {"q": 5.5}, WIDTH)
