@@ -15,14 +15,15 @@ first again (compile_exact).  Each chirp is held as one factor per pair of
 axes, with the diagonal terms folded in, so no phase array spans the grid;
 a pair the chirp leaves uncoupled gets no factor.
 
-Stepping works in place on one buffer the engine owns (phases multiplied in
-place, FFTs allowed to overwrite it).  A step applies the plan's edge
+Stepping works in place on two buffers the engine owns (phases multiplied
+in place, FFTs allowed to overwrite them).  A step applies the plan's edge
 factors, its middle factors, then the edge again.  The edge factors are
-diagonal in one representation, so between samples the closing edge of one
-step and the opening edge of the next are applied as one phase, each edge
-factor squared once per run (first same as last, FSAL); the edge alone
-closes the last step before a sample.  This regroups commuting diagonal
-factors and leaves the scheme unchanged.
+diagonal in one representation, so the closing edge of one step and the
+opening edge of the next are applied as one phase, each edge factor squared
+once per run (first same as last, FSAL); the edge alone closes the last
+step.  A sample between steps takes the state before that squared edge and
+applies the edge to its own copy.  This regroups commuting diagonal factors
+and leaves the scheme unchanged.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -32,11 +33,13 @@ those axes, in their required representations.  By Parseval the 1-D FFT
 along a summed-out axis preserves the sum, so the marginal does not depend
 on the representation of the axes it drops.  Sampling walks the fewest
 one-axis transforms that reach every needed marginal and computes |psi|^2
-once per representation on that walk; the norm and the boundary edge
-masses come from the same marginals.  No step depends on a sample, so
-evolve copies each sampled state into a block of scratch states and one
-worker thread measures full blocks while the caller keeps stepping (numpy's
-FFTs and large ufuncs release the GIL, so the two overlap).
+in the fewest representations on that walk; the norm and the boundary edge
+masses come from the same marginals.  No step depends on a sample, so one
+helper thread measures the samples (small states in blocks of copies)
+while the caller keeps stepping: numpy's FFTs and large ufuncs release the
+GIL, so the two overlap.  For a state too large for a block, the helper
+also takes the second half of each step transform and multiply when it is
+free; a half is the same operations on the same elements on either thread.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import json
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,12 +108,12 @@ class BoxOverflow(Exception):
 
 
 # Vestiges kept for the benchmark's tracer and worker, which read them: each
-# transform is numpy.fft's on one thread, evolve's sampling thread included.
+# numpy.fft call runs on the thread that makes it.
 _workers = 1
 
 
 def set_workers(n: int) -> None:
-    """No-op: every transform runs on one thread."""
+    """No-op: each transform call is numpy.fft's, on one thread."""
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +483,21 @@ def _transform_axis(arr: np.ndarray, axis: int, target: str) -> np.ndarray:
     return transform(arr, axis=axis, norm="ortho", out=arr)
 
 
-def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple) -> np.ndarray:
-    """Transform the engine's own buffer in place into group_rep."""
+def _whole(fn, axis: int, *arrays) -> None:  # the runner of work not split in halves
+    fn(*arrays)
+
+
+def _halves(arr: np.ndarray, axis: int) -> tuple:
+    """arr cut in two along axis; a length-1 axis (a broadcast factor) is not cut."""
+    head, cut = (slice(None),) * axis, arr.shape[axis] // 2
+    return (arr[head + (slice(cut),)], arr[head + (slice(cut, None),)]) if cut else (arr, arr)
+
+
+def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple, run=_whole) -> np.ndarray:
+    """Transform the engine's own buffer in place into group_rep, by run(fn, axis, arr)."""
     for i, want in enumerate(group_rep):
         if want is not None and reps[i] != want:
-            arr = _transform_axis(arr, i, want)
+            run(lambda a, i=i, want=want: _transform_axis(a, i, want), int(i == 0), arr)
             reps[i] = want
     return arr
 
@@ -528,51 +541,53 @@ class _Sampler:
     touches, each in the representation the monomial is diagonal in;
     summed-out axes may be in either representation (Parseval).  The plan
     walks the fewest one-axis transforms from the base that meet every
-    marginal and takes |psi|^2 once per representation that owes a
-    marginal.  Every output is a weighted sum of one marginal, so each
-    marginal (a key) holds the stacked weights that read it, with
+    marginal and takes |psi|^2 in the fewest representations on the walk
+    that meet them all.  Every output is a weighted sum of one marginal, so
+    each marginal (a key) holds the stacked weights that read it, with
     coefficient and cell volume folded in: a block of samples makes one
     reduction and one matrix product per key.
     """
 
     def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
-        ndim = len(spec.axes)
-        volume = spec.cell_volume
+        ndim, volume = len(spec.axes), spec.cell_volume
         self.n_edges = ndim if boundary else 0
         self.n_observers = len(observers)
-        # a key ((axis, rep), ...) names the marginal over its axes; rows[key]
-        # maps an output slot to its weights on that marginal.  Slots: the
-        # squared norm, the edge mass per axis, each observer's value, then
-        # each observer's imaginary residual.
-        rows: dict[tuple, dict[int, np.ndarray]] = {}
-
-        def add(key: tuple, slot: int, weight: np.ndarray) -> None:
-            slots = rows.setdefault(key, {})
-            slots[slot] = slots.get(slot, 0.0) + weight.ravel()
-
+        # A part (key, slot, row) adds row() to an output slot's weights on the
+        # marginal over key ((axis, rep), ...).  Slots: the squared norm, the
+        # edge mass per axis, each observer's value, then each observer's
+        # imaginary residual.
+        parts = []
         for i in range(self.n_edges):
-            edge = np.zeros(spec.shape[i])
-            edge[:_BOUNDARY_CELLS] = edge[-_BOUNDARY_CELLS:] = volume
-            add(((i, "pos"),), 1 + i, edge)
+            cells = np.arange(spec.shape[i])
+            near = np.minimum(cells, cells[::-1]) < _BOUNDARY_CELLS
+            parts.append((((i, "pos"),), 1 + i, lambda near=near: volume * near))
         first = 1 + self.n_edges
         for o, poly in enumerate(observers):
             for mono, coeff in poly.monomials():
                 rep = _term_representation(spec, mono)
                 key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
-                weight = _monomial_values(spec, mono, rep) * volume
-                value, resid = first + o, first + self.n_observers + o
-                for slot, c in ((value, coeff.real), (resid, coeff.imag)):
-                    if c:  # a weight beyond the float range shows as a non-finite output
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            add(key, slot, float(c) * weight)
-        norm_key = next(iter(rows), ())
-        add(norm_key, 0, np.full(math.prod(spec.shape[i] for i, _ in norm_key), volume))
+                for slot, c in ((first + o, coeff.real), (first + self.n_observers + o, coeff.imag)):
+                    if c:
+                        parts.append((key, slot, lambda c=float(c), mono=mono, rep=rep:
+                                      c * (_monomial_values(spec, mono, rep) * volume).ravel()))
+        parts.append((parts[0][0] if parts else (), 0, lambda: volume))  # the squared norm
+        index: dict[tuple, dict[int, int]] = {}  # key -> slot -> its row in the key's weights
+        for key, slot, _ in parts:
+            index.setdefault(key, {}).setdefault(slot, len(index[key]))
+        weights = {key: np.zeros((len(rows), math.prod(spec.shape[i] for i, _ in key)))
+                   for key, rows in index.items()}
+        with np.errstate(over="ignore", invalid="ignore"):  # a weight beyond the float
+            for key, slot, row in parts:  # range shows as a non-finite output
+                weights[key][index[key][slot]] += row()
 
-        keys = list(rows)
+        keys = list(index)
         path = _walk(tuple(base), keys)
+        cover = next(c for size in range(1, len(path) + 1)
+                     for c in itertools.combinations(path, size)
+                     if all(any(_meets(reps, k) for reps in c) for k in keys))
         self.stops = []  # (axis, target) transform into the stop, [(drop, slots, weights)]
         for n, reps in enumerate(path):
-            owed = [k for k in keys if _meets(reps, k)]
+            owed = [k for k in keys if reps in cover and _meets(reps, k)]
             keys = [k for k in keys if k not in owed]
             move = None
             if n:
@@ -582,8 +597,7 @@ class _Sampler:
             for key in owed:
                 kept = {i for i, _ in key}
                 drop = tuple(j + 1 for j in range(ndim) if j not in kept)  # axis 0: the block
-                slots = rows[key]
-                reductions.append((drop, np.array(list(slots)), np.stack(list(slots.values()))))
+                reductions.append((drop, np.array(list(index[key])), weights[key]))
             self.stops.append((move, reductions))
 
     def measure_block(self, block: np.ndarray) -> np.ndarray:
@@ -591,17 +605,17 @@ class _Sampler:
         edge mass per axis, each observer's value, then each observer's
         imaginary residual.  block is scratch: it is transformed in place."""
         out = np.zeros((len(block), 1 + self.n_edges + 2 * self.n_observers))
-        for move, reductions in self.stops:
-            if move is not None:
-                block = _transform_axis(block, move[0] + 1, move[1])
-            if reductions:
-                density = np.abs(block)
-                np.square(density, out=density)
-                for drop, slots, weights in reductions:
-                    marginal = np.sum(density, axis=drop) if drop else density
-                    with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
+        with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
+            for move, reductions in self.stops:
+                if move is not None:
+                    block = _transform_axis(block, move[0] + 1, move[1])
+                if reductions:
+                    density = np.abs(block)
+                    np.square(density, out=density)
+                    for drop, slots, weights in reductions:
+                        marginal = np.sum(density, axis=drop) if drop else density
                         out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
-                del density  # one density alive at a time
+                    del density  # one density alive at a time
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
@@ -676,22 +690,23 @@ _BLOCK_BYTES = 512 * 1024  # bytes of scratch states in one sample block
 
 
 def _block_layout(state_bytes: int) -> tuple[int, int]:
-    """(buffers, states per block): two blocks of what fits in _BLOCK_BYTES, or one state alone."""
-    return (1, 1) if state_bytes > _BLOCK_BYTES else (2, _BLOCK_BYTES // state_bytes)
+    """(buffers, states per block): two blocks of what fits in _BLOCK_BYTES, or
+    none for a larger state, which is measured in the step buffer it was taken from."""
+    return (0, 1) if state_bytes > _BLOCK_BYTES else (2, _BLOCK_BYTES // state_bytes)
 
 
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's, the step buffer, the sample blocks, one block's
+    States: the caller's, the two step buffers, the sample blocks, one block's
     |psi|^2 and marginals.  Per axis pair an edge, a middle and a squared
-    edge chirp factor.  A ufunc buffer per thread.  Sampler weights, a row per
-    monomial part on its marginal plus edge and norm rows: two samplers, the
-    second's stacked copy while it is built, two rows in flight.
+    edge chirp factor.  A ufunc buffer per thread.  The sampler's stacked
+    weights, a row per monomial part on its marginal plus edge and norm
+    rows, and two rows in flight while they are built.
     """
     size = math.prod(spec.shape)
     buffers, per_block = _block_layout(16 * size)
-    need = 16 * size * (2 + buffers * per_block) + 8 * per_block * (size + size // min(spec.shape))
+    need = 16 * size * (3 + buffers * per_block) + 8 * per_block * (size + size // min(spec.shape))
     chirps = 3 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) ** 2
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
@@ -700,27 +715,107 @@ def _run_bytes(spec: GridSpec, observers) -> int:
             rep = _term_representation(spec, mono)
             marginal = math.prod(n for n, r in zip(spec.shape, rep) if r is not None)
             rows += [marginal] * ((coeff.real != 0) + (coeff.imag != 0))
-    return need + 8 * (3 * sum(rows) + 2 * max(rows))
+    return need + 8 * (sum(rows) + 2 * max(rows))
 
 
-def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray):
-    """Step work in place, yielding (work, its representation) at each mark."""
+def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):
+    """Step work, yielding (chi, its representation, owed, work) at each mark.
+
+    chi is the state at the mark but for the edge factors owed (none at mark
+    0), which a sample applies to its own copy.  It is yielded once the
+    stepping has read it: the next group's multiply writes into spare(), the
+    stepping buffer (work) from then on.  After the last mark, work holds
+    the final state.  run applies each transform and multiply (_bring_to).
+    """
     reps = ["pos"] * len(plan.spec.axes)
-    opening = (*plan.edge, *plan.middle)
     fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in plan.edge), *plan.middle)
+    sweep, owed = (*plan.edge, *plan.middle), ()
+    steps, due = int(marks[-1]), iter(marks.tolist())
+    mark = next(due)
+    for step in range(steps + 1):
+        for n, group in enumerate(sweep if step < steps else plan.edge):
+            work = _bring_to(work, reps, group.rep, run)
+            if n or step != mark:
+                run(np.multiply, 0, work, group.phase, work)
+                continue
+            out = spare()
+            run(np.multiply, 0, work, group.phase, out)
+            yield work, tuple(reps), owed, out
+            work, owed, mark = out, plan.edge, next(due, None)
+        sweep = fused
+    if mark is not None:  # a plan with no edge: no multiply follows the last mark
+        out = spare()
+        np.copyto(out, work)
+        yield out, tuple(reps), owed, work
 
-    yield work, tuple(reps)
-    for start, mark in zip(marks[:-1].tolist(), marks[1:].tolist()):
-        sweep = opening
-        for _ in range(start, mark):
-            for group in sweep:
-                work = _bring_to(work, reps, group.rep)
-                work *= group.phase
-            sweep = fused
-        for group in plan.edge:
-            work = _bring_to(work, reps, group.rep)
-            work *= group.phase
-        yield work, tuple(reps)
+
+def _measure(owed, sampler: "_Sampler", block: np.ndarray) -> np.ndarray:
+    for group in owed:  # the edge the sampled states still owe
+        block *= group.phase
+    return sampler.measure_block(block)
+
+
+class _Helper:
+    """The thread that measures a run's sample blocks in order and shares its steps.
+
+    A job is [fn, args, done, what fn returned or raised].  split(fn, axis,
+    *arrays) posts fn on the second halves of arrays (cut along axis), runs
+    it on the first halves, then takes the second back unless the thread has
+    started it.  The thread takes a posted half before the next block.
+    """
+
+    def __init__(self):
+        self._ready = threading.Condition()
+        self._half = None  # the job split posted, until the thread takes it
+        self.blocks: list = []  # block jobs as posted; None ends the thread
+        self.thread = threading.Thread(target=self._serve, name="hybridlab-sampler", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        started = 0
+        while True:
+            with self._ready:
+                self._ready.wait_for(lambda: self._half or len(self.blocks) > started)
+                job, self._half = self._half, None
+                if job is None:
+                    job, started = self.blocks[started], started + 1
+            if job is None:
+                return
+            try:
+                job[3] = job[0](*job[1])
+            except BaseException as exc:  # wait raises it again in the caller
+                job[3] = exc
+            with self._ready:
+                job[2] = True
+                self._ready.notify()
+
+    def wait(self, job):  # what job returned, once done; raises what it raised
+        with self._ready:
+            self._ready.wait_for(lambda: job[2])
+        if isinstance(job[3], BaseException):
+            raise job[3]
+        return job[3]
+
+    def split(self, fn, axis: int, *arrays) -> None:
+        first, second = zip(*(_halves(a, axis) for a in arrays))
+        half = [fn, second, False, None]
+        with self._ready:
+            self._half = half
+            self._ready.notify()
+        fn(*first)
+        with self._ready:
+            ours = self._half is half
+            if ours:
+                self._half = None
+        if ours:
+            fn(*second)
+        else:
+            self.wait(half)
+
+    def post(self, job) -> None:
+        with self._ready:
+            self.blocks.append(job)
+            self._ready.notify()
 
 
 def evolve(
@@ -740,7 +835,9 @@ def evolve(
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
     point.  state.array is left untouched.  Samples are measured on a
-    worker thread, which is joined before this returns or raises.
+    helper thread, which also runs half of each transform and multiply of
+    a state over _BLOCK_BYTES when it is free; it is joined before this
+    returns or raises.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -756,65 +853,60 @@ def evolve(
     buffers, per_block = _block_layout(state.array.nbytes)
     scratch = np.empty((buffers, min(per_block, len(marks))) + spec.shape, dtype=complex)
     samplers: dict[tuple, _Sampler] = {}
-    posted, finished = threading.Semaphore(0), threading.Semaphore(0)
-    jobs: list = []  # (sampler, block) in the order posted; None ends the thread
-    measured: list = []  # each block's rows, or the exception measuring it raised
-    done, filled, base = 0, 0, None  # blocks checked; states in the block being filled
-
-    def serve() -> None:  # the sampling thread: measures the posted blocks in order
-        while posted.acquire() and jobs[len(measured)] is not None:
-            sampler, block = jobs[len(measured)]
-            try:
-                measured.append(sampler.measure_block(block))
-            except BaseException as exc:  # collect raises it again in the caller
-                measured.append(exc)
-            finished.release()
+    measured: list = []  # each checked block's rows
+    free = np.empty_like(state.array)  # the buffer the stepping writes into at the next mark
+    filled, base = 0, None  # states in the block being filled, and their (reps, owed)
+    helper = _Helper()
 
     def collect() -> None:  # wait for the oldest block in flight and check its rows
-        nonlocal done
-        finished.acquire()
-        rows = measured[done]
-        if isinstance(rows, BaseException):
-            raise rows
+        rows = helper.wait(helper.blocks[len(measured)])
         hit = np.argwhere(rows[:, 1:first] > _BOUNDARY_MASS_LIMIT)
         if len(hit):
             row, axis = hit[0]
-            t = int(marks[sum(map(len, measured[:done])) + row]) * dt
+            t = int(marks[sum(map(len, measured)) + row]) * dt
             raise BoxOverflow(
                 f"axis {spec.axes[axis].label!r} holds {rows[row, 1 + axis]:.3e} probability "
                 f"mass within {_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
             )
-        done += 1
+        measured.append(rows)
 
-    def submit() -> None:  # hand the block being filled to the sampling thread
+    def submit(block=None) -> None:  # hand a block, by default the one being filled, to the helper
         nonlocal filled
-        jobs.append((samplers[base], scratch[len(jobs) % buffers, :filled]))
-        posted.release()
+        if block is None:
+            block = scratch[len(helper.blocks) % buffers, :filled]
+        helper.post([_measure, (base[1], samplers[base[0]], block), False, None])
         filled = 0
 
-    worker = threading.Thread(target=serve, name="hybridlab-sampler", daemon=True)
-    worker.start()
+    def spare() -> np.ndarray:  # a state measured in its step buffer frees it once measured
+        while not buffers and len(measured) < len(helper.blocks):
+            collect()
+        return free
+
+    run = helper.split if not buffers and len(spec.axes) > 1 else _whole
     try:
-        for work, reps in _march(state.array.copy(), plan, marks):
-            if filled and reps != base:
+        for chi, reps, owed, work in _march(state.array.copy(), plan, marks, spare, run):
+            if reps not in samplers:  # an observer the grid cannot sample fails here, at once
+                samplers[reps] = _Sampler(spec, reps, polys, boundary_check)
+            if filled and (reps != base[0] or owed is not base[1]):
                 submit()
-            while not filled and len(jobs) - done >= buffers:  # its buffer is still in use
-                collect()
-            base = reps
-            if base not in samplers:  # an observer the grid cannot sample fails here, at once
-                samplers[base] = _Sampler(spec, base, polys, boundary_check)
-            scratch[len(jobs) % buffers, filled] = work
+            while buffers and not filled and len(helper.blocks) - len(measured) >= buffers:
+                collect()  # the buffer to fill is still in use
+            base, free = (reps, owed), chi
+            if not buffers:
+                submit(chi[np.newaxis])
+                continue
+            scratch[len(helper.blocks) % buffers, filled] = chi
             filled += 1
             if filled == scratch.shape[1]:
                 submit()
         if filled:
             submit()
-        while done < len(jobs):
+        while len(measured) < len(helper.blocks):
             collect()
+        final = _bring_to(work, list(reps), ("pos",) * len(spec.axes), run)
     finally:
-        jobs.append(None)
-        posted.release()
-        worker.join()
+        helper.post(None)
+        helper.thread.join()
 
     out = np.concatenate(measured)
     resid = first + len(polys)
@@ -824,7 +916,7 @@ def evolve(
         values=out[:, first:resid].copy(),
         imag_residuals=np.abs(out[:, resid:]).max(axis=0),
         norms=np.sqrt(out[:, 0]),
-        final_state=GridState(spec, _bring_to(work, list(reps), ("pos",) * len(spec.axes))),
+        final_state=GridState(spec, final),
     )
 
 

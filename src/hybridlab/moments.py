@@ -216,9 +216,10 @@ class MomentState:
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(S))):
             raise ValueError("moment state needs finite means and second moments")
         ST = np.swapaxes(S, -1, -2)
-        if not np.all(np.abs(S - ST) <= 1e-10 + 1e-5 * np.abs(ST)):  # np.allclose, written out
-            raise ValueError("second-moment matrix must be symmetric")
-        S = (S + ST) / 2
+        if not np.array_equal(S, ST):  # an exactly symmetric S (as _apply_flow makes) stays
+            if not np.all(np.abs(S - ST) <= 1e-10 + 1e-5 * np.abs(ST)):  # np.allclose
+                raise ValueError("second-moment matrix must be symmetric")
+            S = (S + ST) / 2
         diagonal = np.diagonal(S, axis1=-2, axis2=-1)
         # S_ii - m_i^2 cancels: allow the roundoff of the state's largest S_ii
         slack = 1e-10 + 64 * np.finfo(float).eps * np.abs(diagonal).max(axis=-1, keepdims=True)

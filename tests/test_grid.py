@@ -1,10 +1,12 @@
 """Split-step spectral engine: states, plans, evolution, classical oracles."""
 
 import collections
+import functools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -365,17 +367,22 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
 def _serial_samples(state, plan, t_final, observers, stride=1):
     """Reference: each sample measured inline by one _Sampler.measure call.
 
-    Returns the sample times and one row per sample (squared norm, edge
-    masses, observer values, imaginary residuals), as evolve's sampler
-    lays them out.
+    Takes each state _march hands over, applies the edge it still owes on a
+    copy, and measures that.  Returns the sample times and one row per
+    sample (squared norm, edge masses, observer values, imaginary
+    residuals), as evolve's sampler lays them out.
     """
     marks, _ = sample_steps(t_final, plan.dt, stride)
     polys = [poly for _, poly in observers]
     samplers, rows = {}, []
-    for work, reps in _march(state.array.copy(), plan, marks):
+    spare = functools.partial(np.empty_like, state.array)
+    for chi, reps, owed, _ in _march(state.array.copy(), plan, marks, spare):
+        sample = chi.copy()
+        for group in owed:
+            sample *= group.phase
         if reps not in samplers:
             samplers[reps] = _Sampler(plan.spec, reps, polys, boundary=True)
-        rows.append(samplers[reps].measure(work))
+        rows.append(samplers[reps].measure(sample))
     return marks * plan.dt, np.array(rows)
 
 
@@ -388,9 +395,13 @@ def _serial_samples(state, plan, t_final, observers, stride=1):
     # in the representation the stepping leaves
     ("hybrid", _spec3(16), True, 0.1, 3, False, False),
     # a slow sampling thread, so the stepping runs ahead: a buffer must not be
-    # refilled before its block is measured (one buffer; two of 32 states)
+    # refilled before its block is measured (the step buffer a large state
+    # was taken from; two blocks of 32 small states)
     ("hybrid", _spec_xyq(64, 32, 32), False, 2.0, 1, True, True),
     ("quantum-quantum", _qq_spec(32), False, 10.0, 1, False, True),
+    # a Strang plan on a 1 MiB state, its steps split: the edge (q alone)
+    # leaves x and y in the representation the middle left them in
+    ("hybrid", _spec_xyq(64, 32, 32), True, 0.05, 2, True, False),
 ])
 def test_pipelined_samples_match_a_serial_reference(mode, spec, strang, t_final, stride, exact,
                                                     slow, monkeypatch):
@@ -423,6 +434,24 @@ def test_pipelined_samples_match_a_serial_reference(mode, spec, strang, t_final,
             assert np.array_equal(got, expected)
         else:
             assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_a_large_state_plan_without_an_edge_matches_the_serial_reference():
+    # one group, no edge: nothing follows the last mark, so its sample is a copy
+    spec = _qq_spec(256)
+    plan = compile_splitting(parse_polynomial("p^2/2 + p_x^2/2"), spec, 0.01)
+    assert plan.edge == ()
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    times, rows = _serial_samples(state, plan, 0.05, observers, stride=2)
+    result = evolve(state, plan, 0.05, observers=observers, stride=2)
+    first = 1 + len(spec.axes)
+    assert np.array_equal(result.times, times)
+    assert np.array_equal(result.norms, np.sqrt(rows[:, 0]))
+    assert np.array_equal(result.values, rows[:, first:first + len(observers)])
+    free = np.exp(-0.5j * 0.05 * sum(spec._axis_values(i, "mom") ** 2 for i in range(2)))
+    expected = np.fft.ifft2(free * np.fft.fft2(state.array, norm="ortho"), norm="ortho")
+    assert np.max(np.abs(result.final_state.array - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("spec, mode, means, widths, overflow_t", [
@@ -465,6 +494,76 @@ def test_worker_failure_is_raised_and_the_thread_joined(monkeypatch):
     assert len(seen) == 2  # the failure stopped the run at the next block
 
 
+def test_halves_give_the_same_bits_on_either_thread(monkeypatch):
+    # a 1 MiB state: each transform and multiply of its steps runs in two
+    # halves, the second on the helper thread when that is free
+    spec = _spec_xyq(64, 32, 32)
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    observers = default_observers("hybrid", K_COUPLING)
+    runs = [evolve(state, plan, 1.0, observers=observers)]
+    # a slow sampler keeps the helper busy, so the caller takes its halves back
+    measure_block = grid._Sampler.measure_block
+
+    def delayed(self, block):
+        time.sleep(0.02)
+        return measure_block(self, block)
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", delayed)
+    runs.append(evolve(state, plan, 1.0, observers=observers))
+
+    # and a helper that never takes one: the caller runs every half
+    def inline(self, fn, axis, *arrays):
+        for half in zip(*(grid._halves(a, axis) for a in arrays)):
+            fn(*half)
+
+    monkeypatch.setattr(grid._Helper, "split", inline)
+    runs.append(evolve(state, plan, 1.0, observers=observers))
+    for run in runs[1:]:
+        assert np.array_equal(run.values, runs[0].values)
+        assert np.array_equal(run.norms, runs[0].norms)
+        assert np.array_equal(run.imag_residuals, runs[0].imag_residuals)
+        assert np.array_equal(run.final_state.array, runs[0].final_state.array)
+
+
+def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatch):
+    # norm-only samples make no transform, so every transform on the helper
+    # thread is the half of a step's
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def failing(*args, _original=original, **kwargs):
+            if threading.current_thread().name == "hybridlab-sampler":
+                raise RuntimeError("half failed")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, failing)
+    spec = _spec_xyq(64, 32, 32)
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {}, WIDTH)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="half failed"):
+        evolve(state, plan, 10.0, boundary_check=False)
+    assert threading.active_count() == threads
+
+
+def test_a_large_state_run_holds_two_states_and_one_density():
+    # the two step buffers, one taken by each sample, and the sample's
+    # |psi|^2; squared edge factors, sampler weights, marginals and ufunc
+    # buffers stay under 1 MiB.  A third state (4 MiB) does not fit.
+    spec = _spec3(64)
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {}, WIDTH)
+    observers = default_observers("hybrid", K_COUPLING)
+    tracemalloc.start()
+    try:
+        evolve(state, plan, 0.5, observers=observers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state.array.nbytes + 2**20
+
+
 def test_concurrent_runs_under_rapid_thread_switching_match_the_reference():
     # four runs at once, each with its own sampling thread: eight threads on
     # however few cores, switching every microsecond
@@ -494,6 +593,36 @@ def test_concurrent_runs_under_rapid_thread_switching_match_the_reference():
         sys.setswitchinterval(interval)
     assert not any(runner.is_alive() for runner in runners)
     assert len(worst) == 12 and max(worst) <= 1e-15
+
+
+def test_concurrent_split_runs_under_rapid_thread_switching_match_the_reference():
+    # four runs at once whose 1 MiB states split every transform and
+    # multiply with their helpers: eight threads, switching every microsecond
+    spec = _spec_xyq(64, 32, 32)
+    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    observers = default_observers("hybrid", K_COUPLING)
+    _, rows = _serial_samples(state, plan, 1.0, observers)
+    first = 1 + len(spec.axes)
+    expected = rows[:, first:first + len(observers)]
+    same = []
+
+    def run() -> None:
+        values = evolve(state, plan, 1.0, observers=observers).values
+        same.append(np.array_equal(values, expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runners = [threading.Thread(target=run) for _ in range(4)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(runner.is_alive() for runner in runners)
+    assert same == [True] * 4
 
 
 _POSITION_LABEL = {"q": "q", "x": "x", "y": "y", "p": "q", "p_x": "x", "p_y": "y"}
@@ -545,13 +674,18 @@ def test_marginal_expectations_match_full_grid_quadrature(mode, spec, extra):
 
 
 def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
-    # samples are measured on evolve's worker thread, steps on the caller's:
-    # FFT calls are tallied per thread
-    calls = collections.Counter()
+    # samples are measured on evolve's helper thread, which also runs halves
+    # of the steps' transforms: FFT calls are tallied per thread, inside and
+    # outside measure_block
+    # thread -> calls inside and outside measure_block; each key is written by
+    # its own thread only
+    inside, outside = collections.Counter(), collections.Counter()
+    measuring = threading.local()
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, **kwargs):
+            calls = inside if getattr(measuring, "on", False) else outside
             calls[threading.current_thread()] += 1
             return _original(*args, **kwargs)
 
@@ -560,33 +694,38 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
     measure_block = grid._Sampler.measure_block
 
     def spy(self, block):
-        before = calls[threading.current_thread()]
-        rows = measure_block(self, block)
-        per_block.append((len(block), calls[threading.current_thread()] - before))
+        before = inside[threading.current_thread()]
+        measuring.on = True
+        try:
+            rows = measure_block(self, block)
+        finally:
+            measuring.on = False
+        per_block.append((len(block), inside[threading.current_thread()] - before))
         return rows
 
     monkeypatch.setattr(grid._Sampler, "measure_block", spy)
     observers = default_observers("hybrid", K_COUPLING)
-    main = threading.main_thread()
-    # 16^3 (64 KiB) goes 8 states to a block, 64 x 32 x 32 (1 MiB) one state
-    for spec, most in ((_spec3(16), 6), (_spec_xyq(64, 32, 32), 1)):
-        plan = compile_splitting(hybrid_koopmanian(K_COUPLING), spec, 0.01)
+    # 16^3 (64 KiB) goes 8 states to a block; 64 x 32 x 32 (1 MiB) goes alone
+    # and its steps' transforms are split between the threads
+    for spec, most in ((_spec3(16, L=6.0), 8), (_spec_xyq(64, 32, 32), 1)):
+        plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
         state = gaussian_state(spec, {}, WIDTH)
-        calls.clear()
-        evolve(state, plan, 0.06, stride=1, boundary_check=False)
+        inside.clear()
+        outside.clear()
+        evolve(state, plan, 1.0, stride=1, boundary_check=False)
         # a norm-only sample needs no transform: these are the steps' own
-        steps = calls[main]
-        assert steps > 0 and sum(calls.values()) == steps  # the steps' FFTs are seen
-        calls.clear()
+        steps = sum(outside.values())
+        assert steps > 0 and not inside
+        outside.clear()
         per_block.clear()
-        evolve(state, plan, 0.06, observers=observers, stride=1)
-        assert calls[main] == steps
-        assert sum(calls.values()) - steps == sum(n for _, n in per_block)
-        # block 0 holds step 0 alone, in the all-position representation; each
-        # later block, of one or several states, starts from the stepping one
-        assert per_block[0][0] == 1
-        assert max(size for size, _ in per_block[1:]) == most
-        assert [n for _, n in per_block[1:]] == [3] * (len(per_block) - 1)
+        evolve(state, plan, 1.0, observers=observers, stride=1)
+        assert sum(outside.values()) == steps
+        assert sum(inside.values()) == sum(n for _, n in per_block)
+        # block 0 holds step 0 alone, which owes no edge; every block, of one
+        # or several states, starts from the edge's representation R1
+        assert per_block[0][0] == 1 and sum(size for size, _ in per_block) == 11
+        assert max(size for size, _ in per_block) == most
+        assert [n for _, n in per_block] == [3] * len(per_block)
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (128, 128)])

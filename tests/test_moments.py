@@ -309,6 +309,18 @@ def test_moment_state_validates_each_time():
         MomentState(np.zeros((3, 6)), s0.second)
 
 
+def test_moment_state_keeps_an_exactly_symmetric_second_moment_matrix():
+    s0 = default_moment_state({"q": 0.3, "x": -1.25})
+    second = np.stack([s0.second * 3.0, s0.second])
+    state = MomentState(np.zeros((2, 6)), second)
+    assert state.second is second  # nothing to symmetrize: no new array
+    second = second.copy()
+    second[0, 1, 2] += 1e-12  # within the tolerance: symmetrized
+    got = MomentState(np.zeros((2, 6)), second).second
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+    assert got[0, 1, 2] == (second[0, 1, 2] + second[0, 2, 1]) / 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
 def test_propagation_preserves_state_shape(t):
