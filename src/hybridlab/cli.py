@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import json
 import math
 import os
@@ -447,12 +446,15 @@ def _grid_columns(settings):
 def _grid_plan(K, settings):
     """The exact grid plan, and the evolve stride that samples at settings.times.
 
-    Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the smallest
-    split compile_exact accepts; stride * j / g of them make a sample interval.
-    A run of more than _MAX_GRID_STEPS exact steps is refused before compiling.
+    Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the first split
+    compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
+    dt itself, down to dt / _MAX_SPLIT, so a large g costs no more compiles.
+    stride * j / g exact steps make a sample interval.  A run of more than
+    _MAX_GRID_STEPS exact steps is refused before compiling.
     """
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
-    for j in itertools.count(1):
+    splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
+    for j in splits:
         exact_steps = settings.steps // g * j
         if exact_steps > _MAX_GRID_STEPS:
             raise ConfigError(
@@ -462,7 +464,7 @@ def _grid_plan(K, settings):
         try:
             return compile_exact(K, spec, settings.dt * g / j), settings.stride // g * j
         except NonSplittableTerm:
-            if j >= _MAX_SPLIT * g:
+            if j == splits[-1]:
                 raise
 
 
@@ -518,23 +520,15 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
 
 
 def _write_snapshots(final_state, out_dir: str) -> None:
-    spec = final_state.spec
-    for label in spec.labels:
-        ax = spec.axis(label)
-        data = marginal_density(final_state, (label,))
+    """marginal-<axis>.bin for each axis, and marginal-xy.bin when both exist."""
+    labels = final_state.spec.labels
+    keeps = [(label,) for label in labels] + [("x", "y")] * ({"x", "y"} <= set(labels))
+    for keep in keeps:
+        axes = [final_state.spec.axis(label) for label in keep]
         save_snapshot(
-            os.path.join(out_dir, f"marginal-{label}.bin"),
-            [label], [ax.points], [ax.half_extent], data,
-        )
-    if {"x", "y"} <= set(spec.labels):
-        axes = [spec.axis("x"), spec.axis("y")]
-        data = marginal_density(final_state, ("x", "y"))
-        save_snapshot(
-            os.path.join(out_dir, "marginal-xy.bin"),
-            ["x", "y"],
-            [a.points for a in axes],
-            [a.half_extent for a in axes],
-            data,
+            os.path.join(out_dir, f"marginal-{''.join(keep)}.bin"), list(keep),
+            [a.points for a in axes], [a.half_extent for a in axes],
+            marginal_density(final_state, keep),
         )
 
 

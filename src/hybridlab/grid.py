@@ -21,9 +21,9 @@ factors, its middle factors, then the edge again.  The edge factors are
 diagonal in one representation, so the closing edge of one step and the
 opening edge of the next are applied as one phase, each edge factor squared
 once per run (first same as last, FSAL); the edge alone closes the last
-step.  A sample between steps takes the state before that squared edge and
-applies the edge to its own copy.  This regroups commuting diagonal factors
-and leaves the scheme unchanged.
+step.  A sample between steps keeps the state before that squared edge
+and applies the edge itself.  This regroups commuting diagonal factors and
+leaves the scheme unchanged.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -35,11 +35,12 @@ on the representation of the axes it drops.  Sampling walks the fewest
 one-axis transforms that reach every needed marginal and computes |psi|^2
 in the fewest representations on that walk; the norm and the boundary edge
 masses come from the same marginals.  No step depends on a sample, so one
-helper thread measures the samples (small states in blocks of copies)
-while the caller keeps stepping: numpy's FFTs and large ufuncs release the
-GIL, so the two overlap.  For a state too large for a block, the helper
-also takes the second half of each step transform and multiply when it is
-free; a half is the same operations on the same elements on either thread.
+helper thread measures the samples, in place in the ring of states the
+caller steps through, while the caller keeps stepping: numpy's FFTs and
+large ufuncs release the GIL, so the two overlap.  For a state too large to
+share a block, the helper also takes the second half of each step transform
+and multiply when it is free; a half is the same operations on the same
+elements on either thread.
 """
 
 from __future__ import annotations
@@ -686,27 +687,21 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     return marks, steps
 
 
-_BLOCK_BYTES = 512 * 1024  # bytes of scratch states in one sample block
-
-
-def _block_layout(state_bytes: int) -> tuple[int, int]:
-    """(buffers, states per block): two blocks of what fits in _BLOCK_BYTES, or
-    none for a larger state, which is measured in the step buffer it was taken from."""
-    return (0, 1) if state_bytes > _BLOCK_BYTES else (2, _BLOCK_BYTES // state_bytes)
+_BLOCK_BYTES = 512 * 1024  # bytes of states in one sample block
 
 
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's, the two step buffers, the sample blocks, one block's
+    States: the caller's and the two blocks of evolve's ring, one block's
     |psi|^2 and marginals.  Per axis pair an edge, a middle and a squared
     edge chirp factor.  A ufunc buffer per thread.  The sampler's stacked
     weights, a row per monomial part on its marginal plus edge and norm
     rows, and two rows in flight while they are built.
     """
     size = math.prod(spec.shape)
-    buffers, per_block = _block_layout(16 * size)
-    need = 16 * size * (3 + buffers * per_block) + 8 * per_block * (size + size // min(spec.shape))
+    per_block = max(1, _BLOCK_BYTES // (16 * size))
+    need = 16 * size * (1 + 2 * per_block) + 8 * per_block * (size + size // min(spec.shape))
     chirps = 3 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) ** 2
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
@@ -719,13 +714,14 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 
 
 def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):
-    """Step work, yielding (chi, its representation, owed, work) at each mark.
+    """Step work, yielding (its representation, owed) at each mark.
 
-    chi is the state at the mark but for the edge factors owed (none at mark
-    0), which a sample applies to its own copy.  It is yielded once the
-    stepping has read it: the next group's multiply writes into spare(), the
-    stepping buffer (work) from then on.  After the last mark, work holds
-    the final state.  run applies each transform and multiply (_bring_to).
+    At a mark the next group's multiply writes into spare(), the stepping
+    buffer from then on, so the buffer spare() handed out before (work, at
+    mark 0) holds chi: the state at the mark but for the edge factors owed
+    (none at mark 0), which a sample applies itself.  After the last mark,
+    the buffer spare() handed out last holds the final state.  run applies
+    each transform and multiply (_bring_to).
     """
     reps = ["pos"] * len(plan.spec.axes)
     fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in plan.edge), *plan.middle)
@@ -740,13 +736,12 @@ def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run
                 continue
             out = spare()
             run(np.multiply, 0, work, group.phase, out)
-            yield work, tuple(reps), owed, out
+            yield tuple(reps), owed
             work, owed, mark = out, plan.edge, next(due, None)
         sweep = fused
     if mark is not None:  # a plan with no edge: no multiply follows the last mark
-        out = spare()
-        np.copyto(out, work)
-        yield out, tuple(reps), owed, work
+        np.copyto(spare(), work)
+        yield tuple(reps), owed
 
 
 def _measure(owed, sampler: "_Sampler", block: np.ndarray) -> np.ndarray:
@@ -756,18 +751,18 @@ def _measure(owed, sampler: "_Sampler", block: np.ndarray) -> np.ndarray:
 
 
 class _Helper:
-    """The thread that measures a run's sample blocks in order and shares its steps.
+    """The thread that measures a run's sample batches in order and shares its steps.
 
     A job is [fn, args, done, what fn returned or raised].  split(fn, axis,
     *arrays) posts fn on the second halves of arrays (cut along axis), runs
     it on the first halves, then takes the second back unless the thread has
-    started it.  The thread takes a posted half before the next block.
+    started it.  The thread takes a posted half before the next batch.
     """
 
     def __init__(self):
         self._ready = threading.Condition()
         self._half = None  # the job split posted, until the thread takes it
-        self.blocks: list = []  # block jobs as posted; None ends the thread
+        self.batches: list = []  # batch jobs as posted; None ends the thread
         self.thread = threading.Thread(target=self._serve, name="hybridlab-sampler", daemon=True)
         self.thread.start()
 
@@ -775,10 +770,10 @@ class _Helper:
         started = 0
         while True:
             with self._ready:
-                self._ready.wait_for(lambda: self._half or len(self.blocks) > started)
+                self._ready.wait_for(lambda: self._half or len(self.batches) > started)
                 job, self._half = self._half, None
                 if job is None:
-                    job, started = self.blocks[started], started + 1
+                    job, started = self.batches[started], started + 1
             if job is None:
                 return
             try:
@@ -814,7 +809,7 @@ class _Helper:
 
     def post(self, job) -> None:
         with self._ready:
-            self.blocks.append(job)
+            self.batches.append(job)
             self._ready.notify()
 
 
@@ -834,10 +829,12 @@ def evolve(
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
-    point.  state.array is left untouched.  Samples are measured on a
-    helper thread, which also runs half of each transform and multiply of
-    a state over _BLOCK_BYTES when it is free; it is joined before this
-    returns or raises.
+    point.  state.array is left untouched.  The steps run through a ring of
+    two blocks of _BLOCK_BYTES (at least one state each), and a helper
+    thread measures each sample in the slot it was stepped in; for a state
+    over _BLOCK_BYTES it also runs half of each transform and multiply when
+    it is free.  It is joined before this returns or raises.  final_state
+    is a view into one block.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -850,16 +847,19 @@ def evolve(
 
     spec = plan.spec
     first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
-    buffers, per_block = _block_layout(state.array.nbytes)
-    scratch = np.empty((buffers, min(per_block, len(marks))) + spec.shape, dtype=complex)
+    # a ring of two blocks: slot s is state s % per_block of block s // per_block % 2
+    per_block = min(max(1, _BLOCK_BYTES // state.array.nbytes), len(marks))
+    blocks = [np.empty((per_block,) + spec.shape, dtype=complex) for _ in range(2)]
+    blocks[0][0] = state.array
     samplers: dict[tuple, _Sampler] = {}
-    measured: list = []  # each checked block's rows
-    free = np.empty_like(state.array)  # the buffer the stepping writes into at the next mark
-    filled, base = 0, None  # states in the block being filled, and their (reps, owed)
+    measured: list = []  # each checked batch's rows
+    posted = [0, 0]  # per block, the batches posted up to its last one
+    slot = 0  # the slot spare() handed out last, where the stepping writes
+    filled, base = 0, None  # the batch being filled: its size and (reps, owed)
     helper = _Helper()
 
-    def collect() -> None:  # wait for the oldest block in flight and check its rows
-        rows = helper.wait(helper.blocks[len(measured)])
+    def collect() -> None:  # wait for the oldest batch in flight and check its rows
+        rows = helper.wait(helper.batches[len(measured)])
         hit = np.argwhere(rows[:, 1:first] > _BOUNDARY_MASS_LIMIT)
         if len(hit):
             row, axis = hit[0]
@@ -870,40 +870,38 @@ def evolve(
             )
         measured.append(rows)
 
-    def submit(block=None) -> None:  # hand a block, by default the one being filled, to the helper
+    def at(s: int) -> np.ndarray:  # slot s and the rest of its block
+        return blocks[s // per_block % 2][s % per_block:]
+
+    def submit(end: int) -> None:  # hand the batch being filled, up to slot end, to the helper
         nonlocal filled
-        if block is None:
-            block = scratch[len(helper.blocks) % buffers, :filled]
-        helper.post([_measure, (base[1], samplers[base[0]], block), False, None])
+        posted[(end - 1) // per_block % 2] = len(helper.batches) + 1
+        batch = at(end - filled)[:filled]
+        helper.post([_measure, (base[1], samplers[base[0]], batch), False, None])
         filled = 0
 
-    def spare() -> np.ndarray:  # a state measured in its step buffer frees it once measured
-        while not buffers and len(measured) < len(helper.blocks):
+    def spare() -> np.ndarray:  # the next slot; entering a block waits for its batches
+        nonlocal slot
+        slot += 1
+        while not slot % per_block and len(measured) < posted[slot // per_block % 2]:
             collect()
-        return free
+        return at(slot)[0]
 
-    run = helper.split if not buffers and len(spec.axes) > 1 else _whole
+    run = helper.split if state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 else _whole
     try:
-        for chi, reps, owed, work in _march(state.array.copy(), plan, marks, spare, run):
+        for reps, owed in _march(blocks[0][0], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
                 samplers[reps] = _Sampler(spec, reps, polys, boundary_check)
             if filled and (reps != base[0] or owed is not base[1]):
-                submit()
-            while buffers and not filled and len(helper.blocks) - len(measured) >= buffers:
-                collect()  # the buffer to fill is still in use
-            base, free = (reps, owed), chi
-            if not buffers:
-                submit(chi[np.newaxis])
-                continue
-            scratch[len(helper.blocks) % buffers, filled] = chi
-            filled += 1
-            if filled == scratch.shape[1]:
-                submit()
+                submit(slot - 1)
+            filled, base = filled + 1, (reps, owed)  # chi is in slot - 1
+            if not slot % per_block:  # chi filled its block
+                submit(slot)
         if filled:
-            submit()
-        while len(measured) < len(helper.blocks):
+            submit(slot)
+        while len(measured) < len(helper.batches):
             collect()
-        final = _bring_to(work, list(reps), ("pos",) * len(spec.axes), run)
+        final = _bring_to(at(slot)[0], list(reps), ("pos",) * len(spec.axes), run)
     finally:
         helper.post(None)
         helper.thread.join()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hybridlab import (
@@ -221,9 +222,15 @@ def test_simulate_grid_engine(capsys, tmp_path):
     report = json.loads((out_dir / "report-grid.json").read_text())
     drift = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
     assert drift == report["norm_drift"]
-    for name in ("marginal-x.bin", "marginal-y.bin", "marginal-q.bin",
-                 "marginal-xy.bin"):
-        assert (out_dir / name).exists()
+    snapshots = {}
+    for keep in ("x", "y", "q", "xy"):
+        labels, points, half_extents, data = grid.load_snapshot(out_dir / f"marginal-{keep}.bin")
+        assert labels == list(keep)
+        assert points == [32] * len(keep) and half_extents == [8.0] * len(keep)
+        assert data.shape == (32,) * len(keep)
+        snapshots[keep] = data
+    dy = 2 * 8.0 / 32
+    assert np.max(np.abs(snapshots["xy"].sum(axis=1) * dy - snapshots["x"])) <= 1e-12
 
 
 def test_simulate_custom_observer_column(capsys, tmp_path):
@@ -324,10 +331,10 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     ("quantum-quantum", "xq", 256), ("hybrid", "xyq", 32),
 ], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32"])
 def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points):
-    # a 64^2 (x, q) state is 64 KiB, 8 to a double-buffered sample block; a
-    # 32^3 state is 512 KiB, one to each of two buffers; the 64^3 and 256^2
-    # states go alone in one buffer, and at 256^2 a chirp factor and the
-    # sampler's full-grid weight row are as large as the state
+    # a 64^2 (x, q) state is 64 KiB, 8 to each of the ring's two blocks; the
+    # 32^3 (512 KiB), 64^3 and 256^2 states go one to a block, and at 256^2 a
+    # chirp factor and the sampler's full-grid weight row are as large as the
+    # state
     k = Fraction(1, 5)
     spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
     observers = benchmark.default_observers(mode, k)
@@ -554,6 +561,115 @@ def test_extreme_inputs_end_cleanly(capfd, tmp_path, flags, code, line):
     for text in ("Traceback", "internal error", "Warning", "DLASCL"):
         assert text not in out + err
     assert code == 0 or not out_dir.exists()
+
+
+# (--dt, --t-final, --stride): whole runs, then a stride past the end, a time
+# that is no whole number of steps, a negative step and steps near the float limits
+_TIME_GRIDS = st.one_of(
+    st.sampled_from([("0.01", "0.1", "1"), ("0.1", "1", "3"), ("0.05", "0.35", "2")]),
+    st.sampled_from([("0.01", "1", "1000"), ("0.1", "0.35", "1"), ("-0.1", "1", "1"),
+                     ("1e-300", "1e-298", "1"), ("1e-300", "1", "10")]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A CLI call: a subcommand, mode and --k, and for a run its time grid, engine,
+    grid, means and observers, drawn from ranges that reach the float limits."""
+    command = draw(st.sampled_from(["derive", "nogo", "spectrum", "simulate", "compare",
+                                    "report"]))
+    if command == "report":  # the runs directory holds run directories, not reports
+        return [command, "--runs", "."]
+    k = draw(st.one_of(st.sampled_from(["0", "1", "-1"]),
+                       st.sampled_from(["1e-300", "1e150", "1e300"])))
+    argv = [command, f"--k={k}"]
+    if command == "nogo":
+        return argv
+    argv += ["--mode", draw(st.sampled_from(["hybrid", "quantum-quantum", "classical-classical"]))]
+    if command in ("derive", "spectrum"):
+        return argv
+    if command == "simulate":
+        argv += ["--engine", draw(st.sampled_from(["moments", "grid", "both"]))]
+    dt, t_final, stride = draw(_TIME_GRIDS)
+    argv += [f"--dt={dt}", f"--t-final={t_final}", f"--stride={stride}",
+             "--grid-n=" + draw(st.sampled_from(["16", "8"])),
+             "--grid-l=" + draw(st.one_of(st.just("8"), st.sampled_from(["1e300", "1e-200"])))]
+    means = [[], ["q=0.3"], ["x=-0.5", "y=0.25"], ["q=1e8"], ["q=1e200"]]
+    for mean in draw(st.sampled_from(means)):
+        argv += ["--mean", mean]
+    observer = draw(st.sampled_from([None, "Z=a*q^2", "c=q*x", "w=a*p*p_y"]))
+    if observer:
+        argv += ["--observer", observer,
+                 "--param=a=" + draw(st.sampled_from(["1", "1e308", "-1e-300"]))]
+    return argv
+
+
+_RUN = ["simulate", "--mode", "hybrid"]
+_contract_runs = itertools.count()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+@example(argv=[*_RUN, "--engine=grid", "--grid-n=8", "--k=1e150", "--t-final=0.1"])
+@example(argv=[*_RUN, "--engine=moments", "--dt=1e-300", "--t-final=1e-298", "--stride=1"])
+@example(argv=[*_RUN, "--engine=grid", "--grid-n=32", "--observer", "Z=a*q^2", "--param=a=1e308",
+               "--t-final=0.1"])
+@example(argv=[*_RUN, "--engine=grid", "--grid-n=8", "--grid-l=1e300"])
+@example(argv=["simulate", "--k=1e300", "--mode", "quantum-quantum", "--engine=grid", "--dt=0.01",
+               "--t-final=1", "--stride=1000"])  # a stride past the end: no plan at any split
+def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
+    # exit 0 with finite output, or a clean exit 1 or 2 that writes no run directory;
+    # capfd reads fd 2, where LAPACK writes from C
+    out_dir = tmp_path / f"run{next(_contract_runs)}"
+    if argv[0] in ("simulate", "compare", "report"):
+        argv = [*argv, "--out", str(out_dir)]
+    capfd.readouterr()
+    code = main([str(tmp_path) if arg == "." else arg for arg in argv])
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2), err
+    for text in ("Traceback", "internal error", "Warning", "DLASCL", "illegal value"):
+        assert text not in out + err, err
+    if code:
+        assert not out_dir.exists()
+        return
+    for path in out_dir.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:  # an observable's name in compare.csv
+                    continue
+                assert math.isfinite(value), (path.name, line)
+    for path in out_dir.glob("*.json"):
+        numbers, stack = [], [json.loads(path.read_text())]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+                numbers.append(item)
+        assert all(math.isfinite(x) for x in numbers), path.name
+
+
+def test_a_run_with_no_exact_plan_stops_after_few_compiles(capsys, tmp_path, monkeypatch):
+    # stride 1000 past 100 steps: g = 100, yet the splits tried stay at 2 * _MAX_SPLIT
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return compile_exact(*args)
+
+    monkeypatch.setattr(cli, "compile_exact", counted)
+    code, _, err = run(capsys, "simulate", "--engine", "grid", "--grid-n", "8", "--grid-l", "1e300",
+                       "--dt", "0.01", "--t-final", "1", "--stride", "1000",
+                       "--out", str(tmp_path / "none"))
+    assert code == 2 and "a chirp's phase steps" in err
+    assert len(calls) <= 2 * cli._MAX_SPLIT
+    assert calls[0] == 1.0 and calls[-1] == 0.01 / cli._MAX_SPLIT
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,7 +1,6 @@
 """Split-step spectral engine: states, plans, evolution, classical oracles."""
 
 import collections
-import functools
 import math
 import sys
 import threading
@@ -367,7 +366,8 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
 def _serial_samples(state, plan, t_final, observers, stride=1):
     """Reference: each sample measured inline by one _Sampler.measure call.
 
-    Takes each state _march hands over, applies the edge it still owes on a
+    At each mark _march hands over, takes chi from the buffer that spare()
+    handed out before the current one, applies the edge it still owes on a
     copy, and measures that.  Returns the sample times and one row per
     sample (squared norm, edge masses, observer values, imaginary
     residuals), as evolve's sampler lays them out.
@@ -375,9 +375,14 @@ def _serial_samples(state, plan, t_final, observers, stride=1):
     marks, _ = sample_steps(t_final, plan.dt, stride)
     polys = [poly for _, poly in observers]
     samplers, rows = {}, []
-    spare = functools.partial(np.empty_like, state.array)
-    for chi, reps, owed, _ in _march(state.array.copy(), plan, marks, spare):
-        sample = chi.copy()
+    buffers = collections.deque([state.array.copy()], maxlen=2)
+
+    def spare():
+        buffers.append(np.empty_like(state.array))
+        return buffers[-1]
+
+    for reps, owed in _march(buffers[0], plan, marks, spare):
+        sample = buffers[-2].copy()
         for group in owed:
             sample *= group.phase
         if reps not in samplers:
@@ -389,14 +394,14 @@ def _serial_samples(state, plan, t_final, observers, stride=1):
 @pytest.mark.parametrize("mode, spec, strang, t_final, stride, exact, slow", [
     # 1 MiB states, above the block budget: one per block, so bit for bit
     ("hybrid", _spec_xyq(64, 32, 32), False, 0.5, 1, True, False),
-    # 64 KiB states, 8 per block, double-buffered: 21 samples, not a multiple of 8
+    # 64 KiB states, 8 per block of the ring: 21 samples, not a multiple of 8
     ("quantum-quantum", _qq_spec(), False, 2.0, 1, False, False),
     # a Strang plan, stride 3: step 0 alone (all positions), then 4 states
     # in the representation the stepping leaves
     ("hybrid", _spec3(16), True, 0.1, 3, False, False),
-    # a slow sampling thread, so the stepping runs ahead: a buffer must not be
-    # refilled before its block is measured (the step buffer a large state
-    # was taken from; two blocks of 32 small states)
+    # a slow sampling thread, so the stepping runs ahead: a block must not be
+    # stepped in again before its samples are measured (blocks of one large
+    # state; two blocks of 32 small states)
     ("hybrid", _spec_xyq(64, 32, 32), False, 2.0, 1, True, True),
     ("quantum-quantum", _qq_spec(32), False, 10.0, 1, False, True),
     # a Strang plan on a 1 MiB state, its steps split: the edge (q alone)
@@ -547,11 +552,12 @@ def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatc
     assert threading.active_count() == threads
 
 
-def test_a_large_state_run_holds_two_states_and_one_density():
-    # the two step buffers, one taken by each sample, and the sample's
-    # |psi|^2; squared edge factors, sampler weights, marginals and ufunc
-    # buffers stay under 1 MiB.  A third state (4 MiB) does not fit.
-    spec = _spec3(64)
+@pytest.mark.parametrize("spec", [_spec3(32), _spec3(64)], ids=["32^3", "64^3"])
+def test_a_large_state_run_holds_two_states_and_one_density(spec):
+    # the two one-state blocks of the ring, each sample measured where it was
+    # stepped, and the sample's |psi|^2; squared edge factors, sampler
+    # weights, marginals and ufunc buffers stay under 1 MiB.  A third state
+    # does not fit.
     plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
     state = gaussian_state(spec, {}, WIDTH)
     observers = default_observers("hybrid", K_COUPLING)
@@ -705,9 +711,10 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
 
     monkeypatch.setattr(grid._Sampler, "measure_block", spy)
     observers = default_observers("hybrid", K_COUPLING)
-    # 16^3 (64 KiB) goes 8 states to a block; 64 x 32 x 32 (1 MiB) goes alone
-    # and its steps' transforms are split between the threads
-    for spec, most in ((_spec3(16, L=6.0), 8), (_spec_xyq(64, 32, 32), 1)):
+    # 16^3 (64 KiB) goes 8 states to a block: step 0 alone, which owes no
+    # edge, then the rest of its block and 3 in the next; 64 x 32 x 32 (1 MiB)
+    # goes alone and its steps' transforms are split between the threads
+    for spec, sizes in ((_spec3(16, L=6.0), [1, 7, 3]), (_spec_xyq(64, 32, 32), [1] * 11)):
         plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
         state = gaussian_state(spec, {}, WIDTH)
         inside.clear()
@@ -721,10 +728,9 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
         evolve(state, plan, 1.0, observers=observers, stride=1)
         assert sum(outside.values()) == steps
         assert sum(inside.values()) == sum(n for _, n in per_block)
-        # block 0 holds step 0 alone, which owes no edge; every block, of one
-        # or several states, starts from the edge's representation R1
-        assert per_block[0][0] == 1 and sum(size for size, _ in per_block) == 11
-        assert max(size for size, _ in per_block) == most
+        # every batch, of one or several states, starts from the edge's
+        # representation R1
+        assert [size for size, _ in per_block] == sizes
         assert [n for _, n in per_block] == [3] * len(per_block)
 
 
