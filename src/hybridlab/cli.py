@@ -52,6 +52,7 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
+    _count_text,
     _run_bytes,
     compile_exact,
     compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
@@ -458,7 +459,7 @@ def _grid_plan(K, settings):
         exact_steps = settings.steps // g * j
         if exact_steps > _MAX_GRID_STEPS:
             raise ConfigError(
-                f"the grid run needs {exact_steps} exact steps of tau = "
+                f"the grid run needs {_count_text(exact_steps)} exact steps of tau = "
                 f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
             )
         try:

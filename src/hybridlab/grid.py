@@ -15,9 +15,14 @@ first again (compile_exact).  Each chirp is held as one factor per pair of
 axes, with the diagonal terms folded in, so no phase array spans the grid;
 a pair the chirp leaves uncoupled gets no factor.
 
-Stepping works in place on two buffers the engine owns (phases multiplied
-in place, FFTs allowed to overwrite them).  A step applies the plan's edge
-factors, its middle factors, then the edge again.  The edge factors are
+Stepping works in place on buffers the engine owns (phases multiplied in
+place, FFTs allowed to overwrite them).  Each buffer is one element longer
+than the grid on the last axis, and that pad is zero: a 64^3 state's
+leading strides are then 66 560 and 1 040 bytes, not 64 KiB and 1 KiB, so
+the elements of one FFT line along a leading axis no longer share a cache
+set.  Transforms run on the grid view, multiplies on the whole buffer by
+factors padded with zeros.  A step applies the plan's edge factors, its
+middle factors, then the edge again.  The edge factors are
 diagonal in one representation, so the closing edge of one step and the
 opening edge of the next are applied as one phase, each edge factor squared
 once per run (first same as last, FSAL); the edge alone closes the last
@@ -33,11 +38,12 @@ those axes, in their required representations.  By Parseval the 1-D FFT
 along a summed-out axis preserves the sum, so the marginal does not depend
 on the representation of the axes it drops.  Sampling walks the fewest
 one-axis transforms that reach every needed marginal and computes |psi|^2
-in the fewest representations on that walk; the norm and the boundary edge
-masses come from the same marginals.  No step depends on a sample, so one
-helper thread measures the samples, in place in the ring of states the
-caller steps through, while the caller keeps stepping: numpy's FFTs and
-large ufuncs release the GIL, so the two overlap.  For a state too large to
+in the fewest representations on that walk; a marginal whose axes lie
+within another's taken there is summed out of that one, and the norm and
+the boundary edge masses come from the same marginals.  No step depends on
+a sample, so one helper thread measures the samples, in place in the ring
+of states the caller steps through, while the caller keeps stepping:
+numpy's FFTs and large ufuncs release the GIL, so the two overlap.  For a state too large to
 share a block, the helper also takes the second half of each step transform
 and multiply when it is free; a half is the same operations on the same
 elements on either thread.
@@ -201,10 +207,10 @@ class GridSpec:
 @dataclass(frozen=True)
 class GridState:
     spec: GridSpec
-    array: np.ndarray
+    array: np.ndarray  # complex; may be a strided view, such as evolve's final state
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.array, dtype=complex)
+        arr = np.asarray(self.array, dtype=complex)
         if arr.shape != self.spec.shape:
             raise ValueError(
                 f"array shape {arr.shape} does not match grid shape {self.spec.shape}"
@@ -546,11 +552,14 @@ class _Sampler:
     that meet them all.  Every output is a weighted sum of one marginal, so
     each marginal (a key) holds the stacked weights that read it, with
     coefficient and cell volume folded in: a block of samples makes one
-    reduction and one matrix product per key.
+    reduction and one matrix product per key.  Each reduction sums the
+    smallest wider marginal owed at the same stop, when there is one,
+    rather than |psi|^2.
     """
 
     def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
         ndim, volume = len(spec.axes), spec.cell_volume
+        self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_edges = ndim if boundary else 0
         self.n_observers = len(observers)
         # A part (key, slot, row) adds row() to an output slot's weights on the
@@ -586,37 +595,49 @@ class _Sampler:
         cover = next(c for size in range(1, len(path) + 1)
                      for c in itertools.combinations(path, size)
                      if all(any(_meets(reps, k) for reps in c) for k in keys))
-        self.stops = []  # (axis, target) transform into the stop, [(drop, slots, weights)]
+        # (axis, target) transform into the stop, [(source, drop, slots, weights)]
+        self.stops = []
         for n, reps in enumerate(path):
-            owed = [k for k in keys if reps in cover and _meets(reps, k)]
+            # widest marginal first: each is summed out of the smallest wider one
+            # owed at the stop whose axes hold its own, else out of |psi|^2
+            owed = sorted((k for k in keys if reps in cover and _meets(reps, k)),
+                          key=len, reverse=True)
             keys = [k for k in keys if k not in owed]
             move = None
             if n:
                 axis = next(i for i, r in enumerate(reps) if r != path[n - 1][i])
                 move = (axis, reps[axis])
             reductions = []
-            for key in owed:
+            for r, key in enumerate(owed):
                 kept = {i for i, _ in key}
-                drop = tuple(j + 1 for j in range(ndim) if j not in kept)  # axis 0: the block
-                reductions.append((drop, np.array(list(index[key])), weights[key]))
+                wider = [s for s in range(r) if kept < {i for i, _ in owed[s]}]
+                source = min(wider, default=None,
+                             key=lambda s: math.prod(spec.shape[i] for i, _ in owed[s]))
+                axes = range(ndim) if source is None else [i for i, _ in owed[source]]
+                drop = tuple(a + 1 for a, j in enumerate(axes) if j not in kept)  # 0: the block
+                reductions.append((source, drop, np.array(list(index[key])), weights[key]))
             self.stops.append((move, reductions))
 
     def measure_block(self, block: np.ndarray) -> np.ndarray:
         """One row per state of block (states on axis 0): the squared norm, the
         edge mass per axis, each observer's value, then each observer's
-        imaginary residual.  block is scratch: it is transformed in place."""
+        imaginary residual.  block is scratch: it is transformed in place.  It
+        may be padded past the grid on the last axis; the pad is not read."""
         out = np.zeros((len(block), 1 + self.n_edges + 2 * self.n_observers))
+        block = block[..., :self.n_last]
         with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
             for move, reductions in self.stops:
                 if move is not None:
-                    block = _transform_axis(block, move[0] + 1, move[1])
+                    _transform_axis(block, move[0] + 1, move[1])
                 if reductions:
                     density = np.abs(block)
                     np.square(density, out=density)
-                    for drop, slots, weights in reductions:
-                        marginal = np.sum(density, axis=drop) if drop else density
-                        out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
-                    del density  # one density alive at a time
+                    marginals = []
+                    for source, drop, slots, weights in reductions:
+                        whole = density if source is None else marginals[source]
+                        marginals.append(np.sum(whole, axis=drop) if drop else whole)
+                        out[:, slots] += marginals[-1].reshape(len(block), -1) @ weights.T
+                    del density, marginals  # one density alive at a time
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
@@ -659,6 +680,11 @@ class EvolutionResult:
 _MAX_SAMPLES = 10**7
 
 
+def _count_text(count: int) -> str:
+    """A count in full up to 10**15, and to 6 significant digits beyond."""
+    return str(count) if count <= 10**15 else f"{count:.6g}"
+
+
 def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, int]:
     """Sampled step indices and step count of a run of t_final in steps of dt.
 
@@ -678,8 +704,8 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     samples = steps // stride + 1 + (steps % stride != 0)
     if samples > _MAX_SAMPLES:
         raise ValueError(
-            f"{steps} steps at stride {stride} make {samples} samples, "
-            f"more than the cap of {_MAX_SAMPLES}"
+            f"{_count_text(steps)} steps at stride {stride} make "
+            f"{_count_text(samples)} samples, more than the cap of {_MAX_SAMPLES}"
         )
     marks = np.arange(0, steps + 1, stride)
     if marks[-1] != steps:
@@ -693,16 +719,21 @@ _BLOCK_BYTES = 512 * 1024  # bytes of states in one sample block
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's and the two blocks of evolve's ring, one block's
-    |psi|^2 and marginals.  Per axis pair an edge, a middle and a squared
-    edge chirp factor.  A ufunc buffer per thread.  The sampler's stacked
-    weights, a row per monomial part on its marginal plus edge and norm
-    rows, and two rows in flight while they are built.
+    States: the caller's and the two blocks of evolve's ring, each ring state
+    at (n + 1) / n of the caller's for its pad, and one block's |psi|^2 with
+    a marginal over every proper subset of the axes.  Per axis pair an edge
+    and a middle chirp factor, their padded copies and a squared edge.  A
+    ufunc buffer per thread.  The sampler's stacked weights, a row per
+    monomial part on its marginal plus edge and norm rows, and two rows in
+    flight while they are built.
     """
-    size = math.prod(spec.shape)
+    size, last = math.prod(spec.shape), spec.shape[-1]
     per_block = max(1, _BLOCK_BYTES // (16 * size))
-    need = 16 * size * (1 + 2 * per_block) + 8 * per_block * (size + size // min(spec.shape))
-    chirps = 3 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) ** 2
+    marginals = sum(math.prod(c) for r in range(len(spec.shape))
+                    for c in itertools.combinations(spec.shape, r))
+    need = 16 * (size + 2 * per_block * size // last * (last + 1))
+    need += 8 * per_block * (size + marginals)
+    chirps = 5 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) * (max(spec.shape) + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
     for _, poly in observers:
@@ -721,23 +752,33 @@ def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run
     mark 0) holds chi: the state at the mark but for the edge factors owed
     (none at mark 0), which a sample applies itself.  After the last mark,
     the buffer spare() handed out last holds the final state.  run applies
-    each transform and multiply (_bring_to).
+    each transform and multiply (_bring_to).  The buffers may be padded past
+    the grid on the last axis: the transforms run on the grid view, each
+    multiply on the whole buffer, by factors padded with zeros to match.
     """
+    n = plan.spec.shape[-1]
+    pad = ((0, 0),) * (work.ndim - 1) + ((0, work.shape[-1] - n),)
+
+    def fit(groups) -> tuple:  # a factor along the last axis gets work's pad, as zeros
+        return tuple(_PhaseGroup(g.rep, np.pad(g.phase, pad))
+                     if g.phase.shape[-1] == n != work.shape[-1] else g for g in groups)
+
+    edge, middle = fit(plan.edge), fit(plan.middle)
     reps = ["pos"] * len(plan.spec.axes)
-    fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in plan.edge), *plan.middle)
-    sweep, owed = (*plan.edge, *plan.middle), ()
+    fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in edge), *middle)
+    sweep, owed = (*edge, *middle), ()
     steps, due = int(marks[-1]), iter(marks.tolist())
     mark = next(due)
     for step in range(steps + 1):
-        for n, group in enumerate(sweep if step < steps else plan.edge):
-            work = _bring_to(work, reps, group.rep, run)
-            if n or step != mark:
+        for i, group in enumerate(sweep if step < steps else edge):
+            _bring_to(work[..., :n], reps, group.rep, run)
+            if i or step != mark:
                 run(np.multiply, 0, work, group.phase, work)
                 continue
             out = spare()
             run(np.multiply, 0, work, group.phase, out)
             yield tuple(reps), owed
-            work, owed, mark = out, plan.edge, next(due, None)
+            work, owed, mark = out, edge, next(due, None)
         sweep = fused
     if mark is not None:  # a plan with no edge: no multiply follows the last mark
         np.copyto(spare(), work)
@@ -830,11 +871,12 @@ def evolve(
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
     point.  state.array is left untouched.  The steps run through a ring of
-    two blocks of _BLOCK_BYTES (at least one state each), and a helper
-    thread measures each sample in the slot it was stepped in; for a state
-    over _BLOCK_BYTES it also runs half of each transform and multiply when
-    it is free.  It is joined before this returns or raises.  final_state
-    is a view into one block.
+    two blocks of _BLOCK_BYTES (at least one state each, counted unpadded),
+    each state padded by one zero on the last axis, and a helper thread
+    measures each sample in the slot it was stepped in; for a state over
+    _BLOCK_BYTES it also runs half of each transform and multiply when it
+    is free.  It is joined before this returns or raises.  final_state is a
+    strided view into one block: its grid, without the pad.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -847,10 +889,13 @@ def evolve(
 
     spec = plan.spec
     first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
-    # a ring of two blocks: slot s is state s % per_block of block s // per_block % 2
+    # a ring of two blocks: slot s is state s % per_block of block s // per_block % 2,
+    # one zero past the grid on the last axis (the pad), so no leading stride of a
+    # slot is a power of two
+    n = spec.shape[-1]
     per_block = min(max(1, _BLOCK_BYTES // state.array.nbytes), len(marks))
-    blocks = [np.empty((per_block,) + spec.shape, dtype=complex) for _ in range(2)]
-    blocks[0][0] = state.array
+    blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
+    blocks[0][0, ..., :n] = state.array
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
     posted = [0, 0]  # per block, the batches posted up to its last one
@@ -901,7 +946,7 @@ def evolve(
             submit(slot)
         while len(measured) < len(helper.batches):
             collect()
-        final = _bring_to(at(slot)[0], list(reps), ("pos",) * len(spec.axes), run)
+        final = _bring_to(at(slot)[0][..., :n], list(reps), ("pos",) * len(spec.axes), run)
     finally:
         helper.post(None)
         helper.thread.join()

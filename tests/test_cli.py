@@ -233,6 +233,34 @@ def test_simulate_grid_engine(capsys, tmp_path):
     assert np.max(np.abs(snapshots["xy"].sum(axis=1) * dy - snapshots["x"])) <= 1e-12
 
 
+def test_snapshots_of_the_strided_final_state_match_a_contiguous_copy(capsys, tmp_path,
+                                                                     monkeypatch):
+    # evolve's final state is a strided view into its padded ring, not a copy
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(evolve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "evolve", spy)
+    out_dir = tmp_path / "snap"
+    code, _, _ = run(
+        capsys, "simulate", "--mode", "hybrid", "--engine", "grid", "--grid-n", "16",
+        "--grid-l", "6", "--t-final", "0.2", "--dt", "0.1", "--out", str(out_dir), "--snapshot",
+    )
+    assert code == 0
+    final = results[0].final_state
+    assert not final.array.flags.c_contiguous
+    copy = grid.GridState(final.spec, final.array.copy())
+    assert copy.array.flags.c_contiguous
+    for keep in ("x", "y", "q", "xy"):
+        expected = grid.marginal_density(copy, tuple(keep))
+        assert np.array_equal(grid.marginal_density(final, tuple(keep)), expected)
+        assert np.array_equal(grid.load_snapshot(out_dir / f"marginal-{keep}.bin")[3], expected)
+    assert np.array_equal(grid.reduced_quantum_density(final).matrix,
+                          grid.reduced_quantum_density(copy).matrix)
+
+
 def test_simulate_custom_observer_column(capsys, tmp_path):
     out_dir = tmp_path / "obs-run"
     code, _, _ = run(
@@ -289,6 +317,25 @@ def test_sample_count_above_cap_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "20000000 steps at stride 1 make 20000001 samples, more than the cap of 10000000" in err
+    assert not (tmp_path / "cap").exists()
+
+
+_HUGE_STEPS = int(round(1 / 1e-300))  # the step count of --dt 1e-300 --t-final 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["compare", "--dt", "1e-300", "--t-final", "1"],
+     "1e+300 steps at stride 10 make 1e+299 samples, more than the cap of 10000000"),
+    # a stride coprime to the step count: 2 samples, one exact step of dt each
+    (["simulate", "--engine", "grid", "--dt", "1e-300", "--t-final", "1",
+      "--stride", str(_HUGE_STEPS + 1)],
+     "needs 1e+300 exact steps of tau = 1e-300, more than the cap of 10000000"),
+])
+def test_counts_beyond_1e15_print_readably(capsys, tmp_path, argv, text):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "cap"))
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 200
+    assert text in err
     assert not (tmp_path / "cap").exists()
 
 
@@ -618,6 +665,7 @@ _contract_runs = itertools.count()
 @example(argv=[*_RUN, "--engine=grid", "--grid-n=8", "--grid-l=1e300"])
 @example(argv=["simulate", "--k=1e300", "--mode", "quantum-quantum", "--engine=grid", "--dt=0.01",
                "--t-final=1", "--stride=1000"])  # a stride past the end: no plan at any split
+@example(argv=["compare", "--dt=1e-300", "--t-final=1"])  # some 1e300 steps
 def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
     # exit 0 with finite output, or a clean exit 1 or 2 that writes no run directory;
     # capfd reads fd 2, where LAPACK writes from C

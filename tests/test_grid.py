@@ -1,6 +1,7 @@
 """Split-step spectral engine: states, plans, evolution, classical oracles."""
 
 import collections
+import itertools
 import math
 import sys
 import threading
@@ -570,6 +571,36 @@ def test_a_large_state_run_holds_two_states_and_one_density(spec):
     assert peak <= 2.5 * state.array.nbytes + 2**20
 
 
+@pytest.mark.parametrize("mode, spec, strang, t_final", [
+    ("hybrid", _spec_xyq(64, 32, 32), False, 0.5),  # one state a block, steps split
+    ("quantum-quantum", _qq_spec(), False, 2.0),  # 8 states a block, 21 samples
+    ("hybrid", _spec3(16), True, 0.1),  # Strang: full factors on the last axis
+])
+def test_every_ring_slot_keeps_a_zero_pad(mode, spec, strang, t_final, monkeypatch):
+    # the ring pads each state by one element on the last axis; multiplies run
+    # over the pad, by factors padded with zeros, and transforms skip it
+    K = mode_koopmanian(mode, K_COUPLING)
+    plan = compile_splitting(K, spec, 0.01) if strang else compile_exact(K, spec, 0.1)
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    blocks = {}
+    measure_block = grid._Sampler.measure_block
+
+    def spy(self, block):
+        blocks[id(block.base)] = block.base
+        return measure_block(self, block)
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", spy)
+    result = evolve(state, plan, t_final, observers=default_observers(mode, K_COUPLING))
+    n = spec.shape[-1]
+    assert len(blocks) == 2
+    for block in blocks.values():
+        assert block.shape[1:] == spec.shape[:-1] + (n + 1,)
+        assert not np.any(block[..., n:])
+    final = result.final_state.array
+    assert any(np.shares_memory(final, block) for block in blocks.values())
+    assert final.shape == spec.shape and not np.any(np.isnan(final))
+
+
 def test_concurrent_runs_under_rapid_thread_switching_match_the_reference():
     # four runs at once, each with its own sampling thread: eight threads on
     # however few cores, switching every microsecond
@@ -736,16 +767,22 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (128, 128)])
 def test_in_place_transform_matches_out_of_place_bit_for_bit(shape):
+    # on a plain buffer, and on the grid view of a buffer one element longer
+    # on the last axis, as evolve's ring holds each state
     rng = np.random.default_rng(11)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     psi.flags.writeable = False  # the out-of-place transform must not write to it
-    for axis in range(len(shape)):
+    n = shape[-1]
+    for pad, axis in itertools.product((0, 1), range(len(shape))):
         for target, transform in (("mom", np.fft.fft), ("pos", np.fft.ifft)):
             expected = transform(psi, axis=axis, norm="ortho")
-            work = psi.copy()
+            buffer = np.zeros(shape[:-1] + (n + pad,), dtype=complex)
+            work = buffer[..., :n]
+            work[...] = psi
             got = _transform_axis(work, axis, target)
             assert got is work  # transformed in the caller's buffer
-            assert np.array_equal(got, expected), (axis, target)
+            assert np.array_equal(got, expected), (pad, axis, target)
+            assert not np.any(buffer[..., n:])  # the pad is not written
 
 
 def test_boundary_overflow_detection():
