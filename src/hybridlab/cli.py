@@ -52,6 +52,7 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
+    _block_states,
     _count_text,
     _run_bytes,
     compile_exact,
@@ -440,7 +441,8 @@ def _grid_columns(settings):
     columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
     resid = result.imag_residuals
     extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0,
-             "plan_tau": plan.dt, "plan_steps": int(round(settings.t_final / plan.dt))}
+             "plan_tau": plan.dt, "plan_steps": int(round(settings.t_final / plan.dt)),
+             "plan_offsets": plan.offsets}
     return columns, extra, result.final_state if settings.snapshot else None
 
 
@@ -451,7 +453,9 @@ def _grid_plan(K, settings):
     compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
     dt itself, down to dt / _MAX_SPLIT, so a large g costs no more compiles.
     stride * j / g exact steps make a sample interval.  A run of more than
-    _MAX_GRID_STEPS exact steps is refused before compiling.
+    _MAX_GRID_STEPS exact steps is refused before compiling.  The plan is
+    stacked over the offsets tau, 2 tau, ... that one block of evolve's ring
+    holds and that compile, so evolve steps up to that many samples at once.
     """
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
     splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
@@ -463,7 +467,8 @@ def _grid_plan(K, settings):
                 f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
             )
         try:
-            return compile_exact(K, spec, settings.dt * g / j), settings.stride // g * j
+            return (compile_exact(K, spec, settings.dt * g / j, _block_states(spec)),
+                    settings.stride // g * j)
         except NonSplittableTerm:
             if j == splits[-1]:
                 raise

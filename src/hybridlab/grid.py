@@ -28,7 +28,11 @@ opening edge of the next are applied as one phase, each edge factor squared
 once per run (first same as last, FSAL); the edge alone closes the last
 step.  A sample between steps keeps the state before that squared edge
 and applies the edge itself.  This regroups commuting diagonal factors and
-leaves the scheme unchanged.
+leaves the scheme unchanged.  An exact plan compiles at any step length, so
+one stacked over tau, 2 tau, ..., K tau steps up to K samples as one stack
+of states, each jumped from the sample before the stack: a sample is K
+times fewer steps from t = 0.  A stack opens with the edge its first state
+still owes, then its own edges; within a sample interval they meet squared.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -292,13 +296,15 @@ class PropagatorPlan:
     the middle; a one-group plan has no edge.  compile_exact's edge is the
     R1 chirp's pair factors and its middle the R2 chirp's, both at the full
     step.  Applying the plan with dt and again with -dt undoes it to
-    roundoff.
+    roundoff.  A stacked exact plan (offsets K > 1) holds K plans in one: each
+    factor's leading axis runs over the steps dt, 2 dt, ..., K dt.
     """
 
     spec: GridSpec
     dt: float
     edge: tuple
     middle: tuple
+    offsets: int = 1
 
 
 def _term_representation(spec: GridSpec, mono: Monomial) -> tuple:
@@ -418,7 +424,28 @@ def _pair_quadratics(S: np.ndarray, values: list) -> list:
     ]
 
 
-def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> PropagatorPlan:
+def _chirp_pairs(M: np.ndarray, tau: float, u: list, v: list) -> list:
+    """The L and U chirps' pair quadratics for the flow M over tau, checked."""
+    n = len(u)
+    if not np.all(np.isfinite(M)):
+        raise NonSplittableTerm(f"the flow of K leaves the float range at tau = {tau:g}")
+    B, D = M[:n, n:], M[n:, n:]
+    if np.linalg.cond(B) > 1e12:
+        raise NonSplittableTerm(f"the flow's B block is singular at tau = {tau:g}")
+    P = np.linalg.solve(B.T, (D - np.eye(n)).T)  # (D - I) B^-1; P and B are symmetric
+    for S, w in ((P, u), (B, v)):
+        # the phase w^T S w / 2 changes by at most step_i * |S| reach along axis i
+        reach = np.array([np.max(np.abs(x)) for x in w])
+        step = np.array([abs(x.flat[1] - x.flat[0]) for x in w])
+        with np.errstate(over="ignore"):  # an overflow is a step beyond pi
+            worst = float(np.max(step * (np.abs(S) @ reach)))
+        if not worst <= math.pi:
+            raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
+    return [_pair_quadratics(P, u), _pair_quadratics(B, v)]
+
+
+def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
+                  offsets: int = 1) -> PropagatorPlan:
     """Exact plan for a real quadratic K: exp(-i K tau) as three chirps L U L.
 
     The frame R1 (a representation per axis) makes every monomial diagonal
@@ -428,6 +455,10 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
     and U = exp(-i v^T B v / 2) in R2.  Raises NonSplittableTerm when no frame
     exists, a term is not a real quadratic, B is singular, or a chirp's phase
     steps by more than pi between neighbouring grid points (it would alias).
+    With offsets > 1 the plan is stacked over tau, 2 tau, ..., K tau: each
+    factor carries a leading axis whose row k - 1 is compile_exact(k * tau)'s
+    factor bit for bit, K the longest prefix of the first `offsets` that
+    compiles.  A plan of one offset has no leading axis.
     """
     tau, n = float(tau), len(spec.axes)
     entries = []
@@ -454,29 +485,25 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float) -> Propa
         H[a, b] += coeff * sa * sb
         H[b, a] += coeff * sa * sb
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    M = expm(J @ H * tau)
-    if not np.all(np.isfinite(M)):
-        raise NonSplittableTerm(f"the flow of K leaves the float range at tau = {tau:g}")
-    B, D = M[:n, n:], M[n:, n:]
-    if np.linalg.cond(B) > 1e12:
-        raise NonSplittableTerm(f"the flow's B block is singular at tau = {tau:g}")
-    P = np.linalg.solve(B.T, (D - np.eye(n)).T)  # (D - I) B^-1; P and B are symmetric
     u = [spec._axis_values(i, r) for i, r in enumerate(frame)]
     v = [spec._axis_values(i, r) * (-1.0 if r == "pos" else 1.0) for i, r in enumerate(flip)]
-    for S, w in ((P, u), (B, v)):
-        # the phase w^T S w / 2 changes by at most step_i * |S| reach along axis i
-        reach = np.array([np.max(np.abs(x)) for x in w])
-        step = np.array([abs(x.flat[1] - x.flat[0]) for x in w])
-        with np.errstate(over="ignore"):  # an overflow is a step beyond pi
-            worst = float(np.max(step * (np.abs(S) @ reach)))
-        if not worst <= math.pi:
-            raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
-    # a pair the chirp leaves uncoupled has an all-zero quadratic: no factor
-    l_terms, u_terms = (
-        [t for t in _pair_quadratics(S, w) if np.any(t)] for S, w in ((P, u), (B, v))
-    )
-    return PropagatorPlan(spec, tau, tuple(_PhaseGroup(frame, np.exp(1j * t)) for t in l_terms),
-                          tuple(_PhaseGroup(flip, np.exp(-1j * t)) for t in u_terms))
+    times = tau * np.arange(1, max(1, offsets) + 1)
+    rows = []  # per offset, the L and U chirps' pair quadratics
+    for t, M in zip(times.tolist(), expm(J @ H * times[:, None, None])):
+        try:
+            rows.append(_chirp_pairs(M, t, u, v))
+        except NonSplittableTerm:
+            if not rows:
+                raise
+            break
+
+    def chirp(c: int, sign: complex, rep: tuple) -> tuple:
+        # a pair no offset's chirp couples has all-zero quadratics: no factor
+        pairs = [[np.exp(sign * q) for q in qs] for qs in zip(*(row[c] for row in rows))
+                 if any(np.any(q) for q in qs)]
+        return tuple(_PhaseGroup(rep, np.stack(p) if len(rows) > 1 else p[0]) for p in pairs)
+
+    return PropagatorPlan(spec, tau, chirp(0, 1j, frame), chirp(1, -1j, flip), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +528,12 @@ def _halves(arr: np.ndarray, axis: int) -> tuple:
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple, run=_whole) -> np.ndarray:
-    """Transform the engine's own buffer in place into group_rep, by run(fn, axis, arr)."""
+    """Transform the engine's own buffer in place into group_rep, by run(fn, axis, arr),
+    a stack of states on a leading axis at once."""
+    lead = arr.ndim - len(group_rep)
     for i, want in enumerate(group_rep):
         if want is not None and reps[i] != want:
-            run(lambda a, i=i, want=want: _transform_axis(a, i, want), int(i == 0), arr)
+            run(lambda a, i=lead + i, want=want: _transform_axis(a, i, want), lead + (i == 0), arr)
             reps[i] = want
     return arr
 
@@ -562,6 +591,9 @@ class _Sampler:
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_edges = ndim if boundary else 0
         self.n_observers = len(observers)
+        # |psi|^2 of a block, kept for the next: no new array per batch, which the
+        # allocator may map and unmap each time
+        self._density = np.empty(0)
         # A part (key, slot, row) adds row() to an output slot's weights on the
         # marginal over key ((axis, rep), ...).  Slots: the squared norm, the
         # edge mass per axis, each observer's value, then each observer's
@@ -630,14 +662,15 @@ class _Sampler:
                 if move is not None:
                     _transform_axis(block, move[0] + 1, move[1])
                 if reductions:
-                    density = np.abs(block)
+                    if len(self._density) < len(block):
+                        self._density = np.empty(block.shape)
+                    density = np.abs(block, out=self._density[:len(block)])
                     np.square(density, out=density)
                     marginals = []
                     for source, drop, slots, weights in reductions:
                         whole = density if source is None else marginals[source]
                         marginals.append(np.sum(whole, axis=drop) if drop else whole)
                         out[:, slots] += marginals[-1].reshape(len(block), -1) @ weights.T
-                    del density, marginals  # one density alive at a time
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
@@ -716,24 +749,31 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
 _BLOCK_BYTES = 512 * 1024  # bytes of states in one sample block
 
 
+def _block_states(spec: GridSpec) -> int:
+    """States in one block of evolve's ring: as many as fit _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * math.prod(spec.shape)))
+
+
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's and the two blocks of evolve's ring, each ring state
-    at (n + 1) / n of the caller's for its pad, and one block's |psi|^2 with
-    a marginal over every proper subset of the axes.  Per axis pair an edge
-    and a middle chirp factor, their padded copies and a squared edge.  A
-    ufunc buffer per thread.  The sampler's stacked weights, a row per
-    monomial part on its marginal plus edge and norm rows, and two rows in
-    flight while they are built.
+    States: the caller's and the blocks of evolve's ring (three, when a block
+    holds a stack of several states), each ring state at (n + 1) / n of the
+    caller's for its pad, and one block's |psi|^2 with a marginal over every
+    proper subset of the axes.  Per axis pair and offset of a plan stacked
+    over up to a block's states: an edge and a middle chirp factor, their
+    padded copies and a squared edge.  A ufunc buffer per thread.  The
+    sampler's stacked weights, a row per monomial part on its marginal plus
+    edge and norm rows, and two rows in flight while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
-    per_block = max(1, _BLOCK_BYTES // (16 * size))
+    per_block = _block_states(spec)
     marginals = sum(math.prod(c) for r in range(len(spec.shape))
                     for c in itertools.combinations(spec.shape, r))
-    need = 16 * (size + 2 * per_block * size // last * (last + 1))
+    need = 16 * (size + (2 + (per_block > 1)) * per_block * size // last * (last + 1))
     need += 8 * per_block * (size + marginals)
-    chirps = 5 * max(1, math.comb(len(spec.axes), 2)) * max(spec.shape) * (max(spec.shape) + 1)
+    big = max(spec.shape)
+    chirps = 5 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
     for _, poly in observers:
@@ -745,44 +785,68 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 
 
 def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):
-    """Step work, yielding (its representation, owed) at each mark.
+    """Step work, yielding (its representation, owed, count) at each stack of marks.
 
-    At a mark the next group's multiply writes into spare(), the stepping
-    buffer from then on, so the buffer spare() handed out before (work, at
-    mark 0) holds chi: the state at the mark but for the edge factors owed
-    (none at mark 0), which a sample applies itself.  After the last mark,
-    the buffer spare() handed out last holds the final state.  run applies
-    each transform and multiply (_bring_to).  The buffers may be padded past
-    the grid on the last axis: the transforms run on the grid view, each
-    multiply on the whole buffer, by factors padded with zeros to match.
+    The marks after mark 0 go in stacks of up to plan.offsets (K) marks m
+    steps apart, the first m steps after the mark before them: state j of a
+    stack is that mark's state stepped m times by the plan at offset j, all j
+    at once (unstacked, a stack is one mark).  spare(count) hands out a
+    stack's buffers on axis 0 and its first multiply writes into them, so at
+    each yield the count states handed out before (work, at mark 0) hold chi:
+    the states at their marks but for the edge factors owed (a row per state
+    when stacked; none at mark 0), which a sample applies itself.  After the
+    last mark, spare(1) holds the final state.  run applies each transform
+    and multiply (_bring_to).  The buffers may be padded past the grid on the
+    last axis: transforms run on the grid view, multiplies on the whole
+    buffer, by factors padded with zeros to match.
     """
-    n = plan.spec.shape[-1]
-    pad = ((0, 0),) * (work.ndim - 1) + ((0, work.shape[-1] - n),)
+    K, n = plan.offsets, plan.spec.shape[-1]
+    stacked = K > 1
+    pad = ((0, 0),) * (work.ndim - 1 + stacked) + ((0, work.shape[-1] - n),)
 
     def fit(groups) -> tuple:  # a factor along the last axis gets work's pad, as zeros
         return tuple(_PhaseGroup(g.rep, np.pad(g.phase, pad))
                      if g.phase.shape[-1] == n != work.shape[-1] else g for g in groups)
 
+    def rows(groups, cut: slice) -> tuple:  # a stacked plan's factors at the offsets cut
+        return tuple(_PhaseGroup(g.rep, g.phase[cut]) for g in groups) if stacked else groups
+
     edge, middle = fit(plan.edge), fit(plan.middle)
+    squares = {}  # per stack size, L_j^2: a step's closing and the next one's opening edge
     reps = ["pos"] * len(plan.spec.axes)
-    fused = (*(_PhaseGroup(g.rep, g.phase * g.phase) for g in edge), *middle)
-    sweep, owed = (*edge, *middle), ()
-    steps, due = int(marks[-1]), iter(marks.tolist())
-    mark = next(due)
-    for step in range(steps + 1):
-        for i, group in enumerate(sweep if step < steps else edge):
-            _bring_to(work[..., :n], reps, group.rep, run)
-            if i or step != mark:
-                run(np.multiply, 0, work, group.phase, work)
-                continue
-            out = spare()
-            run(np.multiply, 0, work, group.phase, out)
-            yield tuple(reps), owed
-            work, owed, mark = out, edge, next(due, None)
-        sweep = fused
-    if mark is not None:  # a plan with no edge: no multiply follows the last mark
-        np.copyto(spare(), work)
-        yield tuple(reps), owed
+    chi, owed, count = work, (), 1  # the latest marks' states, the edge they owe, how many
+    marks, s = marks.tolist(), 0
+    while True:
+        src = chi[-1] if chi.ndim > work.ndim else chi  # the state the next steps start from
+        closing = rows(owed, slice(-1, None))  # the edge src owes
+        if s == len(marks) - 1:  # the final state: the last with its edge applied
+            c, sweeps = 1, [closing]
+        else:
+            m, c = marks[s + 1] - marks[s], 1
+            while c < K and s + c + 1 < len(marks) and marks[s + c + 1] - marks[s] == (c + 1) * m:
+                c += 1
+            e, u = rows(edge, slice(c)), rows(middle, slice(c))
+            if c not in squares and (m > 1 or not stacked):
+                squares[c] = tuple(_PhaseGroup(g.rep, g.phase * g.phase) for g in e)
+            # the edge src owes and this stack's: unstacked one squared factor, stacked
+            # src's row L_c, then L_j
+            opening = e if not owed else (*closing, *e) if stacked else squares[1]
+            sweeps = [(*opening, *u)] + [(*squares.get(c, ()), *u)] * (m - 1)
+        if not sweeps[0]:  # a plan with no edge: the final state is a copy
+            np.copyto(spare(1)[0], src)
+            yield tuple(reps), owed, count
+        for step, sweep in enumerate(sweeps):
+            for i, group in enumerate(sweep):
+                _bring_to((out if step or i else chi)[..., :n], reps, group.rep, run)
+                if step or i:
+                    run(np.multiply, 0, out, group.phase, out)
+                    continue
+                out = spare(c) if stacked else spare(1)[0]  # it may wait: after the transforms
+                run(np.multiply, 0, src, group.phase, out)
+                yield tuple(reps), owed, count
+        if s == len(marks) - 1:
+            return
+        chi, owed, count, s = out, e, c, s + c
 
 
 def _measure(owed, sampler: "_Sampler", block: np.ndarray) -> np.ndarray:
@@ -870,13 +934,16 @@ def evolve(
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
-    point.  state.array is left untouched.  The steps run through a ring of
-    two blocks of _BLOCK_BYTES (at least one state each, counted unpadded),
-    each state padded by one zero on the last axis, and a helper thread
-    measures each sample in the slot it was stepped in; for a state over
-    _BLOCK_BYTES it also runs half of each transform and multiply when it
-    is free.  It is joined before this returns or raises.  final_state is a
-    strided view into one block: its grid, without the pad.
+    point.  state.array is left untouched.  plan.dt is the step tau; a plan
+    stacked over K offsets (compile_exact) steps up to K marks at once.  The
+    steps run through a ring of blocks of _BLOCK_BYTES (at least one state
+    or stack each, states counted unpadded), two, or three for a stacked
+    plan, each state padded by one zero on the last axis, and a helper
+    thread measures each sample in the slot it was stepped in; for an
+    unstacked state over _BLOCK_BYTES it also runs half of each transform
+    and multiply when it is free.  It is joined before this returns or
+    raises.  final_state is a strided view into one block: its grid, without
+    the pad.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -889,17 +956,20 @@ def evolve(
 
     spec = plan.spec
     first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
-    # a ring of two blocks: slot s is state s % per_block of block s // per_block % 2,
-    # one zero past the grid on the last axis (the pad), so no leading stride of a
-    # slot is a power of two
-    n = spec.shape[-1]
-    per_block = min(max(1, _BLOCK_BYTES // state.array.nbytes), len(marks))
-    blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
-    blocks[0][0, ..., :n] = state.array
+    # a ring of blocks, each state one zero past the grid on the last axis (the pad),
+    # so no leading stride of a slot is a power of two: slot s is state s % per_block
+    # of block s // per_block.  A stacked run starts in slot -1, the last of its last
+    # block, so its blocks hold whole stacks; a third block keeps a stack's batch
+    # queued for the helper while the stepping waits for the oldest
+    n, K = spec.shape[-1], plan.offsets
+    stacked = int(K > 1)
+    per_block = K * min(max(1, _block_states(spec) // K), -(-(len(marks) - stacked) // K))
+    blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex)
+              for _ in range(2 + stacked)]
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
-    posted = [0, 0]  # per block, the batches posted up to its last one
-    slot = 0  # the slot spare() handed out last, where the stepping writes
+    posted = [0] * len(blocks)  # per block, the batches posted up to its last one
+    slot, size = -stacked, 1  # the first slot and the count of the stack spare() handed out last
     filled, base = 0, None  # the batch being filled: its size and (reps, owed)
     helper = _Helper()
 
@@ -915,31 +985,37 @@ def evolve(
             )
         measured.append(rows)
 
+    def block(s: int) -> int:
+        return s // per_block % len(blocks)
+
     def at(s: int) -> np.ndarray:  # slot s and the rest of its block
-        return blocks[s // per_block % 2][s % per_block:]
+        return blocks[block(s)][s % per_block:]
 
     def submit(end: int) -> None:  # hand the batch being filled, up to slot end, to the helper
         nonlocal filled
-        posted[(end - 1) // per_block % 2] = len(helper.batches) + 1
+        posted[block(end - 1)] = len(helper.batches) + 1
         batch = at(end - filled)[:filled]
         helper.post([_measure, (base[1], samplers[base[0]], batch), False, None])
         filled = 0
 
-    def spare() -> np.ndarray:  # the next slot; entering a block waits for its batches
-        nonlocal slot
-        slot += 1
-        while not slot % per_block and len(measured) < posted[slot // per_block % 2]:
+    def spare(count: int) -> np.ndarray:  # the next count slots; a new block waits for its batches
+        nonlocal slot, size
+        slot, size = slot + size, count
+        while not slot % per_block and len(measured) < posted[block(slot)]:
             collect()
-        return at(slot)[0]
+        return at(slot)[:count]
 
-    run = helper.split if state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 else _whole
+    at(slot)[0, ..., :n] = state.array
+    split = state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 and not stacked
+    run = helper.split if split else _whole
     try:
-        for reps, owed in _march(blocks[0][0], plan, marks, spare, run):
+        for reps, owed, count in _march(at(slot)[0], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
                 samplers[reps] = _Sampler(spec, reps, polys, boundary_check)
-            if filled and (reps != base[0] or owed is not base[1]):
-                submit(slot - 1)
-            filled, base = filled + 1, (reps, owed)  # chi is in slot - 1
+            # a stack's owed factors have a row per state: it is a batch of its own
+            if filled and (reps != base[0] or owed is not base[1] or count > 1):
+                submit(slot - count)
+            filled, base = filled + count, (reps, owed)  # chi is in the count slots before slot
             if not slot % per_block:  # chi filled its block
                 submit(slot)
         if filled:

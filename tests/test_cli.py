@@ -373,27 +373,33 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("mode, axes, points", [
-    ("quantum-quantum", "xq", 64), ("hybrid", "xyq", 64),
-    ("quantum-quantum", "xq", 256), ("hybrid", "xyq", 32),
-], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32"])
-def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points):
+@pytest.mark.parametrize("mode, axes, points, stacked", [
+    ("quantum-quantum", "xq", 64, False), ("hybrid", "xyq", 64, False),
+    ("quantum-quantum", "xq", 256, False), ("hybrid", "xyq", 32, False),
+    ("quantum-quantum", "xq", 64, True),
+], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32",
+        "quantum-quantum-xq-stacked"])
+def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points, stacked):
     # a 64^2 (x, q) state is 64 KiB, 8 to each of the ring's two blocks; the
     # 32^3 (512 KiB), 64^3 and 256^2 states go one to a block, and at 256^2 a
     # chirp factor and the sampler's full-grid weight row are as large as the
-    # state
+    # state.  The stacked plan holds 6 offsets at 64^2; its run of 10 samples
+    # two steps apart and a one-step tail takes squared edges, whole and
+    # partial stacks, and an opening after a partial stack
     k = Fraction(1, 5)
     spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
     observers = benchmark.default_observers(mode, k)
     need = grid._run_bytes(spec, observers)
+    offsets, t_final, stride = (grid._block_states(spec), 2.1, 2) if stacked else (1, 0.5, 1)
     tracemalloc.start()
     try:
-        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1)
+        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1, offsets)
         state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
-        evolve(state, plan, 0.5, observers=observers)
+        evolve(state, plan, t_final, observers=observers, stride=stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert plan.offsets == (6 if stacked else 1)
     assert peak <= need
 
 
@@ -1067,6 +1073,29 @@ def test_exact_plan_keeps_the_sample_times(capsys, tmp_path, monkeypatch, grid_n
     report = json.loads((out_dir / "report-grid.json").read_text())
     assert (report["plan_tau"], report["plan_steps"]) == (tau, round(t_final / tau))
     assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] < 1e-10
+
+
+def test_a_stacked_grid_run_samples_where_a_one_offset_run_does(capsys, tmp_path, monkeypatch):
+    # 105 steps of dt at stride 10: tau = 5 dt, and 12 marks two steps of tau apart
+    # but the last, one step after the one before.  A 64^2 block holds 8 states and
+    # all 8 offsets compile: a stack of 8, a partial one of 2, then the tail
+    argv = ["compare", "--mode", "quantum-quantum", "--mean", "q=0.3", "--t-final", "1.05",
+            "--stride", "10"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "stacked"))[0] == 0
+    monkeypatch.setattr(cli, "_block_states", lambda spec: 1)
+    assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
+    tables = {}
+    for name, offsets in (("stacked", 8), ("one", 1)):
+        report = json.loads((tmp_path / name / "report-grid.json").read_text())
+        assert (report["plan_tau"], report["plan_steps"], report["plan_offsets"]) == (0.05, 21,
+                                                                                     offsets)
+        assert json.loads((tmp_path / name / "compare.json").read_text())["max_deviation"] < 1e-12
+        tables[name] = read_csv(tmp_path / name / "grid.csv")[1]
+    marks, _ = sample_steps(1.05, 0.01, 10)
+    assert np.array_equal(tables["stacked"]["t"], marks * 0.01)
+    assert np.array_equal(tables["stacked"]["t"], tables["one"]["t"])
+    for label, column in tables["one"].items():
+        assert np.max(np.abs(tables["stacked"][label] - column)) <= 1e-12, label
 
 
 def test_report_aggregates_runs(capsys, tmp_path):

@@ -239,6 +239,42 @@ def test_exact_plan_keeps_chirps_within_the_sampling_bound():
     assert compile_exact(K, spec, 0.5).dt == 0.5
 
 
+@pytest.mark.parametrize("mode, spec, offsets", [
+    ("quantum-quantum", _qq_spec(), 6),
+    ("hybrid", _spec3(16), 6),
+    ("quantum-quantum", _qq_spec(32), 11),
+])
+def test_each_offset_of_a_stacked_plan_is_the_plan_at_that_step(mode, spec, offsets):
+    K = mode_koopmanian(mode, K_COUPLING)
+    stacked = compile_exact(K, spec, 0.1, 32)
+    assert stacked.offsets == offsets and stacked.dt == 0.1
+    for k in range(1, offsets + 1):
+        plan = compile_exact(K, spec, k * 0.1)
+        for got, expected in zip((stacked.edge, stacked.middle), (plan.edge, plan.middle)):
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.rep == e.rep and g.phase.shape == (offsets, *e.phase.shape)
+                assert np.array_equal(g.phase[k - 1], e.phase)
+
+
+def test_a_stacked_plan_stops_at_the_first_offset_that_fails():
+    # at 64^2 the p chirp passes its sampling bound up to 0.6 and steps 3.23 rad at 0.7
+    spec = _qq_spec()
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    with pytest.raises(NonSplittableTerm, match=r"tau = 0.7: a chirp's phase steps 3.23 > pi"):
+        compile_exact(K, spec, 0.7)
+    compile_exact(K, spec, 0.6)
+    assert compile_exact(K, spec, 0.1, 8).offsets == 6
+    assert compile_exact(K, spec, 0.1, 6).offsets == 6
+    assert compile_exact(K, spec, 0.1, 4).offsets == 4
+    # a first offset that fails raises as an unstacked compile does; one that
+    # passes alone is an unstacked plan, with no leading axis
+    with pytest.raises(NonSplittableTerm, match="> pi"):
+        compile_exact(K, spec, 1.0, 8)
+    stacked = compile_exact(K, spec, 0.35, 8)
+    assert stacked.offsets == 1 and stacked.edge[0].phase.shape == (64, 64)
+
+
 @pytest.mark.parametrize("mode, spec, t_final", [
     ("hybrid", _spec3(32), 2.0),
     ("quantum-quantum", GridSpec((AxisSpec("x", 8.0, 64), AxisSpec("q", 8.0, 64))), 10.0),
@@ -367,28 +403,29 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
 def _serial_samples(state, plan, t_final, observers, stride=1):
     """Reference: each sample measured inline by one _Sampler.measure call.
 
-    At each mark _march hands over, takes chi from the buffer that spare()
-    handed out before the current one, applies the edge it still owes on a
-    copy, and measures that.  Returns the sample times and one row per
-    sample (squared norm, edge masses, observer values, imaginary
-    residuals), as evolve's sampler lays them out.
+    At each stack of marks _march hands over, takes chi from the buffer that
+    spare() handed out before the current one (the stack before, or the
+    state at mark 0), applies the edge each state still owes on a copy, and
+    measures each state.  Returns the sample times and one row per sample
+    (squared norm, edge masses, observer values, imaginary residuals), as
+    evolve's sampler lays them out.
     """
     marks, _ = sample_steps(t_final, plan.dt, stride)
     polys = [poly for _, poly in observers]
     samplers, rows = {}, []
     buffers = collections.deque([state.array.copy()], maxlen=2)
 
-    def spare():
-        buffers.append(np.empty_like(state.array))
+    def spare(count):
+        buffers.append(np.empty((count, *state.array.shape), dtype=complex))
         return buffers[-1]
 
-    for reps, owed in _march(buffers[0], plan, marks, spare):
-        sample = buffers[-2].copy()
+    for reps, owed, count in _march(buffers[0], plan, marks, spare):
+        chi = buffers[-2].reshape(count, *state.array.shape).copy()
         for group in owed:
-            sample *= group.phase
+            chi *= group.phase
         if reps not in samplers:
             samplers[reps] = _Sampler(plan.spec, reps, polys, boundary=True)
-        rows.append(samplers[reps].measure(sample))
+        rows += [samplers[reps].measure(sample) for sample in chi]
     return marks * plan.dt, np.array(rows)
 
 
@@ -458,6 +495,134 @@ def test_a_large_state_plan_without_an_edge_matches_the_serial_reference():
     free = np.exp(-0.5j * 0.05 * sum(spec._axis_values(i, "mom") ** 2 for i in range(2)))
     expected = np.fft.ifft2(free * np.fft.fft2(state.array, norm="ortho"), norm="ortho")
     assert np.max(np.abs(result.final_state.array - expected)) < 1e-12
+
+
+def _moment_deviation(result, mode, means, observers):
+    G = mode_generator_matrix(mode, K_COUPLING)
+    s0 = default_moment_state(means)
+    return max(abs(result.values[i, j] - quadratic_expectation(poly, propagate_moments(G, s0, t)))
+               for i, t in enumerate(result.times.tolist())
+               for j, (_, poly) in enumerate(observers))
+
+
+@pytest.mark.parametrize("t_final, stride", [
+    (10.0, 1),  # 100 samples: 16 stacks of 6 and one of 4
+    (2.1, 2),  # two steps a sample: a stack of 6, one of 4, and a one-step tail
+])
+def test_a_stacked_run_matches_the_one_offset_run_and_the_moment_engine(t_final, stride):
+    spec = _qq_spec()
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    means = {"x": 0.3, "q": -0.2}
+    state = gaussian_state(spec, means, WIDTH)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    one = evolve(state, compile_exact(K, spec, 0.1), t_final, observers=observers, stride=stride)
+    plan = compile_exact(K, spec, 0.1, 8)
+    assert plan.offsets == 6
+    stacked = evolve(state, plan, t_final, observers=observers, stride=stride)
+    assert np.array_equal(stacked.times, one.times)
+    assert np.max(np.abs(stacked.values - one.values)) <= 1e-12
+    assert np.max(np.abs(stacked.norms - one.norms)) <= 1e-12
+    assert np.max(np.abs(stacked.final_state.array - one.final_state.array)) <= 1e-12
+    assert stacked.norm_drift < 1e-12
+    # each mark is K times fewer steps from t = 0: no further from the moment engine
+    worst = _moment_deviation(stacked, "quantum-quantum", means, observers)
+    assert worst <= 1e-3 and worst <= _moment_deviation(one, "quantum-quantum", means, observers)
+
+
+def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
+    # a norm-only sample makes no transform, so every call is a step's: 4 a
+    # stack of up to 6 states, the last stack's closing transforms included
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    spec = _qq_spec()
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    evolve(state, compile_exact(K, spec, 0.1), 10.0, boundary_check=False)
+    assert len(calls) == 4 * 100 and set(calls) == {spec.shape}
+    calls.clear()
+    evolve(state, compile_exact(K, spec, 0.1, 8), 10.0, boundary_check=False)
+    assert len(calls) == 4 * 17
+    assert collections.Counter(shape[0] for shape in calls) == {6: 4 * 16, 4: 4}
+
+
+@pytest.mark.parametrize("spec, t_final, stride, slow, offsets", [
+    (_qq_spec(), 10.0, 1, False, 6),
+    (_qq_spec(), 2.1, 2, False, 6),
+    # a slow sampling thread, so the stepping runs ahead into blocks whose
+    # stacks must be measured first
+    (_qq_spec(), 10.0, 1, True, 6),
+    (_spec3(16, L=6.0), 1.0, 1, True, 8),
+])
+def test_stacked_samples_match_a_serial_reference(spec, t_final, stride, slow, offsets,
+                                                  monkeypatch):
+    mode = "hybrid" if len(spec.axes) == 3 else "quantum-quantum"
+    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, 8)
+    assert plan.offsets == offsets
+    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    observers = default_observers(mode, K_COUPLING)
+    times, rows = _serial_samples(state, plan, t_final, observers, stride)
+    blocks = {}
+    measure_block = grid._Sampler.measure_block
+
+    def spy(self, block):
+        blocks[id(block.base)] = block.base
+        if slow:
+            time.sleep(0.005)
+        return measure_block(self, block)
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", spy)
+    result = evolve(state, plan, t_final, observers=observers, stride=stride)
+    first = 1 + len(spec.axes)
+    assert np.array_equal(result.times, times)
+    assert np.max(np.abs(result.norms - np.sqrt(rows[:, 0]))) <= 1e-15
+    assert np.max(np.abs(result.values - rows[:, first:first + len(observers)])) <= 1e-15
+    # a ring of three blocks of whole stacks, every pad still zero
+    n = spec.shape[-1]
+    assert len(blocks) == 3
+    assert all(len(block) == offsets and not np.any(block[..., n:]) for block in blocks.values())
+
+
+def test_a_stacked_run_raises_a_worker_failure_and_joins_its_thread(monkeypatch):
+    measure_block = grid._Sampler.measure_block
+    seen = []
+
+    def failing(self, block):
+        seen.append(len(block))
+        if len(seen) == 2:
+            raise RuntimeError("measuring failed")
+        return measure_block(self, block)
+
+    monkeypatch.setattr(grid._Sampler, "measure_block", failing)
+    spec = _qq_spec()
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8)
+    state = gaussian_state(spec, {}, WIDTH)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="measuring failed"):
+        evolve(state, plan, 10.0, observers=default_observers("quantum-quantum", K_COUPLING))
+    assert threading.active_count() == threads
+    assert seen[:2] == [1, 6] and len(seen) <= 3  # the failure stopped the run within the ring
+
+
+def test_a_stacked_run_overflows_where_the_serial_reference_does():
+    # 3 offsets at 64^2 in this box: the overflow is the second row of the second stack
+    spec = _qq_spec(L=6.0)
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8)
+    assert plan.offsets == 3
+    state = gaussian_state(spec, {"q": 2.0}, {"x": 0.5, "q": 0.3})
+    times, rows = _serial_samples(state, plan, 1.0, ())
+    first_over = np.flatnonzero(np.any(rows[:, 1:3] > grid._BOUNDARY_MASS_LIMIT, axis=1))[0]
+    assert times[first_over] == pytest.approx(0.5)
+    threads = threading.active_count()
+    with pytest.raises(BoxOverflow, match=f"at t = {times[first_over]:g}$"):
+        evolve(state, plan, 1.0)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("spec, mode, means, widths, overflow_t", [
