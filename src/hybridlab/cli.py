@@ -433,8 +433,8 @@ def _moment_columns(settings):
 
 def _grid_columns(settings):
     spec = settings.grid_spec
-    plan, stride = _grid_plan(settings.koopmanian, settings)
     means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
+    plan, stride = _grid_plan(settings.koopmanian, settings, means)
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)
     result = evolve(state, plan, settings.t_final, observers=settings.observers, stride=stride)
@@ -446,7 +446,7 @@ def _grid_columns(settings):
     return columns, extra, result.final_state if settings.snapshot else None
 
 
-def _grid_plan(K, settings):
+def _grid_plan(K, settings, means):
     """The exact grid plan, and the evolve stride that samples at settings.times.
 
     Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the first split
@@ -455,7 +455,9 @@ def _grid_plan(K, settings):
     stride * j / g exact steps make a sample interval.  A run of more than
     _MAX_GRID_STEPS exact steps is refused before compiling.  The plan is
     stacked over the offsets tau, 2 tau, ... that one block of evolve's ring
-    holds and that compile, so evolve steps up to that many samples at once.
+    holds, that compile and that keep the chirped states of the run from
+    gaussian_state(spec, means, _DEFAULT_WIDTH) in the box, so evolve steps up
+    to that many samples at once.
     """
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
     splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
@@ -467,7 +469,8 @@ def _grid_plan(K, settings):
                 f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
             )
         try:
-            return (compile_exact(K, spec, settings.dt * g / j, _block_states(spec)),
+            packet = (means, _DEFAULT_WIDTH, exact_steps)
+            return (compile_exact(K, spec, settings.dt * g / j, _block_states(spec), packet),
                     settings.stride // g * j)
         except NonSplittableTerm:
             if j == splits[-1]:

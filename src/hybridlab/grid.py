@@ -31,8 +31,11 @@ and applies the edge itself.  This regroups commuting diagonal factors and
 leaves the scheme unchanged.  An exact plan compiles at any step length, so
 one stacked over tau, 2 tau, ..., K tau steps up to K samples as one stack
 of states, each jumped from the sample before the stack: a sample is K
-times fewer steps from t = 0.  A stack opens with the edge its first state
-still owes, then its own edges; within a sample interval they meet squared.
+times fewer steps from t = 0.  A stack opens with one factor, the edge the
+state before it still owes times each of its own; within a sample interval
+they meet squared.  A longer step chirps the state further between its
+factors, so a stack takes only the offsets whose chirped states stay in
+the box for the Gaussian run it is compiled for.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -424,8 +427,8 @@ def _pair_quadratics(S: np.ndarray, values: list) -> list:
     ]
 
 
-def _chirp_pairs(M: np.ndarray, tau: float, u: list, v: list) -> list:
-    """The L and U chirps' pair quadratics for the flow M over tau, checked."""
+def _chirps(M: np.ndarray, tau: float, u: list, v: list) -> tuple:
+    """The L and U chirps' matrices P and B for the flow M over tau, checked."""
     n = len(u)
     if not np.all(np.isfinite(M)):
         raise NonSplittableTerm(f"the flow of K leaves the float range at tau = {tau:g}")
@@ -441,11 +444,51 @@ def _chirp_pairs(M: np.ndarray, tau: float, u: list, v: list) -> list:
             worst = float(np.max(step * (np.abs(S) @ reach)))
         if not worst <= math.pi:
             raise NonSplittableTerm(f"tau = {tau:g}: a chirp's phase steps {worst:.3g} > pi")
-    return [_pair_quadratics(P, u), _pair_quadratics(B, v)]
+    return P, B
+
+
+# a Gaussian's density falls below float64 epsilon of its peak this many
+# standard deviations from its mean (8.49)
+_TAILS = math.sqrt(-2.0 * math.log(np.finfo(float).eps))
+
+
+def _packet_offsets(chirps: list, flow: np.ndarray, mean: np.ndarray, cov: np.ndarray,
+                    steps: int, box: np.ndarray) -> int:
+    """How many of the offsets' chirps (P, B) keep a Gaussian packet's run in the box.
+
+    The packet (mean, cov of z = (u, v)) is carried by flow 0, 1, ..., steps
+    times.  Between its factors a step takes z to (u, v + P u), then to
+    (u + B (v + P u), v + P u): a chirped state is in the box when each
+    v + P u and u + B (v + P u) has |mean| + _TAILS standard deviations at
+    most box.  The first offset always counts: it is the plan of one step.
+    """
+    n = len(mean) // 2
+    eye = np.eye(n)
+    rows = np.concatenate([np.block([[P, eye], [eye + B @ P, B]])
+                           for P, B in chirps[1:]])  # each chirped variable as a row on z
+    squares = (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)  # its variance on cov
+    bound = np.tile(np.roll(box, n), len(chirps) - 1)
+    powers = np.eye(2 * n)[None]  # flow^0, flow^1, ...: a chunk of the run's flows
+    chunk = min(steps + 1, max(1, _BLOCK_BYTES // powers.nbytes))
+    while len(powers) < chunk:
+        powers = np.concatenate([powers, powers @ (powers[-1] @ flow)])
+    powers, count = powers[:chunk], len(chirps)
+    jump = powers[-1] @ flow
+    with np.errstate(over="ignore", invalid="ignore"):  # a state beyond the float range is out
+        for start in range(0, steps + 1, chunk):
+            w = powers[:steps + 1 - start]
+            spread = (w @ cov @ w.transpose(0, 2, 1)).reshape(len(w), -1) @ squares.T
+            inside = np.abs((w @ mean) @ rows.T) + _TAILS * np.sqrt(spread) <= bound
+            count = min(count, 1 + int(np.cumprod(inside.reshape(len(w), -1, 2 * n)
+                                                   .all(axis=(0, 2))).sum()))
+            if count == 1:
+                break
+            mean, cov = jump @ mean, jump @ cov @ jump.T
+    return count
 
 
 def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
-                  offsets: int = 1) -> PropagatorPlan:
+                  offsets: int = 1, packet=None) -> PropagatorPlan:
     """Exact plan for a real quadratic K: exp(-i K tau) as three chirps L U L.
 
     The frame R1 (a representation per axis) makes every monomial diagonal
@@ -457,9 +500,15 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     steps by more than pi between neighbouring grid points (it would alias).
     With offsets > 1 the plan is stacked over tau, 2 tau, ..., K tau: each
     factor carries a leading axis whose row k - 1 is compile_exact(k * tau)'s
-    factor bit for bit, K the longest prefix of the first `offsets` that
-    compiles.  A plan of one offset has no leading axis.
+    factor bit for bit.  A plan of one offset has no leading axis.  A longer
+    step chirps the state further between its factors, so a stack is
+    compiled for the run it steps: packet = (means, widths, steps), the state
+    gaussian_state(spec, means, widths) and the count of steps of tau.  K is
+    the longest prefix of the first `offsets` that compiles and keeps every
+    chirped state of that run in the box to _TAILS standard deviations.
     """
+    if offsets > 1 and packet is None:
+        raise ValueError("a stacked plan needs the packet (means, widths, steps) it steps")
     tau, n = float(tau), len(spec.axes)
     entries = []
     for mono, coeff in k_op.terms.items():
@@ -488,14 +537,25 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     u = [spec._axis_values(i, r) for i, r in enumerate(frame)]
     v = [spec._axis_values(i, r) * (-1.0 if r == "pos" else 1.0) for i, r in enumerate(flip)]
     times = tau * np.arange(1, max(1, offsets) + 1)
-    rows = []  # per offset, the L and U chirps' pair quadratics
-    for t, M in zip(times.tolist(), expm(J @ H * times[:, None, None])):
+    flows = expm(J @ H * times[:, None, None])
+    chirps = []  # per offset, the L and U chirps' P and B
+    for t, M in zip(times.tolist(), flows):
         try:
-            rows.append(_chirp_pairs(M, t, u, v))
+            chirps.append(_chirps(M, t, u, v))
         except NonSplittableTerm:
-            if not rows:
+            if not chirps:
                 raise
             break
+    if len(chirps) > 1:
+        means, widths, steps = packet
+        mean, var = np.zeros(2 * n), np.zeros(2 * n)
+        for ax, mu, w in zip(spec.axes, _per_axis(spec, means, "means"),
+                             _per_axis(spec, widths, "widths")):
+            (a, sign), (b, _) = slot[ax.label], slot[MOMENTUM_OF[ax.label]]
+            mean[a], var[a], var[b] = sign * mu, w * w, 0.25 / (w * w)
+        box = np.array([np.max(np.abs(x)) for x in (*u, *v)])
+        del chirps[_packet_offsets(chirps, flows[0], mean, np.diag(var), steps, box):]
+    rows = [(_pair_quadratics(P, u), _pair_quadratics(B, v)) for P, B in chirps]
 
     def chirp(c: int, sign: complex, rep: tuple) -> tuple:
         # a pair no offset's chirp couples has all-zero quadratics: no factor
@@ -528,12 +588,11 @@ def _halves(arr: np.ndarray, axis: int) -> tuple:
 
 
 def _bring_to(arr: np.ndarray, reps: list, group_rep: tuple, run=_whole) -> np.ndarray:
-    """Transform the engine's own buffer in place into group_rep, by run(fn, axis, arr),
-    a stack of states on a leading axis at once."""
-    lead = arr.ndim - len(group_rep)
+    """Transform the engine's own buffer, a stack of states on axis 0, in place into
+    group_rep, by run(fn, axis, arr)."""
     for i, want in enumerate(group_rep):
         if want is not None and reps[i] != want:
-            run(lambda a, i=lead + i, want=want: _transform_axis(a, i, want), lead + (i == 0), arr)
+            run(lambda a, i=i + 1, want=want: _transform_axis(a, i, want), 1 + (i == 0), arr)
             reps[i] = want
     return arr
 
@@ -591,9 +650,6 @@ class _Sampler:
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_edges = ndim if boundary else 0
         self.n_observers = len(observers)
-        # |psi|^2 of a block, kept for the next: no new array per batch, which the
-        # allocator may map and unmap each time
-        self._density = np.empty(0)
         # A part (key, slot, row) adds row() to an output slot's weights on the
         # marginal over key ((axis, rep), ...).  Slots: the squared norm, the
         # edge mass per axis, each observer's value, then each observer's
@@ -662,15 +718,14 @@ class _Sampler:
                 if move is not None:
                     _transform_axis(block, move[0] + 1, move[1])
                 if reductions:
-                    if len(self._density) < len(block):
-                        self._density = np.empty(block.shape)
-                    density = np.abs(block, out=self._density[:len(block)])
+                    density = np.abs(block)
                     np.square(density, out=density)
                     marginals = []
                     for source, drop, slots, weights in reductions:
                         whole = density if source is None else marginals[source]
                         marginals.append(np.sum(whole, axis=drop) if drop else whole)
                         out[:, slots] += marginals[-1].reshape(len(block), -1) @ weights.T
+                    del density, marginals  # one density alive at a time
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
@@ -754,26 +809,43 @@ def _block_states(spec: GridSpec) -> int:
     return max(1, _BLOCK_BYTES // (16 * math.prod(spec.shape)))
 
 
+def _ring(spec: GridSpec, offsets: int, samples: int | None = None) -> tuple[int, int, int]:
+    """evolve's ring for a plan of `offsets` offsets: blocks, states per block, first slot.
+
+    A block holds as many states as fit _BLOCK_BYTES (states counted
+    unpadded), at least one, and whole stacks of `offsets`; no more than a
+    run of `samples` fills.  A stacked run starts in slot -1, the last of its
+    last block, so its stacks never straddle two blocks, and it has a third
+    block: the helper keeps a stack queued while the stepping waits for the
+    oldest.
+    """
+    stacked = int(offsets > 1)
+    per_block = offsets * max(1, _block_states(spec) // offsets)
+    if samples is not None:
+        per_block = min(per_block, offsets * -(-(samples - stacked) // offsets))
+    return 2 + stacked, per_block, -stacked
+
+
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's and the blocks of evolve's ring (three, when a block
-    holds a stack of several states), each ring state at (n + 1) / n of the
+    States: the caller's and the blocks of evolve's ring for a plan stacked
+    over a block's states (_ring), each ring state at (n + 1) / n of the
     caller's for its pad, and one block's |psi|^2 with a marginal over every
-    proper subset of the axes.  Per axis pair and offset of a plan stacked
-    over up to a block's states: an edge and a middle chirp factor, their
-    padded copies and a squared edge.  A ufunc buffer per thread.  The
-    sampler's stacked weights, a row per monomial part on its marginal plus
-    edge and norm rows, and two rows in flight while they are built.
+    proper subset of the axes.  Per axis pair and offset: an edge and a
+    middle chirp factor, their padded copies, a stack's opening and a
+    squared edge.  A ufunc buffer per thread.  The sampler's
+    stacked weights, a row per monomial part on its marginal plus edge and
+    norm rows, and two rows in flight while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
-    per_block = _block_states(spec)
+    blocks, per_block, _ = _ring(spec, _block_states(spec))
     marginals = sum(math.prod(c) for r in range(len(spec.shape))
                     for c in itertools.combinations(spec.shape, r))
-    need = 16 * (size + (2 + (per_block > 1)) * per_block * size // last * (last + 1))
+    need = 16 * (size + blocks * per_block * size // last * (last + 1))
     need += 8 * per_block * (size + marginals)
     big = max(spec.shape)
-    chirps = 5 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
+    chirps = 6 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
     for _, poly in observers:
@@ -787,62 +859,64 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):
     """Step work, yielding (its representation, owed, count) at each stack of marks.
 
-    The marks after mark 0 go in stacks of up to plan.offsets (K) marks m
-    steps apart, the first m steps after the mark before them: state j of a
-    stack is that mark's state stepped m times by the plan at offset j, all j
-    at once (unstacked, a stack is one mark).  spare(count) hands out a
-    stack's buffers on axis 0 and its first multiply writes into them, so at
-    each yield the count states handed out before (work, at mark 0) hold chi:
-    the states at their marks but for the edge factors owed (a row per state
-    when stacked; none at mark 0), which a sample applies itself.  After the
-    last mark, spare(1) holds the final state.  run applies each transform
-    and multiply (_bring_to).  The buffers may be padded past the grid on the
-    last axis: transforms run on the grid view, multiplies on the whole
-    buffer, by factors padded with zeros to match.
+    work is a stack of one state on axis 0.  The marks after mark 0 go in
+    stacks of up to plan.offsets (K) marks m steps apart, the first m steps
+    after the mark before them: state j of a stack is that mark's state
+    stepped m times by the plan at offset j, all j at once.  spare(count)
+    hands out a stack's buffers on axis 0 and its first multiply writes into
+    them, so at each yield the count states handed out before (work, at
+    mark 0) hold chi: the states at their marks but for the edge factors
+    owed, a row per state (none at mark 0), which a sample applies itself.
+    After the last mark, spare(1) holds the final state.  run applies each
+    transform and multiply (_bring_to).  The buffers may be padded past the
+    grid on the last axis: transforms run on the grid view, multiplies on
+    the whole buffer, by factors padded with zeros to match.
     """
-    K, n = plan.offsets, plan.spec.shape[-1]
-    stacked = K > 1
-    pad = ((0, 0),) * (work.ndim - 1 + stacked) + ((0, work.shape[-1] - n),)
+    K, ndim, n = plan.offsets, len(plan.spec.axes), plan.spec.shape[-1]
+    pad = ((0, 0),) * ndim + ((0, work.shape[-1] - n),)
 
-    def fit(groups) -> tuple:  # a factor along the last axis gets work's pad, as zeros
-        return tuple(_PhaseGroup(g.rep, np.pad(g.phase, pad))
-                     if g.phase.shape[-1] == n != work.shape[-1] else g for g in groups)
-
-    def rows(groups, cut: slice) -> tuple:  # a stacked plan's factors at the offsets cut
-        return tuple(_PhaseGroup(g.rep, g.phase[cut]) for g in groups) if stacked else groups
+    def fit(groups) -> tuple:  # a row per offset; a factor along the last axis gets the pad
+        phases = (g.phase.reshape(K, *g.phase.shape[-ndim:]) for g in groups)
+        return tuple(_PhaseGroup(g.rep, np.pad(p, pad) if p.shape[-1] == n != work.shape[-1]
+                                 else p) for g, p in zip(groups, phases))
 
     edge, middle = fit(plan.edge), fit(plan.middle)
-    squares = {}  # per stack size, L_j^2: a step's closing and the next one's opening edge
-    reps = ["pos"] * len(plan.spec.axes)
+    cuts, products = {}, {}  # per stack size, the rows it steps by; their edge products
+    reps = ["pos"] * ndim
     chi, owed, count = work, (), 1  # the latest marks' states, the edge they owe, how many
     marks, s = marks.tolist(), 0
     while True:
-        src = chi[-1] if chi.ndim > work.ndim else chi  # the state the next steps start from
-        closing = rows(owed, slice(-1, None))  # the edge src owes
-        if s == len(marks) - 1:  # the final state: the last with its edge applied
-            c, sweeps = 1, [closing]
+        src = chi[-1:]  # the state the next steps start from
+        if s == len(marks) - 1:  # the final state: the last with the edge it owes applied
+            c, sweeps = 1, [tuple(_PhaseGroup(g.rep, g.phase[-1:]) for g in owed)]
         else:
             m, c = marks[s + 1] - marks[s], 1
             while c < K and s + c + 1 < len(marks) and marks[s + c + 1] - marks[s] == (c + 1) * m:
                 c += 1
-            e, u = rows(edge, slice(c)), rows(middle, slice(c))
-            if c not in squares and (m > 1 or not stacked):
-                squares[c] = tuple(_PhaseGroup(g.rep, g.phase * g.phase) for g in e)
-            # the edge src owes and this stack's: unstacked one squared factor, stacked
-            # src's row L_c, then L_j
-            opening = e if not owed else (*closing, *e) if stacked else squares[1]
-            sweeps = [(*opening, *u)] + [(*squares.get(c, ()), *u)] * (m - 1)
+            if c not in cuts:
+                cuts[c] = tuple(tuple(_PhaseGroup(g.rep, g.phase[:c]) for g in groups)
+                                for groups in (edge, middle))
+            e, u = cuts[c]
+            # a step's closing edge and the next one's opening meet as one factor: the
+            # row L_count src owes times each L_j, or L_j^2 within a sample interval
+            if owed and (count, c) not in products:
+                products[count, c] = tuple(_PhaseGroup(g.rep, o.phase[-1:] * g.phase)
+                                           for o, g in zip(owed, e))
+            if m > 1 and c not in products:
+                products[c] = tuple(_PhaseGroup(g.rep, g.phase * g.phase) for g in e)
+            sweeps = [(*(products[count, c] if owed else e), *u)]
+            sweeps += [(*products.get(c, ()), *u)] * (m - 1)
         if not sweeps[0]:  # a plan with no edge: the final state is a copy
-            np.copyto(spare(1)[0], src)
+            np.copyto(spare(1), src)
             yield tuple(reps), owed, count
         for step, sweep in enumerate(sweeps):
             for i, group in enumerate(sweep):
                 _bring_to((out if step or i else chi)[..., :n], reps, group.rep, run)
                 if step or i:
-                    run(np.multiply, 0, out, group.phase, out)
+                    run(np.multiply, 1, out, group.phase, out)
                     continue
-                out = spare(c) if stacked else spare(1)[0]  # it may wait: after the transforms
-                run(np.multiply, 0, src, group.phase, out)
+                out = spare(c)  # it may wait: after the transforms
+                run(np.multiply, 1, src, group.phase, out)
                 yield tuple(reps), owed, count
         if s == len(marks) - 1:
             return
@@ -935,15 +1009,13 @@ def evolve(
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
     point.  state.array is left untouched.  plan.dt is the step tau; a plan
-    stacked over K offsets (compile_exact) steps up to K marks at once.  The
-    steps run through a ring of blocks of _BLOCK_BYTES (at least one state
-    or stack each, states counted unpadded), two, or three for a stacked
-    plan, each state padded by one zero on the last axis, and a helper
-    thread measures each sample in the slot it was stepped in; for an
-    unstacked state over _BLOCK_BYTES it also runs half of each transform
-    and multiply when it is free.  It is joined before this returns or
-    raises.  final_state is a strided view into one block: its grid, without
-    the pad.
+    stacked over K offsets (compile_exact, for this state's run) steps up to
+    K marks at once.  The steps run through a ring of blocks (_ring), each
+    state padded by one zero on the last axis, and a helper thread measures
+    each sample in the slot it was stepped in; for a state over _BLOCK_BYTES
+    it also runs half of each transform and multiply when it is free.  It is
+    joined before this returns or raises.  final_state is a strided view
+    into one block: its grid, without the pad.
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
@@ -958,18 +1030,15 @@ def evolve(
     first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
     # a ring of blocks, each state one zero past the grid on the last axis (the pad),
     # so no leading stride of a slot is a power of two: slot s is state s % per_block
-    # of block s // per_block.  A stacked run starts in slot -1, the last of its last
-    # block, so its blocks hold whole stacks; a third block keeps a stack's batch
-    # queued for the helper while the stepping waits for the oldest
-    n, K = spec.shape[-1], plan.offsets
-    stacked = int(K > 1)
-    per_block = K * min(max(1, _block_states(spec) // K), -(-(len(marks) - stacked) // K))
+    # of block s // per_block
+    n = spec.shape[-1]
+    ring, per_block, slot = _ring(spec, plan.offsets, len(marks))
     blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex)
-              for _ in range(2 + stacked)]
+              for _ in range(ring)]
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
     posted = [0] * len(blocks)  # per block, the batches posted up to its last one
-    slot, size = -stacked, 1  # the first slot and the count of the stack spare() handed out last
+    size = 1  # the count of the stack spare() handed out last, from slot on
     filled, base = 0, None  # the batch being filled: its size and (reps, owed)
     helper = _Helper()
 
@@ -1006,10 +1075,9 @@ def evolve(
         return at(slot)[:count]
 
     at(slot)[0, ..., :n] = state.array
-    split = state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 and not stacked
-    run = helper.split if split else _whole
+    run = helper.split if state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 else _whole
     try:
-        for reps, owed, count in _march(at(slot)[0], plan, marks, spare, run):
+        for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
                 samplers[reps] = _Sampler(spec, reps, polys, boundary_check)
             # a stack's owed factors have a row per state: it is a batch of its own
@@ -1022,7 +1090,7 @@ def evolve(
             submit(slot)
         while len(measured) < len(helper.batches):
             collect()
-        final = _bring_to(at(slot)[0][..., :n], list(reps), ("pos",) * len(spec.axes), run)
+        final = _bring_to(at(slot)[:1, ..., :n], list(reps), ("pos",) * len(spec.axes), run)[0]
     finally:
         helper.post(None)
         helper.thread.join()

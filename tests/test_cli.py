@@ -393,8 +393,9 @@ def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, po
     offsets, t_final, stride = (grid._block_states(spec), 2.1, 2) if stacked else (1, 0.5, 1)
     tracemalloc.start()
     try:
-        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1, offsets)
-        state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
+        packet = ({}, 1.0 / math.sqrt(2.0), round(t_final / 0.1))
+        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1, offsets, packet)
+        state = gaussian_state(spec, *packet[:2])
         evolve(state, plan, t_final, observers=observers, stride=stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1096,6 +1097,25 @@ def test_a_stacked_grid_run_samples_where_a_one_offset_run_does(capsys, tmp_path
     assert np.array_equal(tables["stacked"]["t"], tables["one"]["t"])
     for label, column in tables["one"].items():
         assert np.max(np.abs(tables["stacked"][label] - column)) <= 1e-12, label
+
+
+def test_a_grid_run_stacks_only_where_its_chirped_states_stay_in_the_box(capsys, tmp_path,
+                                                                          monkeypatch):
+    # a 32^2 block holds 32 states and 11 offsets pass the chirp sampling bound,
+    # but the run's states reach past the momentum box at 8.49 standard
+    # deviations: stacked steps up to 1.1 wrapped their tails (max_deviation
+    # 5.5e-10 against 9.2e-13).  The plan keeps one offset, as the one-offset
+    # run does
+    argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "32", "--t-final", "100"]
+    assert run(capsys, *argv, "--out", str(tmp_path / "run"))[0] == 0
+    monkeypatch.setattr(cli, "_block_states", lambda spec: 1)
+    assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
+    deviation = {}
+    for name in ("run", "one"):
+        report = json.loads((tmp_path / name / "report-grid.json").read_text())
+        assert (report["plan_tau"], report["plan_steps"], report["plan_offsets"]) == (0.1, 1000, 1)
+        deviation[name] = json.loads((tmp_path / name / "compare.json").read_text())["max_deviation"]
+    assert deviation["run"] <= deviation["one"] < 1e-10
 
 
 def test_report_aggregates_runs(capsys, tmp_path):

@@ -241,12 +241,12 @@ def test_exact_plan_keeps_chirps_within_the_sampling_bound():
 
 @pytest.mark.parametrize("mode, spec, offsets", [
     ("quantum-quantum", _qq_spec(), 6),
-    ("hybrid", _spec3(16), 6),
-    ("quantum-quantum", _qq_spec(32), 11),
+    ("hybrid", _spec3(32), 5),
+    ("quantum-quantum", _qq_spec(32), 5),
 ])
 def test_each_offset_of_a_stacked_plan_is_the_plan_at_that_step(mode, spec, offsets):
     K = mode_koopmanian(mode, K_COUPLING)
-    stacked = compile_exact(K, spec, 0.1, 32)
+    stacked = compile_exact(K, spec, 0.1, 32, ({"x": 0.3, "q": -0.2}, WIDTH, 0))
     assert stacked.offsets == offsets and stacked.dt == 0.1
     for k in range(1, offsets + 1):
         plan = compile_exact(K, spec, k * 0.1)
@@ -261,18 +261,37 @@ def test_a_stacked_plan_stops_at_the_first_offset_that_fails():
     # at 64^2 the p chirp passes its sampling bound up to 0.6 and steps 3.23 rad at 0.7
     spec = _qq_spec()
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    packet = ({"x": 0.3, "q": -0.2}, WIDTH, 100)
     with pytest.raises(NonSplittableTerm, match=r"tau = 0.7: a chirp's phase steps 3.23 > pi"):
         compile_exact(K, spec, 0.7)
     compile_exact(K, spec, 0.6)
-    assert compile_exact(K, spec, 0.1, 8).offsets == 6
-    assert compile_exact(K, spec, 0.1, 6).offsets == 6
-    assert compile_exact(K, spec, 0.1, 4).offsets == 4
+    assert compile_exact(K, spec, 0.1, 8, packet).offsets == 6
+    assert compile_exact(K, spec, 0.1, 6, packet).offsets == 6
+    assert compile_exact(K, spec, 0.1, 4, packet).offsets == 4
     # a first offset that fails raises as an unstacked compile does; one that
     # passes alone is an unstacked plan, with no leading axis
     with pytest.raises(NonSplittableTerm, match="> pi"):
-        compile_exact(K, spec, 1.0, 8)
-    stacked = compile_exact(K, spec, 0.35, 8)
+        compile_exact(K, spec, 1.0, 8, packet)
+    stacked = compile_exact(K, spec, 0.35, 8, packet)
     assert stacked.offsets == 1 and stacked.edge[0].phase.shape == (64, 64)
+    with pytest.raises(ValueError, match="packet"):
+        compile_exact(K, spec, 0.1, 8)
+
+
+def test_a_stacked_plan_keeps_the_chirped_packet_in_the_box():
+    # at 32^2 the run's states reach 6.30 in momentum at 8.49 standard
+    # deviations, past the 6.28 box, so no step longer than tau keeps its
+    # chirped states in; the first state alone (6.00) stays in up to 0.5.
+    # Steps up to 1.1 wrapped the tails: 600 times the deviation
+    spec = _qq_spec(32)
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    means = {"x": 0.3, "q": -0.2}
+    assert compile_exact(K, spec, 0.1, 32, (means, WIDTH, 0)).offsets == 5
+    assert compile_exact(K, spec, 0.1, 32, (means, WIDTH, 100)).offsets == 1
+    # at 64^2 a packet at q = 2.5 comes within 8.49 standard deviations of the
+    # edge in position, which a longer step's U chirp moves it along
+    assert compile_exact(K, _qq_spec(), 0.1, 8, ({"q": 1.0}, WIDTH, 100)).offsets == 6
+    assert compile_exact(K, _qq_spec(), 0.1, 8, ({"q": 2.5}, WIDTH, 100)).offsets == 1
 
 
 @pytest.mark.parametrize("mode, spec, t_final", [
@@ -413,7 +432,7 @@ def _serial_samples(state, plan, t_final, observers, stride=1):
     marks, _ = sample_steps(t_final, plan.dt, stride)
     polys = [poly for _, poly in observers]
     samplers, rows = {}, []
-    buffers = collections.deque([state.array.copy()], maxlen=2)
+    buffers = collections.deque([state.array.copy()[np.newaxis]], maxlen=2)
 
     def spare(count):
         buffers.append(np.empty((count, *state.array.shape), dtype=complex))
@@ -516,7 +535,7 @@ def test_a_stacked_run_matches_the_one_offset_run_and_the_moment_engine(t_final,
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers("quantum-quantum", K_COUPLING)
     one = evolve(state, compile_exact(K, spec, 0.1), t_final, observers=observers, stride=stride)
-    plan = compile_exact(K, spec, 0.1, 8)
+    plan = compile_exact(K, spec, 0.1, 8, (means, WIDTH, round(t_final / 0.1)))
     assert plan.offsets == 6
     stacked = evolve(state, plan, t_final, observers=observers, stride=stride)
     assert np.array_equal(stacked.times, one.times)
@@ -545,9 +564,10 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
     state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
     evolve(state, compile_exact(K, spec, 0.1), 10.0, boundary_check=False)
-    assert len(calls) == 4 * 100 and set(calls) == {spec.shape}
+    assert len(calls) == 4 * 100 and set(calls) == {(1, *spec.shape)}
     calls.clear()
-    evolve(state, compile_exact(K, spec, 0.1, 8), 10.0, boundary_check=False)
+    plan = compile_exact(K, spec, 0.1, 8, ({"x": 0.3, "q": -0.2}, WIDTH, 100))
+    evolve(state, plan, 10.0, boundary_check=False)
     assert len(calls) == 4 * 17
     assert collections.Counter(shape[0] for shape in calls) == {6: 4 * 16, 4: 4}
 
@@ -558,14 +578,17 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     # a slow sampling thread, so the stepping runs ahead into blocks whose
     # stacks must be measured first
     (_qq_spec(), 10.0, 1, True, 6),
-    (_spec3(16, L=6.0), 1.0, 1, True, 8),
+    # 512 KiB states: a block is one stack of 4
+    (_spec3(32), 1.0, 1, True, 4),
 ])
 def test_stacked_samples_match_a_serial_reference(spec, t_final, stride, slow, offsets,
                                                   monkeypatch):
     mode = "hybrid" if len(spec.axes) == 3 else "quantum-quantum"
-    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, 8)
+    means = {} if mode == "hybrid" else {"x": 0.3, "q": -0.2}  # a centred hybrid packet fits
+    packet = (means, WIDTH, round(t_final / 0.1))
+    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, 8, packet)
     assert plan.offsets == offsets
-    state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
+    state = gaussian_state(spec, means, WIDTH)
     observers = default_observers(mode, K_COUPLING)
     times, rows = _serial_samples(state, plan, t_final, observers, stride)
     blocks = {}
@@ -601,7 +624,8 @@ def test_a_stacked_run_raises_a_worker_failure_and_joins_its_thread(monkeypatch)
 
     monkeypatch.setattr(grid._Sampler, "measure_block", failing)
     spec = _qq_spec()
-    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8)
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8,
+                         ({}, WIDTH, 100))
     state = gaussian_state(spec, {}, WIDTH)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="measuring failed"):
@@ -611,10 +635,12 @@ def test_a_stacked_run_raises_a_worker_failure_and_joins_its_thread(monkeypatch)
 
 
 def test_a_stacked_run_overflows_where_the_serial_reference_does():
-    # 3 offsets at 64^2 in this box: the overflow is the second row of the second stack
+    # a plan stacked for the first state only: 2 offsets keep its chirps in this
+    # box, and the overflow is the first row of the third stack
     spec = _qq_spec(L=6.0)
-    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8)
-    assert plan.offsets == 3
+    packet = ({"q": 2.0}, {"x": 0.5, "q": 0.3}, 0)
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8, packet)
+    assert plan.offsets == 2
     state = gaussian_state(spec, {"q": 2.0}, {"x": 0.5, "q": 0.3})
     times, rows = _serial_samples(state, plan, 1.0, ())
     first_over = np.flatnonzero(np.any(rows[:, 1:3] > grid._BOUNDARY_MASS_LIMIT, axis=1))[0]
