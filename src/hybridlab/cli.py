@@ -52,7 +52,6 @@ from .grid import (
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
-    _block_states,
     _count_text,
     _run_bytes,
     compile_exact,
@@ -291,15 +290,14 @@ def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
     return GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
 
 
-def _simulation_settings(args, engines=None):
+def _simulation_settings(args):
     """Validate the simulate/compare inputs and build the engines' inputs."""
     mode = _mode_of(args)
     k = _float_coupling(args)
     engine = _required(args, "engine", "moments")
     if engine not in ("moments", "grid", "both"):
         raise ConfigError(f"unknown engine {engine!r}; choose moments, grid, or both")
-    if engines is None:
-        engines = tuple(_ENGINES) if engine == "both" else (engine,)
+    engines = tuple(_ENGINES) if engine == "both" else (engine,)
     dt = _as_float(_required(args, "dt", 0.01), "dt")
     if dt <= 0:
         raise ConfigError("--dt must be positive")
@@ -453,11 +451,9 @@ def _grid_plan(K, settings, means):
     compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
     dt itself, down to dt / _MAX_SPLIT, so a large g costs no more compiles.
     stride * j / g exact steps make a sample interval.  A run of more than
-    _MAX_GRID_STEPS exact steps is refused before compiling.  The plan is
-    stacked over the offsets tau, 2 tau, ... that one block of evolve's ring
-    holds, that compile and that keep the chirped states of the run from
-    gaussian_state(spec, means, _DEFAULT_WIDTH) in the box, so evolve steps up
-    to that many samples at once.
+    _MAX_GRID_STEPS exact steps is refused before compiling.  compile_exact
+    stacks the plan for the run from gaussian_state(spec, means,
+    _DEFAULT_WIDTH), and evolve steps as many samples at once as it has rows.
     """
     spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
     splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
@@ -470,7 +466,7 @@ def _grid_plan(K, settings, means):
             )
         try:
             packet = (means, _DEFAULT_WIDTH, exact_steps)
-            return (compile_exact(K, spec, settings.dt * g / j, _block_states(spec), packet),
+            return (compile_exact(K, spec, settings.dt * g / j, packet),
                     settings.stride // g * j)
         except NonSplittableTerm:
             if j == splits[-1]:
@@ -624,7 +620,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    settings = _simulation_settings(args, engines=("moments", "grid"))
+    if args.engine not in (None, "both"):
+        raise ConfigError(f"compare runs both engines; engine must be both, got {args.engine!r}")
+    args.engine = "both"
+    settings = _simulation_settings(args)
     (moments_report, mcols), (grid_report, gcols) = _run_engines(settings)
     shared = [name for name in mcols if name != "t" and name in gcols]
     deviations = [float(np.max(np.abs(mcols[name] - gcols[name]))) for name in shared]

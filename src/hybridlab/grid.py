@@ -21,21 +21,21 @@ than the grid on the last axis, and that pad is zero: a 64^3 state's
 leading strides are then 66 560 and 1 040 bytes, not 64 KiB and 1 KiB, so
 the elements of one FFT line along a leading axis no longer share a cache
 set.  Transforms run on the grid view, multiplies on the whole buffer by
-factors padded with zeros.  A step applies the plan's edge factors, its
-middle factors, then the edge again.  The edge factors are
+factors compiled padded the same way.  A step applies the plan's edge
+factors, its middle factors, then the edge again.  The edge factors are
 diagonal in one representation, so the closing edge of one step and the
 opening edge of the next are applied as one phase, each edge factor squared
 once per run (first same as last, FSAL); the edge alone closes the last
 step.  A sample between steps keeps the state before that squared edge
 and applies the edge itself.  This regroups commuting diagonal factors and
 leaves the scheme unchanged.  An exact plan compiles at any step length, so
-one stacked over tau, 2 tau, ..., K tau steps up to K samples as one stack
-of states, each jumped from the sample before the stack: a sample is K
-times fewer steps from t = 0.  A stack opens with one factor, the edge the
-state before it still owes times each of its own; within a sample interval
-they meet squared.  A longer step chirps the state further between its
-factors, so a stack takes only the offsets whose chirped states stay in
-the box for the Gaussian run it is compiled for.
+one stacked over tau, 2 tau, ..., K tau (a factor row each) steps up to K
+samples as one stack of states, each jumped from the sample before the
+stack: a sample is K times fewer steps from t = 0.  A stack opens with one
+factor, the edge the state before it still owes times each of its own;
+within a sample interval they meet squared.  A longer step chirps the
+state further between its factors, so a stack takes only the offsets whose
+chirped states stay in the box for the Gaussian run it is compiled for.
 
 All expectation values use the same quadrature weight in every
 representation: with orthonormal FFTs, sum(V * |psi|^2) * cell_volume is
@@ -299,15 +299,27 @@ class PropagatorPlan:
     the middle; a one-group plan has no edge.  compile_exact's edge is the
     R1 chirp's pair factors and its middle the R2 chirp's, both at the full
     step.  Applying the plan with dt and again with -dt undoes it to
-    roundoff.  A stacked exact plan (offsets K > 1) holds K plans in one: each
-    factor's leading axis runs over the steps dt, 2 dt, ..., K dt.
+    roundoff.  Each factor has a row per offset, laid out as evolve multiplies
+    by it (_factor): a stacked exact plan's rows are the steps dt, ..., K dt.
     """
 
     spec: GridSpec
     dt: float
     edge: tuple
     middle: tuple
-    offsets: int = 1
+
+    @property
+    def offsets(self) -> int:  # K, the rows of each factor
+        return len(self.middle[0].phase)
+
+
+def _factor(rep: tuple, exponents: list) -> _PhaseGroup:
+    """A row of exp(exponent) per exponent; one along the last axis gets the ring's pad."""
+    *head, n = np.broadcast_shapes(*(e.shape for e in exponents))
+    phase = np.zeros((len(exponents), *head, n + (n > 1)), dtype=complex)
+    for row, e in zip(phase, exponents):
+        np.exp(e, out=row[..., :n])
+    return _PhaseGroup(rep, phase)
 
 
 def _term_representation(spec: GridSpec, mono: Monomial) -> tuple:
@@ -407,8 +419,8 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
     raw_groups = [g for g in (position, *mixed, momentum) if g[1]] or [position]
     n = len(raw_groups)
     groups = [
-        _PhaseGroup(rep, np.exp(-1j * (float(dt) if gi == n - 1 else float(dt) / 2.0)
-                                * _group_potential(spec, terms)))
+        _factor(rep, [-1j * (float(dt) if gi == n - 1 else float(dt) / 2.0)
+                      * _group_potential(spec, terms)])
         for gi, (rep, terms) in enumerate(raw_groups)
     ]
     inner = groups[1:-1]
@@ -488,7 +500,7 @@ def _packet_offsets(chirps: list, flow: np.ndarray, mean: np.ndarray, cov: np.nd
 
 
 def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
-                  offsets: int = 1, packet=None) -> PropagatorPlan:
+                  packet=None) -> PropagatorPlan:
     """Exact plan for a real quadratic K: exp(-i K tau) as three chirps L U L.
 
     The frame R1 (a representation per axis) makes every monomial diagonal
@@ -498,17 +510,15 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     and U = exp(-i v^T B v / 2) in R2.  Raises NonSplittableTerm when no frame
     exists, a term is not a real quadratic, B is singular, or a chirp's phase
     steps by more than pi between neighbouring grid points (it would alias).
-    With offsets > 1 the plan is stacked over tau, 2 tau, ..., K tau: each
-    factor carries a leading axis whose row k - 1 is compile_exact(k * tau)'s
-    factor bit for bit.  A plan of one offset has no leading axis.  A longer
-    step chirps the state further between its factors, so a stack is
-    compiled for the run it steps: packet = (means, widths, steps), the state
-    gaussian_state(spec, means, widths) and the count of steps of tau.  K is
-    the longest prefix of the first `offsets` that compiles and keeps every
+    Without a packet the plan has one offset.  With one it is stacked over
+    tau, 2 tau, ..., K tau: row k - 1 of each factor is compile_exact(k * tau)'s
+    one row, bit for bit.  A longer step chirps the state further between its
+    factors, so a stack is compiled for the run it steps: packet = (means,
+    widths, steps), the state gaussian_state(spec, means, widths) and the
+    count of steps of tau.  K is the longest prefix of the offsets one block
+    of evolve's ring holds (_block_states) that compiles and keeps every
     chirped state of that run in the box to _TAILS standard deviations.
     """
-    if offsets > 1 and packet is None:
-        raise ValueError("a stacked plan needs the packet (means, widths, steps) it steps")
     tau, n = float(tau), len(spec.axes)
     entries = []
     for mono, coeff in k_op.terms.items():
@@ -536,7 +546,7 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     u = [spec._axis_values(i, r) for i, r in enumerate(frame)]
     v = [spec._axis_values(i, r) * (-1.0 if r == "pos" else 1.0) for i, r in enumerate(flip)]
-    times = tau * np.arange(1, max(1, offsets) + 1)
+    times = tau * np.arange(1, (1 if packet is None else _block_states(spec)) + 1)
     flows = expm(J @ H * times[:, None, None])
     chirps = []  # per offset, the L and U chirps' P and B
     for t, M in zip(times.tolist(), flows):
@@ -555,15 +565,13 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
             mean[a], var[a], var[b] = sign * mu, w * w, 0.25 / (w * w)
         box = np.array([np.max(np.abs(x)) for x in (*u, *v)])
         del chirps[_packet_offsets(chirps, flows[0], mean, np.diag(var), steps, box):]
-    rows = [(_pair_quadratics(P, u), _pair_quadratics(B, v)) for P, B in chirps]
 
-    def chirp(c: int, sign: complex, rep: tuple) -> tuple:
-        # a pair no offset's chirp couples has all-zero quadratics: no factor
-        pairs = [[np.exp(sign * q) for q in qs] for qs in zip(*(row[c] for row in rows))
-                 if any(np.any(q) for q in qs)]
-        return tuple(_PhaseGroup(rep, np.stack(p) if len(rows) > 1 else p[0]) for p in pairs)
+    def chirp(c: int, w: list, sign: complex, rep: tuple) -> tuple:
+        # per axis pair its quadratic at each offset; a pair no chirp couples gets no factor
+        pairs = zip(*(_pair_quadratics(S[c], w) for S in chirps))
+        return tuple(_factor(rep, [sign * q for q in qs]) for qs in pairs if np.any(qs))
 
-    return PropagatorPlan(spec, tau, chirp(0, 1j, frame), chirp(1, -1j, flip), len(rows))
+    return PropagatorPlan(spec, tau, chirp(0, u, 1j, frame), chirp(1, v, -1j, flip))
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +821,12 @@ def _ring(spec: GridSpec, offsets: int, samples: int | None = None) -> tuple[int
     """evolve's ring for a plan of `offsets` offsets: blocks, states per block, first slot.
 
     A block holds as many states as fit _BLOCK_BYTES (states counted
-    unpadded), at least one, and whole stacks of `offsets`; no more than a
-    run of `samples` fills.  A stacked run starts in slot -1, the last of its
-    last block, so its stacks never straddle two blocks, and it has a third
-    block: the helper keeps a stack queued while the stepping waits for the
-    oldest.
+    unpadded, each padded as the plan's factors are), at least one, and whole
+    stacks of `offsets`, which compile_exact keeps to one block; no more than
+    a run of `samples` fills.  A stacked run starts in slot -1, the last of
+    its last block, so its stacks never straddle two blocks, and it has a
+    third block: the helper keeps a stack queued while the stepping waits
+    for the oldest.
     """
     stacked = int(offsets > 1)
     per_block = offsets * max(1, _block_states(spec) // offsets)
@@ -833,10 +842,10 @@ def _run_bytes(spec: GridSpec, observers) -> int:
     over a block's states (_ring), each ring state at (n + 1) / n of the
     caller's for its pad, and one block's |psi|^2 with a marginal over every
     proper subset of the axes.  Per axis pair and offset: an edge and a
-    middle chirp factor, their padded copies, a stack's opening and a
-    squared edge.  A ufunc buffer per thread.  The sampler's
-    stacked weights, a row per monomial part on its marginal plus edge and
-    norm rows, and two rows in flight while they are built.
+    middle chirp factor, a stack's opening and a squared edge.  A ufunc
+    buffer per thread.  The sampler's stacked weights, a row per monomial
+    part on its marginal plus edge and norm rows, and two rows in flight
+    while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
@@ -845,7 +854,7 @@ def _run_bytes(spec: GridSpec, observers) -> int:
     need = 16 * (size + blocks * per_block * size // last * (last + 1))
     need += 8 * per_block * (size + marginals)
     big = max(spec.shape)
-    chirps = 6 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
+    chirps = 4 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
     for _, poly in observers:
@@ -868,21 +877,13 @@ def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run
     mark 0) hold chi: the states at their marks but for the edge factors
     owed, a row per state (none at mark 0), which a sample applies itself.
     After the last mark, spare(1) holds the final state.  run applies each
-    transform and multiply (_bring_to).  The buffers may be padded past the
-    grid on the last axis: transforms run on the grid view, multiplies on
-    the whole buffer, by factors padded with zeros to match.
+    transform and multiply (_bring_to).  The buffers carry one zero past the
+    grid on the last axis, as the plan's factors along it do: transforms run
+    on the grid view, multiplies on the whole buffer.
     """
-    K, ndim, n = plan.offsets, len(plan.spec.axes), plan.spec.shape[-1]
-    pad = ((0, 0),) * ndim + ((0, work.shape[-1] - n),)
-
-    def fit(groups) -> tuple:  # a row per offset; a factor along the last axis gets the pad
-        phases = (g.phase.reshape(K, *g.phase.shape[-ndim:]) for g in groups)
-        return tuple(_PhaseGroup(g.rep, np.pad(p, pad) if p.shape[-1] == n != work.shape[-1]
-                                 else p) for g, p in zip(groups, phases))
-
-    edge, middle = fit(plan.edge), fit(plan.middle)
+    K, n = plan.offsets, plan.spec.shape[-1]
     cuts, products = {}, {}  # per stack size, the rows it steps by; their edge products
-    reps = ["pos"] * ndim
+    reps = ["pos"] * len(plan.spec.axes)
     chi, owed, count = work, (), 1  # the latest marks' states, the edge they owe, how many
     marks, s = marks.tolist(), 0
     while True:
@@ -895,7 +896,7 @@ def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run
                 c += 1
             if c not in cuts:
                 cuts[c] = tuple(tuple(_PhaseGroup(g.rep, g.phase[:c]) for g in groups)
-                                for groups in (edge, middle))
+                                for groups in (plan.edge, plan.middle))
             e, u = cuts[c]
             # a step's closing edge and the next one's opening meet as one factor: the
             # row L_count src owes times each L_j, or L_j^2 within a sample interval

@@ -390,11 +390,12 @@ def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, po
     spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
     observers = benchmark.default_observers(mode, k)
     need = grid._run_bytes(spec, observers)
-    offsets, t_final, stride = (grid._block_states(spec), 2.1, 2) if stacked else (1, 0.5, 1)
+    t_final, stride = (2.1, 2) if stacked else (0.5, 1)
     tracemalloc.start()
     try:
         packet = ({}, 1.0 / math.sqrt(2.0), round(t_final / 0.1))
-        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1, offsets, packet)
+        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1,
+                             packet if stacked else None)
         state = gaussian_state(spec, *packet[:2])
         evolve(state, plan, t_final, observers=observers, stride=stride)
         peak = tracemalloc.get_traced_memory()[1]
@@ -743,6 +744,35 @@ def test_engine_config_error_writes_nothing(capsys, tmp_path, flags, message):
     assert not out_dir.exists()
 
 
+def test_compare_records_that_it_ran_both_engines(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", "--grid-n", "32",
+                     "--t-final", "0.2", "--out", str(out_dir))
+    assert code == 0
+    for engine in ("moments", "grid"):
+        report = json.loads((out_dir / f"report-{engine}.json").read_text())
+        assert report["config"]["engine"] == "both"
+
+
+@pytest.mark.parametrize("engine", ["grid", "moments"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_compare_refuses_an_engine_other_than_both(capsys, tmp_path, engine, source):
+    out_dir = tmp_path / "none"
+    argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "32", "--t-final", "0.2",
+            "--out", str(out_dir)]
+    if source == "flag":
+        argv += ["--engine", engine]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[compare]\nengine = {engine}\n")
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("configuration error: compare runs both engines; engine must be both, "
+                   f"got '{engine}'\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "spectrum"])
 def test_k_beyond_float_range_exits_2(capsys, tmp_path, command):
     out = [] if command == "spectrum" else ["--out", str(tmp_path / "k")]
@@ -1083,7 +1113,7 @@ def test_a_stacked_grid_run_samples_where_a_one_offset_run_does(capsys, tmp_path
     argv = ["compare", "--mode", "quantum-quantum", "--mean", "q=0.3", "--t-final", "1.05",
             "--stride", "10"]
     assert run(capsys, *argv, "--out", str(tmp_path / "stacked"))[0] == 0
-    monkeypatch.setattr(cli, "_block_states", lambda spec: 1)
+    monkeypatch.setattr(grid, "_block_states", lambda spec: 1)
     assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
     tables = {}
     for name, offsets in (("stacked", 8), ("one", 1)):
@@ -1105,10 +1135,11 @@ def test_a_grid_run_stacks_only_where_its_chirped_states_stay_in_the_box(capsys,
     # but the run's states reach past the momentum box at 8.49 standard
     # deviations: stacked steps up to 1.1 wrapped their tails (max_deviation
     # 5.5e-10 against 9.2e-13).  The plan keeps one offset, as the one-offset
-    # run does
+    # run, compiled without the packet, does in the same ring
     argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "32", "--t-final", "100"]
     assert run(capsys, *argv, "--out", str(tmp_path / "run"))[0] == 0
-    monkeypatch.setattr(cli, "_block_states", lambda spec: 1)
+    monkeypatch.setattr(cli, "compile_exact",
+                        lambda K, spec, tau, packet: compile_exact(K, spec, tau))
     assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
     deviation = {}
     for name in ("run", "one"):

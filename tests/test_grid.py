@@ -207,15 +207,44 @@ def test_exact_plan_structure():
     assert [g.rep for g in plan.middle] == [r2] * 2
     # one factor per coupled axis pair: no phase array spans the whole grid,
     # and the R2 chirp leaves (y, q) uncoupled, so it has no factor there
-    pairs = [(n, n, 1), (n, 1, n), (1, n, n)]
-    assert [g.phase.shape for g in plan.edge] == pairs
-    assert [g.phase.shape for g in plan.middle] == pairs[:2]
+    pairs = [(True, True, False), (True, False, True), (False, True, True)]
+    assert [tuple(d > 1 for d in g.phase.shape[1:]) for g in plan.edge] == pairs
+    assert [tuple(d > 1 for d in g.phase.shape[1:]) for g in plan.middle] == pairs[:2]
     assert all(np.any(g.phase != 1) for g in (*plan.edge, *plan.middle))
     qq_spec = GridSpec((AxisSpec("x", 8.0, n), AxisSpec("q", 8.0, n)))
     qq = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), qq_spec, 0.1)
     assert [g.rep for g in qq.edge] == [("pos", "pos")]
     assert [g.rep for g in qq.middle] == [("mom", "mom")]
     assert all(np.any(g.phase != 1) for g in (*qq.edge, *qq.middle))
+
+
+@pytest.mark.parametrize("kind, mode, spec, offsets", [
+    ("strang", "hybrid", _spec3(16), 1),  # a middle factor over the whole grid
+    ("strang", "quantum-quantum", _qq_spec(), 1),
+    ("exact", "hybrid", _spec3(16), 1),
+    ("stacked", "quantum-quantum", _qq_spec(), 6),
+])
+def test_each_factor_is_laid_out_as_evolve_multiplies_by_it(kind, mode, spec, offsets):
+    # a row per offset, broadcast over the grid, and a factor along the last
+    # axis carries one zero past it: the pad of each state in evolve's ring
+    K = mode_koopmanian(mode, K_COUPLING)
+    if kind == "strang":
+        plan = compile_splitting(K, spec, 0.01)
+    else:
+        plan = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 100)
+                             if kind == "stacked" else None)
+    assert plan.offsets == offsets
+    n = spec.shape[-1]
+    ring = (offsets, *spec.shape[:-1], n + 1)
+    factors = (*plan.edge, *plan.middle)
+    for g in factors:
+        assert len(g.phase) == offsets and g.phase.ndim == len(ring)
+        assert np.broadcast_shapes(g.phase.shape, ring) == ring
+        assert g.phase.shape[-1] in (1, n + 1)
+        if g.phase.shape[-1] == n + 1:
+            assert not np.any(g.phase[..., n:])
+            assert np.allclose(np.abs(g.phase[..., :n]), 1.0, rtol=0, atol=1e-14)
+    assert any(g.phase.shape[-1] == n + 1 for g in factors)
 
 
 @pytest.mark.parametrize("text, spec, reason", [
@@ -244,38 +273,41 @@ def test_exact_plan_keeps_chirps_within_the_sampling_bound():
     ("hybrid", _spec3(32), 5),
     ("quantum-quantum", _qq_spec(32), 5),
 ])
-def test_each_offset_of_a_stacked_plan_is_the_plan_at_that_step(mode, spec, offsets):
+def test_each_offset_of_a_stacked_plan_is_the_plan_at_that_step(mode, spec, offsets,
+                                                                 monkeypatch):
+    monkeypatch.setattr(grid, "_block_states", lambda spec: 32)  # a block of 32 states
     K = mode_koopmanian(mode, K_COUPLING)
-    stacked = compile_exact(K, spec, 0.1, 32, ({"x": 0.3, "q": -0.2}, WIDTH, 0))
+    stacked = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 0))
     assert stacked.offsets == offsets and stacked.dt == 0.1
     for k in range(1, offsets + 1):
         plan = compile_exact(K, spec, k * 0.1)
+        assert plan.offsets == 1
         for got, expected in zip((stacked.edge, stacked.middle), (plan.edge, plan.middle)):
             assert len(got) == len(expected)
             for g, e in zip(got, expected):
-                assert g.rep == e.rep and g.phase.shape == (offsets, *e.phase.shape)
-                assert np.array_equal(g.phase[k - 1], e.phase)
+                assert g.rep == e.rep and g.phase.shape == (offsets, *e.phase.shape[1:])
+                assert np.array_equal(g.phase[k - 1], e.phase[0])
 
 
-def test_a_stacked_plan_stops_at_the_first_offset_that_fails():
-    # at 64^2 the p chirp passes its sampling bound up to 0.6 and steps 3.23 rad at 0.7
+def test_a_stacked_plan_stops_at_the_first_offset_that_fails(monkeypatch):
+    # at 64^2 the p chirp passes its sampling bound up to 0.6 and steps 3.23 rad
+    # at 0.7; a block of evolve's ring holds 8 states
     spec = _qq_spec()
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
     packet = ({"x": 0.3, "q": -0.2}, WIDTH, 100)
     with pytest.raises(NonSplittableTerm, match=r"tau = 0.7: a chirp's phase steps 3.23 > pi"):
         compile_exact(K, spec, 0.7)
     compile_exact(K, spec, 0.6)
-    assert compile_exact(K, spec, 0.1, 8, packet).offsets == 6
-    assert compile_exact(K, spec, 0.1, 6, packet).offsets == 6
-    assert compile_exact(K, spec, 0.1, 4, packet).offsets == 4
+    assert compile_exact(K, spec, 0.1, packet).offsets == 6
     # a first offset that fails raises as an unstacked compile does; one that
-    # passes alone is an unstacked plan, with no leading axis
+    # passes alone makes a plan of one offset
     with pytest.raises(NonSplittableTerm, match="> pi"):
-        compile_exact(K, spec, 1.0, 8, packet)
-    stacked = compile_exact(K, spec, 0.35, 8, packet)
-    assert stacked.offsets == 1 and stacked.edge[0].phase.shape == (64, 64)
-    with pytest.raises(ValueError, match="packet"):
-        compile_exact(K, spec, 0.1, 8)
+        compile_exact(K, spec, 1.0, packet)
+    assert compile_exact(K, spec, 0.35, packet).offsets == 1
+    # the stack is no longer than a block holds
+    for block in (6, 4):
+        monkeypatch.setattr(grid, "_block_states", lambda spec, block=block: block)
+        assert compile_exact(K, spec, 0.1, packet).offsets == block
 
 
 def test_a_stacked_plan_keeps_the_chirped_packet_in_the_box():
@@ -286,12 +318,12 @@ def test_a_stacked_plan_keeps_the_chirped_packet_in_the_box():
     spec = _qq_spec(32)
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
     means = {"x": 0.3, "q": -0.2}
-    assert compile_exact(K, spec, 0.1, 32, (means, WIDTH, 0)).offsets == 5
-    assert compile_exact(K, spec, 0.1, 32, (means, WIDTH, 100)).offsets == 1
+    assert compile_exact(K, spec, 0.1, (means, WIDTH, 0)).offsets == 5
+    assert compile_exact(K, spec, 0.1, (means, WIDTH, 100)).offsets == 1
     # at 64^2 a packet at q = 2.5 comes within 8.49 standard deviations of the
     # edge in position, which a longer step's U chirp moves it along
-    assert compile_exact(K, _qq_spec(), 0.1, 8, ({"q": 1.0}, WIDTH, 100)).offsets == 6
-    assert compile_exact(K, _qq_spec(), 0.1, 8, ({"q": 2.5}, WIDTH, 100)).offsets == 1
+    assert compile_exact(K, _qq_spec(), 0.1, ({"q": 1.0}, WIDTH, 100)).offsets == 6
+    assert compile_exact(K, _qq_spec(), 0.1, ({"q": 2.5}, WIDTH, 100)).offsets == 1
 
 
 @pytest.mark.parametrize("mode, spec, t_final", [
@@ -422,29 +454,37 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
 def _serial_samples(state, plan, t_final, observers, stride=1):
     """Reference: each sample measured inline by one _Sampler.measure call.
 
-    At each stack of marks _march hands over, takes chi from the buffer that
-    spare() handed out before the current one (the stack before, or the
-    state at mark 0), applies the edge each state still owes on a copy, and
-    measures each state.  Returns the sample times and one row per sample
-    (squared norm, edge masses, observer values, imaginary residuals), as
-    evolve's sampler lays them out.
+    The buffers are padded by one zero past the grid on the last axis, as
+    evolve's ring is.  At each stack of marks _march hands over, takes chi
+    from the buffer that spare() handed out before the current one (the stack
+    before, or the state at mark 0), applies the edge each state still owes
+    on a copy, and measures each state on its grid.  Returns the sample times
+    and one row per sample (squared norm, edge masses, observer values,
+    imaginary residuals), as evolve's sampler lays them out.
     """
     marks, _ = sample_steps(t_final, plan.dt, stride)
     polys = [poly for _, poly in observers]
     samplers, rows = {}, []
-    buffers = collections.deque([state.array.copy()[np.newaxis]], maxlen=2)
+    n = state.array.shape[-1]
+
+    def padded(count):
+        return np.zeros((count, *state.array.shape[:-1], n + 1), dtype=complex)
+
+    buffers = collections.deque([padded(1)], maxlen=2)
+    buffers[0][0, ..., :n] = state.array
 
     def spare(count):
-        buffers.append(np.empty((count, *state.array.shape), dtype=complex))
+        buffers.append(padded(count))
         return buffers[-1]
 
     for reps, owed, count in _march(buffers[0], plan, marks, spare):
-        chi = buffers[-2].reshape(count, *state.array.shape).copy()
+        chi = buffers[-2].copy()
+        assert len(chi) == count
         for group in owed:
             chi *= group.phase
         if reps not in samplers:
             samplers[reps] = _Sampler(plan.spec, reps, polys, boundary=True)
-        rows += [samplers[reps].measure(sample) for sample in chi]
+        rows += [samplers[reps].measure(sample[..., :n]) for sample in chi]
     return marks * plan.dt, np.array(rows)
 
 
@@ -535,7 +575,7 @@ def test_a_stacked_run_matches_the_one_offset_run_and_the_moment_engine(t_final,
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers("quantum-quantum", K_COUPLING)
     one = evolve(state, compile_exact(K, spec, 0.1), t_final, observers=observers, stride=stride)
-    plan = compile_exact(K, spec, 0.1, 8, (means, WIDTH, round(t_final / 0.1)))
+    plan = compile_exact(K, spec, 0.1, (means, WIDTH, round(t_final / 0.1)))
     assert plan.offsets == 6
     stacked = evolve(state, plan, t_final, observers=observers, stride=stride)
     assert np.array_equal(stacked.times, one.times)
@@ -566,7 +606,7 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     evolve(state, compile_exact(K, spec, 0.1), 10.0, boundary_check=False)
     assert len(calls) == 4 * 100 and set(calls) == {(1, *spec.shape)}
     calls.clear()
-    plan = compile_exact(K, spec, 0.1, 8, ({"x": 0.3, "q": -0.2}, WIDTH, 100))
+    plan = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 100))
     evolve(state, plan, 10.0, boundary_check=False)
     assert len(calls) == 4 * 17
     assert collections.Counter(shape[0] for shape in calls) == {6: 4 * 16, 4: 4}
@@ -578,15 +618,17 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     # a slow sampling thread, so the stepping runs ahead into blocks whose
     # stacks must be measured first
     (_qq_spec(), 10.0, 1, True, 6),
-    # 512 KiB states: a block is one stack of 4
+    # 512 KiB states in blocks made to hold 4: a block is one stack of 4
     (_spec3(32), 1.0, 1, True, 4),
 ])
 def test_stacked_samples_match_a_serial_reference(spec, t_final, stride, slow, offsets,
                                                   monkeypatch):
     mode = "hybrid" if len(spec.axes) == 3 else "quantum-quantum"
     means = {} if mode == "hybrid" else {"x": 0.3, "q": -0.2}  # a centred hybrid packet fits
+    if mode == "hybrid":
+        monkeypatch.setattr(grid, "_block_states", lambda spec: 4)
     packet = (means, WIDTH, round(t_final / 0.1))
-    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, 8, packet)
+    plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, packet)
     assert plan.offsets == offsets
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers(mode, K_COUPLING)
@@ -624,7 +666,7 @@ def test_a_stacked_run_raises_a_worker_failure_and_joins_its_thread(monkeypatch)
 
     monkeypatch.setattr(grid._Sampler, "measure_block", failing)
     spec = _qq_spec()
-    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8,
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1,
                          ({}, WIDTH, 100))
     state = gaussian_state(spec, {}, WIDTH)
     threads = threading.active_count()
@@ -639,7 +681,7 @@ def test_a_stacked_run_overflows_where_the_serial_reference_does():
     # box, and the overflow is the first row of the third stack
     spec = _qq_spec(L=6.0)
     packet = ({"q": 2.0}, {"x": 0.5, "q": 0.3}, 0)
-    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, 8, packet)
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, packet)
     assert plan.offsets == 2
     state = gaussian_state(spec, {"q": 2.0}, {"x": 0.5, "q": 0.3})
     times, rows = _serial_samples(state, plan, 1.0, ())
@@ -760,6 +802,29 @@ def test_a_large_state_run_holds_two_states_and_one_density(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * state.array.nbytes + 2**20
+
+
+def test_a_stacked_run_copies_no_factor_of_its_plan():
+    # the compare run's grid on (x, q): 64^2, tau = 0.1 stacked over 6
+    # offsets, 1 000 steps, each one sampled.  Its factors come compiled as
+    # evolve multiplies by them, a row per offset and padded, so evolve holds
+    # its ring, squared edges and openings, and no copy of the plan (3 461 KiB
+    # with one)
+    spec = _qq_spec()
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    means = {"x": 0.05, "q": -0.05}
+    plan = compile_exact(K, spec, 0.1, (means, WIDTH, 1000))
+    assert plan.offsets == 6
+    state = gaussian_state(spec, means, WIDTH)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    tracemalloc.start()
+    try:
+        result = evolve(state, plan, 100.0, observers=observers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.times) == 1001
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("mode, spec, strang, t_final", [
