@@ -322,7 +322,7 @@ def _simulation_settings(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = _required(args, "out", "hybridlab-run")
-    _parse_bool(_required(args, "deterministic", False))  # validated; always single-threaded
+    _parse_bool(_required(args, "deterministic", False))  # validated; runs are always reproducible
     binding = _binding(args, k)
     koopmanian = None if mode == "classical-classical" else benchmark.mode_koopmanian(mode, k)
     observers = _observer_list(args, mode, k, binding, koopmanian)
@@ -713,7 +713,8 @@ def _add_sim_flags(sub):
     sub.add_argument("--snapshot", nargs="?", const="true",
                      help="write binary marginal snapshots of the final state")
     sub.add_argument("--deterministic", nargs="?", const="true",
-                     help="accepted for compatibility; transforms are always single-threaded")
+                     help="accepted for compatibility; results do not depend on the helper "
+                     "thread, and identical configurations write byte-identical CSVs")
 
 
 def build_parser() -> argparse.ArgumentParser:

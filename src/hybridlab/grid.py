@@ -650,11 +650,14 @@ class _Sampler:
     coefficient and cell volume folded in: a block of samples makes one
     reduction and one matrix product per key.  Each reduction sums the
     smallest wider marginal owed at the same stop, when there is one,
-    rather than |psi|^2.
+    rather than |psi|^2.  |psi|^2 goes into density, float grids on axis 0:
+    evolve shares one block's worth among a run's samplers, so no batch
+    allocates one; without it the sampler holds one state's, for measure.
     """
 
-    def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool):
+    def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool, *, density=None):
         ndim, volume = len(spec.axes), spec.cell_volume
+        self.density = np.empty((1, *spec.shape)) if density is None else density
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_edges = ndim if boundary else 0
         self.n_observers = len(observers)
@@ -726,14 +729,14 @@ class _Sampler:
                 if move is not None:
                     _transform_axis(block, move[0] + 1, move[1])
                 if reductions:
-                    density = np.abs(block)
+                    density = np.abs(block, out=self.density[:len(block)])  # the run's one density
                     np.square(density, out=density)
                     marginals = []
                     for source, drop, slots, weights in reductions:
                         whole = density if source is None else marginals[source]
                         marginals.append(np.sum(whole, axis=drop) if drop else whole)
                         out[:, slots] += marginals[-1].reshape(len(block), -1) @ weights.T
-                    del density, marginals  # one density alive at a time
+                    del marginals
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
@@ -840,12 +843,12 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 
     States: the caller's and the blocks of evolve's ring for a plan stacked
     over a block's states (_ring), each ring state at (n + 1) / n of the
-    caller's for its pad, and one block's |psi|^2 with a marginal over every
-    proper subset of the axes.  Per axis pair and offset: an edge and a
-    middle chirp factor, a stack's opening and a squared edge.  A ufunc
-    buffer per thread.  The sampler's stacked weights, a row per monomial
-    part on its marginal plus edge and norm rows, and two rows in flight
-    while they are built.
+    caller's for its pad, one block's |psi|^2, held for the whole run, and a
+    marginal of it over every proper subset of the axes.  Per axis pair and
+    offset: an edge and a middle chirp factor, a stack's opening and a
+    squared edge.  A ufunc buffer per thread.  The sampler's stacked
+    weights, a row per monomial part on its marginal plus edge and norm
+    rows, and two rows in flight while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
@@ -1036,6 +1039,7 @@ def evolve(
     ring, per_block, slot = _ring(spec, plan.offsets, len(marks))
     blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex)
               for _ in range(ring)]
+    density = np.empty((per_block, *spec.shape))  # |psi|^2 of a batch, for every sampler
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
     posted = [0] * len(blocks)  # per block, the batches posted up to its last one
@@ -1080,7 +1084,7 @@ def evolve(
     try:
         for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
-                samplers[reps] = _Sampler(spec, reps, polys, boundary_check)
+                samplers[reps] = _Sampler(spec, reps, polys, boundary_check, density=density)
             # a stack's owed factors have a row per state: it is a batch of its own
             if filled and (reps != base[0] or owed is not base[1] or count > 1):
                 submit(slot - count)

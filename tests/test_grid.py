@@ -804,6 +804,29 @@ def test_a_large_state_run_holds_two_states_and_one_density(spec):
     assert peak <= 2.5 * state.array.nbytes + 2**20
 
 
+def test_a_sample_batch_allocates_no_density():
+    # a run's sampler writes |psi|^2 into the one buffer evolve gives it, so a
+    # batch after the first allocates only ufunc buffers and marginals, well
+    # under a quarter of the 2 MiB density of one 64^3 state
+    spec = _spec3(64)
+    n = spec.shape[-1]
+    polys = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
+    sampler = _Sampler(spec, ("pos",) * 3, polys, boundary=True,
+                       density=np.empty((1, *spec.shape)))
+    blocks = [np.zeros((1, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
+    for block in blocks:
+        block[0, ..., :n] = gaussian_state(spec, {"x": 0.3}, WIDTH).array
+    first = sampler.measure_block(blocks[0])
+    tracemalloc.start()
+    try:
+        second = sampler.measure_block(blocks[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(second, first)
+    assert peak < 512 * 1024
+
+
 def test_a_stacked_run_copies_no_factor_of_its_plan():
     # the compare run's grid on (x, q): 64^2, tau = 0.1 stacked over 6
     # offsets, 1 000 steps, each one sampled.  Its factors come compiled as
