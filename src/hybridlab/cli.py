@@ -432,45 +432,65 @@ def _moment_columns(settings):
 def _grid_columns(settings):
     spec = settings.grid_spec
     means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
-    plan, stride = _grid_plan(settings.koopmanian, settings, means)
+    runs = _grid_plans(settings.koopmanian, settings, means)
     widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
     state = gaussian_state(spec, means, widths)
-    result = evolve(state, plan, settings.t_final, observers=settings.observers, stride=stride)
-    columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
-    resid = result.imag_residuals
-    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0,
-             "plan_tau": plan.dt, "plan_steps": int(round(settings.t_final / plan.dt)),
-             "plan_offsets": plan.offsets}
-    return columns, extra, result.final_state if settings.snapshot else None
-
-
-def _grid_plan(K, settings, means):
-    """The exact grid plan, and the evolve stride that samples at settings.times.
-
-    Exact steps are tau = dt * g / j, g = gcd(stride, steps), j the first split
-    compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
-    dt itself, down to dt / _MAX_SPLIT, so a large g costs no more compiles.
-    stride * j / g exact steps make a sample interval.  A run of more than
-    _MAX_GRID_STEPS exact steps is refused before compiling.  compile_exact
-    stacks the plan for the run from gaussian_state(spec, means,
-    _DEFAULT_WIDTH), and evolve steps as many samples at once as it has rows.
-    """
-    spec, g = settings.grid_spec, math.gcd(settings.stride, settings.steps)
-    splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
-    for j in splits:
-        exact_steps = settings.steps // g * j
-        if exact_steps > _MAX_GRID_STEPS:
-            raise ConfigError(
-                f"the grid run needs {_count_text(exact_steps)} exact steps of tau = "
-                f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
-            )
+    parts = []  # per run: norms, observer values and imaginary residuals
+    for plan, stride, t_final, _ in runs:
         try:
-            packet = (means, _DEFAULT_WIDTH, exact_steps)
-            return (compile_exact(K, spec, settings.dt * g / j, packet),
-                    settings.stride // g * j)
-        except NonSplittableTerm:
-            if j == splits[-1]:
+            result = evolve(state, plan, t_final, observers=settings.observers, stride=stride)
+        except BoxOverflow as exc:  # a last interval's evolve counts t from its own start
+            if not parts:
                 raise
+            head = str(exc).rpartition(" at t = ")[0]
+            raise BoxOverflow(f"{head} at t = {settings.times[-1]:g}") from None
+        skip = int(bool(parts))  # a later run starts at the sample the one before ended on
+        parts.append((result.norms[skip:], result.values[skip:], result.imag_residuals))
+        state = result.final_state
+    norms, values, resid = (np.concatenate(part) for part in zip(*parts))
+    columns = {"norm": norms, **dict(zip(result.labels, values.T))}
+    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0,
+             "plan_tau": runs[0][0].dt, "plan_steps": sum(steps for *_, steps in runs),
+             "plan_offsets": runs[0][0].offsets}
+    return columns, extra, state if settings.snapshot else None
+
+
+def _grid_plans(K, settings, means):
+    """One exact plan per sample-interval length, each with its evolve run.
+
+    The lengths are stride * dt for the run's whole intervals and, when the
+    stride does not divide the steps, (steps mod stride) * dt for its last.
+    An interval of g * dt takes j exact steps of g * dt / j, j the first split
+    compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
+    dt itself, down to dt / _MAX_SPLIT.  A run of more than _MAX_GRID_STEPS
+    exact steps over all plans is refused.  The first plan is stacked for the
+    run from gaussian_state(spec, means, _DEFAULT_WIDTH); the last interval's
+    has one offset.  Returns per run (plan, stride, t_final, exact steps).
+    """
+    spec = settings.grid_spec
+    whole, rest = divmod(settings.steps, settings.stride)
+    lengths = [(settings.stride, whole)] * bool(whole) + [(rest, 1)] * bool(rest)
+    runs, total = [], 0
+    for g, count in lengths:
+        splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
+        for j in splits:
+            steps = count * j
+            if total + steps > _MAX_GRID_STEPS:
+                raise ConfigError(
+                    f"the grid run needs {_count_text(total + steps)} exact steps of tau = "
+                    f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
+                )
+            try:
+                packet = None if runs else (means, _DEFAULT_WIDTH, steps)
+                plan = compile_exact(K, spec, settings.dt * g / j, packet)
+                break
+            except NonSplittableTerm:
+                if j == splits[-1]:
+                    raise
+        t_final = settings.t_final if len(lengths) == 1 else g * count * settings.dt
+        runs.append((plan, j, t_final, steps))
+        total += steps
+    return runs
 
 
 # Engine name -> table builder: (named sample columns at settings.times,

@@ -239,7 +239,8 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     standard deviation s; on the quantum axis it is the usual wave packet
     with position spread s (momentum spread 1/(2s)).  means/widths map
     axis labels to numbers (sequences aligned with the axes also work).
-    Raises OutOfBox unless |mean| + 4*width < half_extent per axis.
+    Raises OutOfBox unless |mean| + 4*width < half_extent per axis, and
+    ValueError when an axis's Gaussian underflows to 0 at every grid point.
     """
     means = _per_axis(spec, means, "means")
     widths = _per_axis(spec, widths, "widths")
@@ -255,8 +256,12 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
                 f"axis {ax.label!r}: |{mu}| + 4*{sigma} reaches the half extent "
                 f"{ax.half_extent}"
             )
-        g = np.exp(-((ax.positions() - mu) ** 2) / (4.0 * sigma**2))
-        g /= math.sqrt(float(g @ g) * ax.spacing)  # normalized on its own axis
+        with np.errstate(over="ignore"):  # a square past the float range weighs exp(-inf) = 0
+            g = np.exp(-((ax.positions() - mu) ** 2) / (4.0 * sigma**2))
+        norm = math.sqrt(float(g @ g) * ax.spacing)
+        if not norm > 0:
+            raise ValueError(f"axis {ax.label!r}: its Gaussian vanishes at every grid point")
+        g /= norm  # normalized on its own axis
         if i < len(spec.axes) - 1:
             head = np.multiply.outer(head, g)
     psi = np.multiply(head[..., None], g, out=np.empty(spec.shape, dtype=complex))

@@ -320,16 +320,14 @@ def test_sample_count_above_cap_exits_2(capsys, tmp_path):
     assert not (tmp_path / "cap").exists()
 
 
-_HUGE_STEPS = int(round(1 / 1e-300))  # the step count of --dt 1e-300 --t-final 1
-
-
 @pytest.mark.parametrize("argv, text", [
     (["compare", "--dt", "1e-300", "--t-final", "1"],
      "1e+300 steps at stride 10 make 1e+299 samples, more than the cap of 10000000"),
-    # a stride coprime to the step count: 2 samples, one exact step of dt each
-    (["simulate", "--engine", "grid", "--dt", "1e-300", "--t-final", "1",
-      "--stride", str(_HUGE_STEPS + 1)],
-     "needs 1e+300 exact steps of tau = 1e-300, more than the cap of 10000000"),
+    # one sample interval of 100: no split up to 16 compiles on the 64^3 grid,
+    # and the multiples of g split it down to tau = dt
+    (["simulate", "--engine", "grid", "--dt", "1e-300", "--t-final", "100",
+      "--stride", str(round(100 / 1e-300))],
+     "needs 1e+302 exact steps of tau = 1e-300, more than the cap of 10000000"),
 ])
 def test_counts_beyond_1e15_print_readably(capsys, tmp_path, argv, text):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "cap"))
@@ -340,20 +338,26 @@ def test_counts_beyond_1e15_print_readably(capsys, tmp_path, argv, text):
 
 
 def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
-    # 12 samples pass the sample cap, but a stride coprime to the 10**10 steps
-    # makes the exact plan step at tau = dt
+    # the split search may compile plans, but no state is built and nothing runs
     def refuse(*args, **kwargs):
         raise AssertionError("the grid engine started")
 
-    for name in ("compile_exact", "gaussian_state", "evolve"):
+    for name in ("gaussian_state", "evolve"):
         monkeypatch.setattr(cli, name, refuse)
-    code, _, err = run(
-        capsys, "simulate", "--engine", "grid", "--dt", "1e-9", "--t-final", "10",
-        "--stride", "999999999", "--out", str(tmp_path / "cap"),
-    )
-    assert code == 2
-    assert "needs 10000000000 exact steps of tau = 1e-09, more than the cap of 10000000" in err
-    assert not (tmp_path / "cap").exists()
+    for flags, text in [
+        # one sample interval of 100 that splits only down to tau = dt
+        (["--dt", "1e-9", "--t-final", "100", "--stride", "100000000000"],
+         "needs 100000000000 exact steps of tau = 1e-09"),
+        # 5 000 000 whole intervals of 1, two steps of tau = 0.5 each, reach the
+        # cap; the last interval of 0.5 passes it
+        (["--mode", "quantum-quantum", "--dt", "0.125", "--t-final", "5000000.5",
+          "--stride", "8"], "needs 10000001 exact steps of tau = 0.5"),
+    ]:
+        code, _, err = run(capsys, "simulate", "--engine", "grid", *flags,
+                           "--out", str(tmp_path / "cap"))
+        assert code == 2
+        assert f"{text}, more than the cap of 10000000" in err
+        assert not (tmp_path / "cap").exists()
 
 
 def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
@@ -711,7 +715,8 @@ def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
 
 
 def test_a_run_with_no_exact_plan_stops_after_few_compiles(capsys, tmp_path, monkeypatch):
-    # stride 1000 past 100 steps: g = 100, yet the splits tried stay at 2 * _MAX_SPLIT
+    # stride 1000 past 100 steps: one last interval of g = 100 steps, yet the
+    # splits tried stay at 2 * _MAX_SPLIT
     calls = []
 
     def counted(*args):
@@ -1074,8 +1079,6 @@ def test_benchmark_tracer_entry_points_resolve(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("grid_n, dt, t_final, every, tau, stride", [
-    # 25 steps with stride 10: tau = 5 dt, sampled every 2 steps of tau
-    (32, 0.01, 0.25, 10, 0.05, 2),
     # tau = 10 dt = 1 breaks the p chirp's sampling bound at N = 64, so it splits in two
     (64, 0.1, 2.0, 10, 0.5, 2),
 ])
@@ -1106,19 +1109,78 @@ def test_exact_plan_keeps_the_sample_times(capsys, tmp_path, monkeypatch, grid_n
     assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] < 1e-10
 
 
+def test_an_off_stride_run_steps_each_interval_length_by_its_own_plan(capsys, tmp_path,
+                                                                      monkeypatch):
+    # 25 steps with stride 10: two intervals of tau = 10 dt, one evolve from the
+    # packet; then the last interval of 5 dt, one step from where that run ended
+    seen = []
+    original = cli.evolve
+
+    def recording(*args, **kwargs):
+        seen.append((args[1].dt, kwargs["stride"], args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", recording)
+    out_dir = tmp_path / "tau"
+    code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", "--mean", "q=0.3",
+                     "--grid-n", "32", "--dt", "0.01", "--t-final", "0.25", "--out", str(out_dir))
+    assert code == 0
+    assert seen == [(0.1, 1, 0.2), (0.05, 1, 0.05)]
+    _, mcols = read_csv(out_dir / "moments.csv")
+    _, gcols = read_csv(out_dir / "grid.csv")
+    marks, _ = sample_steps(0.25, 0.01, 10)
+    assert np.array_equal(gcols["t"], marks * 0.01) and np.array_equal(mcols["t"], gcols["t"])
+    report = json.loads((out_dir / "report-grid.json").read_text())
+    assert (report["plan_tau"], report["plan_steps"]) == (0.1, 3)
+    assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] < 1e-10
+
+
+def test_an_off_stride_snapshot_is_the_state_at_t_final(capsys, tmp_path):
+    # stride 10 over 25 steps ends on the last interval's plan, stride 5 on its one plan
+    argv = ["simulate", "--engine", "grid", "--mode", "quantum-quantum", "--mean", "q=0.3",
+            "--grid-n", "64", "--dt", "0.01", "--t-final", "0.25", "--snapshot"]
+    for stride in ("10", "5"):
+        assert run(capsys, *argv, "--stride", stride, "--out", str(tmp_path / stride))[0] == 0
+    for keep in ("x", "q"):
+        off, on = (grid.load_snapshot(tmp_path / stride / f"marginal-{keep}.bin")[3]
+                   for stride in ("10", "5"))
+        assert np.max(np.abs(off - on)) <= 1e-12
+
+
+def test_a_stride_coprime_to_the_steps_takes_few_exact_steps(capsys, tmp_path):
+    # 10 000 steps of 1e-5 at stride 9973: one interval of 9973 dt and a last one
+    # of 27 dt.  10 000 exact steps of tau = dt drift 4.2e-10 from the moment engine
+    out_dir = tmp_path / "coprime"
+    code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", "--grid-n", "32",
+                     "--t-final", "0.1", "--dt", "1e-5", "--stride", "9973", "--out", str(out_dir))
+    assert code == 0
+    report = json.loads((out_dir / "report-grid.json").read_text())
+    assert report["plan_steps"] <= 2 * cli._MAX_SPLIT
+    assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] <= 1e-12
+
+
+def test_a_box_overflow_in_the_last_interval_names_the_run_time(capsys, tmp_path):
+    # the 16^3 hybrid packet reaches the x edge between t = 0.1 and 0.15
+    code, _, err = run(capsys, "simulate", "--engine", "grid", "--grid-n", "16",
+                       "--t-final", "0.15", "--out", str(tmp_path / "over"))
+    assert code == 1
+    assert re.search(r"axis 'x' holds \S+ probability mass .* at t = 0\.15$", err.strip())
+    assert not (tmp_path / "over").exists()
+
+
 def test_a_stacked_grid_run_samples_where_a_one_offset_run_does(capsys, tmp_path, monkeypatch):
-    # 105 steps of dt at stride 10: tau = 5 dt, and 12 marks two steps of tau apart
-    # but the last, one step after the one before.  A 64^2 block holds 8 states and
-    # all 8 offsets compile: a stack of 8, a partial one of 2, then the tail
+    # 105 steps of dt at stride 10: ten intervals of tau = 10 dt, stepped by a
+    # plan of 6 offsets as a stack of 6 and one of 4, then a last interval of
+    # 5 dt by a plan of its own
     argv = ["compare", "--mode", "quantum-quantum", "--mean", "q=0.3", "--t-final", "1.05",
             "--stride", "10"]
     assert run(capsys, *argv, "--out", str(tmp_path / "stacked"))[0] == 0
     monkeypatch.setattr(grid, "_block_states", lambda spec: 1)
     assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
     tables = {}
-    for name, offsets in (("stacked", 8), ("one", 1)):
+    for name, offsets in (("stacked", 6), ("one", 1)):
         report = json.loads((tmp_path / name / "report-grid.json").read_text())
-        assert (report["plan_tau"], report["plan_steps"], report["plan_offsets"]) == (0.05, 21,
+        assert (report["plan_tau"], report["plan_steps"], report["plan_offsets"]) == (0.1, 11,
                                                                                      offsets)
         assert json.loads((tmp_path / name / "compare.json").read_text())["max_deviation"] < 1e-12
         tables[name] = read_csv(tmp_path / name / "grid.csv")[1]

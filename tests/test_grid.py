@@ -142,6 +142,19 @@ def test_gaussian_state_rejects_non_finite():
             gaussian_state(_spec1(), means, widths)
 
 
+def test_gaussian_state_refuses_a_gaussian_that_vanishes_on_its_grid():
+    # width 1e-3 around 0.1 on a spacing of 0.25: every sample underflows to 0
+    with pytest.raises(ValueError, match="axis 'q'.*vanishes at every grid point"):
+        gaussian_state(_qq_spec(), {"q": 0.1}, 1e-3)
+
+
+def test_gaussian_state_weighs_positions_past_the_float_range_as_zero():
+    # the squares of +-1e300 overflow; the packet sits on the one sample at 0
+    state = gaussian_state(GridSpec((AxisSpec("q", 1e300, 8),)), {"q": 0.0}, 1.0)
+    assert np.count_nonzero(state.array) == 1 and state.array[4] != 0
+    assert state.norm() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_gaussian_state_sequence_arguments():
     spec = _spec2(32)
     a = gaussian_state(spec, {"x": 0.5, "y": -0.25}, {"x": 0.6, "y": 0.9})
@@ -586,6 +599,29 @@ def test_a_stacked_run_matches_the_one_offset_run_and_the_moment_engine(t_final,
     # each mark is K times fewer steps from t = 0: no further from the moment engine
     worst = _moment_deviation(stacked, "quantum-quantum", means, observers)
     assert worst <= 1e-3 and worst <= _moment_deviation(one, "quantum-quantum", means, observers)
+
+
+def test_a_stacked_run_samples_marks_at_two_spacings_where_a_one_offset_run_does(monkeypatch):
+    # 21 steps of tau = 0.05 at stride 2: marks 0, 2, ..., 20 and then 21, one step
+    # after the one before.  A 64^2 block holds 8 states and all 8 offsets
+    # compile: a stack of 8, a partial one of 2, then the one-step tail
+    spec = _qq_spec()
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    means = {"q": 0.3}
+    state = gaussian_state(spec, means, WIDTH)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    plan = compile_exact(K, spec, 0.05, (means, WIDTH, 21))
+    assert plan.offsets == 8
+    stacked = evolve(state, plan, 1.05, observers=observers, stride=2)
+    monkeypatch.setattr(grid, "_block_states", lambda spec: 1)
+    plan = compile_exact(K, spec, 0.05, (means, WIDTH, 21))
+    assert plan.offsets == 1
+    one = evolve(state, plan, 1.05, observers=observers, stride=2)
+    assert np.array_equal(stacked.times, 0.05 * np.array([*range(0, 21, 2), 21]))
+    assert np.array_equal(stacked.times, one.times)
+    assert np.max(np.abs(stacked.values - one.values)) <= 1e-12
+    assert np.max(np.abs(stacked.norms - one.norms)) <= 1e-12
+    assert np.max(np.abs(stacked.final_state.array - one.final_state.array)) <= 1e-12
 
 
 def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
