@@ -10,11 +10,11 @@ main(argv) may be called any number of times in one process: the parser is
 built on the first call and reused, and each call parses into a fresh
 namespace, so no option carries over from one call to the next.
 
-simulate and compare share one runner: each engine is a table builder that
-returns its named sample columns.  The runner writes nothing until every
-engine has finished, so an engine that fails leaves no files; then it writes
-spectrum.json once and per engine the CSV and a report derived from that CSV
-as read back.
+simulate and compare share one runner.  grid.plan_run plans, or refuses, a
+grid run while the inputs are validated, before either engine runs.  Each
+engine is a table builder that returns its named sample columns; the runner
+writes nothing until every engine has finished, then writes spectrum.json
+once and per engine the CSV and a report derived from that CSV as read back.
 """
 
 from __future__ import annotations
@@ -51,14 +51,13 @@ from .grid import (
     GridSpec,
     NonSplittableTerm,
     OutOfBox,
+    RunTooLarge,
     UnknownAxis,
-    _count_text,
-    _run_bytes,
-    compile_exact,
     compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
     evolve,
     gaussian_state,
     marginal_density,
+    plan_run,
     sample_steps,
     save_snapshot,
     set_workers,  # not called here: a no-op that perfbench's tracer still wraps
@@ -96,8 +95,6 @@ class NonFiniteOutput(Exception):
 
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
-_MAX_SPLIT = 16  # the exact plan's tau may go down to dt / _MAX_SPLIT
-_MAX_GRID_STEPS = 10**7  # exact grid steps a run may take; more is refused up front
 _MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
 
 
@@ -326,27 +323,20 @@ def _simulation_settings(args):
     binding = _binding(args, k)
     koopmanian = None if mode == "classical-classical" else benchmark.mode_koopmanian(mode, k)
     observers = _observer_list(args, mode, k, binding, koopmanian)
-    if grid_spec is not None:  # refuse a run beyond physical memory before any array exists
-        need = _run_bytes(grid_spec, observers)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ConfigError(
-                f"a {len(grid_spec.axes)}-axis grid of {grid_n} points per axis needs about "
-                f"{need} bytes, more than the {have} bytes of physical memory"
-            )
+    grid_means, grid_runs = None, None
+    if grid_spec is not None:  # every grid refusal happens here, before either engine runs
+        grid_means = {lbl: means.get(lbl, 0.0) for lbl in grid_spec.labels}
+        grid_runs = plan_run(koopmanian, grid_spec, dt, t_final, steps, stride, grid_means,
+                             _DEFAULT_WIDTH, observers)
     return argparse.Namespace(
-        mode=mode,
-        k=k,
         engines=engines,
-        koopmanian=koopmanian,
         generator=benchmark.mode_generator_matrix(mode, k, koopmanian),
-        dt=dt,
-        t_final=t_final,
         stride=stride,
         steps=steps,
         grid_spec=grid_spec,
+        grid_means=grid_means,
+        grid_runs=grid_runs,
         moment_state=moment_state,
-        means=means,
         out_dir=out_dir,
         observers=observers,
         times=marks * dt,
@@ -430,11 +420,8 @@ def _moment_columns(settings):
 
 
 def _grid_columns(settings):
-    spec = settings.grid_spec
-    means = {lbl: settings.means.get(lbl, 0.0) for lbl in spec.labels}
-    runs = _grid_plans(settings.koopmanian, settings, means)
-    widths = {lbl: _DEFAULT_WIDTH for lbl in spec.labels}
-    state = gaussian_state(spec, means, widths)
+    runs = settings.grid_runs
+    state = gaussian_state(settings.grid_spec, settings.grid_means, _DEFAULT_WIDTH)
     parts = []  # per run: norms, observer values and imaginary residuals
     for plan, stride, t_final, _ in runs:
         try:
@@ -453,44 +440,6 @@ def _grid_columns(settings):
              "plan_tau": runs[0][0].dt, "plan_steps": sum(steps for *_, steps in runs),
              "plan_offsets": runs[0][0].offsets}
     return columns, extra, state if settings.snapshot else None
-
-
-def _grid_plans(K, settings, means):
-    """One exact plan per sample-interval length, each with its evolve run.
-
-    The lengths are stride * dt for the run's whole intervals and, when the
-    stride does not divide the steps, (steps mod stride) * dt for its last.
-    An interval of g * dt takes j exact steps of g * dt / j, j the first split
-    compile_exact accepts: 1 to _MAX_SPLIT, then the multiples of g that split
-    dt itself, down to dt / _MAX_SPLIT.  A run of more than _MAX_GRID_STEPS
-    exact steps over all plans is refused.  The first plan is stacked for the
-    run from gaussian_state(spec, means, _DEFAULT_WIDTH); the last interval's
-    has one offset.  Returns per run (plan, stride, t_final, exact steps).
-    """
-    spec = settings.grid_spec
-    whole, rest = divmod(settings.steps, settings.stride)
-    lengths = [(settings.stride, whole)] * bool(whole) + [(rest, 1)] * bool(rest)
-    runs, total = [], 0
-    for g, count in lengths:
-        splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
-        for j in splits:
-            steps = count * j
-            if total + steps > _MAX_GRID_STEPS:
-                raise ConfigError(
-                    f"the grid run needs {_count_text(total + steps)} exact steps of tau = "
-                    f"{settings.dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
-                )
-            try:
-                packet = None if runs else (means, _DEFAULT_WIDTH, steps)
-                plan = compile_exact(K, spec, settings.dt * g / j, packet)
-                break
-            except NonSplittableTerm:
-                if j == splits[-1]:
-                    raise
-        t_final = settings.t_final if len(lengths) == 1 else g * count * settings.dt
-        runs.append((plan, j, t_final, steps))
-        total += steps
-    return runs
 
 
 # Engine name -> table builder: (named sample columns at settings.times,
@@ -786,6 +735,7 @@ _CONFIG_EXIT_2 = (
     NonlinearDynamics,
     DegreeTooHigh,
     NonSplittableTerm,
+    RunTooLarge,
     UnknownAxis,
     OutOfBox,
 )

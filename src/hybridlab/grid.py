@@ -61,6 +61,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -77,6 +78,7 @@ __all__ = [
     "NonSplittableTerm",
     "UnknownAxis",
     "BoxOverflow",
+    "RunTooLarge",
     "AxisSpec",
     "GridSpec",
     "GridState",
@@ -86,6 +88,7 @@ __all__ = [
     "compile_splitting",
     "compile_exact",
     "sample_steps",
+    "plan_run",
     "evolve",
     "grid_expectation",
     "marginal_density",
@@ -119,6 +122,10 @@ class UnknownAxis(Exception):
 
 class BoxOverflow(Exception):
     """Probability mass reached the box boundary; the run is unreliable."""
+
+
+class RunTooLarge(Exception):
+    """A run would take more exact steps, or more bytes, than it may."""
 
 
 # Vestiges kept for the benchmark's tracer and worker, which read them: each
@@ -782,6 +789,8 @@ class EvolutionResult:
 
 
 _MAX_SAMPLES = 10**7
+_MAX_SPLIT = 16  # an exact plan's tau may go down to dt / _MAX_SPLIT
+_MAX_GRID_STEPS = 10**7  # exact steps a run may take; more is refused up front
 
 
 def _count_text(count: int) -> str:
@@ -793,15 +802,15 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     """Sampled step indices and step count of a run of t_final in steps of dt.
 
     t_final must be a whole number of |dt| steps (the sign of dt is the
-    direction of time).  Every `stride`-th step is sampled, and so are
-    step 0 and the last step.  More than 10**7 samples is refused before
-    any array is allocated.
+    direction of time), to 1e-9 steps or 1e-14 of the count if more (its
+    rounding grows with it).  Every `stride`-th step is sampled, and so are
+    step 0 and the last step.  More than 10**7 samples is refused up front.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     steps_float = t_final / abs(dt)
     steps = int(round(steps_float)) if math.isfinite(steps_float) else 0
-    if steps < 1 or abs(steps_float - steps) > 1e-9:
+    if steps < 1 or abs(steps_float - steps) > max(1e-9, 1e-14 * steps):
         raise ValueError(
             f"t_final = {t_final} is not a positive whole number of dt = {dt} steps"
         )
@@ -871,6 +880,47 @@ def _run_bytes(spec: GridSpec, observers) -> int:
             marginal = math.prod(n for n, r in zip(spec.shape, rep) if r is not None)
             rows += [marginal] * ((coeff.real != 0) + (coeff.imag != 0))
     return need + 8 * (sum(rows) + 2 * max(rows))
+
+
+def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, t_final: float, steps: int,
+             stride: int, means, width, observers) -> list[tuple]:
+    """One exact plan per sample-interval length of a run, or its refusal before any array.
+
+    The run is sample_steps(t_final, dt, stride)'s from gaussian_state(spec, means,
+    width).  RunTooLarge refuses it, before any compile, when its arrays (_run_bytes)
+    exceed physical memory, then past _MAX_GRID_STEPS exact steps.  An interval of
+    g * dt (stride, and steps mod stride for a last one off the stride) takes j steps
+    of g * dt / j, j the first split that compiles: 1 to _MAX_SPLIT, then multiples of
+    g down to dt / _MAX_SPLIT, else NonSplittableTerm.  The first plan is stacked for
+    the packet.  Returns (plan, stride, t_final, exact steps) per run, to evolve in turn.
+    """
+    need = _run_bytes(spec, observers)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        points = "/".join(map(str, sorted(set(spec.shape))))
+        raise RunTooLarge(f"a {len(spec.axes)}-axis grid of {points} points per axis needs "
+                          f"about {need} bytes, more than the {have} bytes of physical memory")
+    whole, rest = divmod(steps, stride)
+    lengths = [(stride, whole)] * bool(whole) + [(rest, 1)] * bool(rest)
+    runs, total = [], 0
+    for g, count in lengths:
+        splits = sorted({*range(1, _MAX_SPLIT + 1), *range(g, _MAX_SPLIT * g + 1, g)})
+        for j in splits:
+            exact = count * j
+            if total + exact > _MAX_GRID_STEPS:
+                raise RunTooLarge(
+                    f"the grid run needs {_count_text(total + exact)} exact steps of tau = "
+                    f"{dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
+                )
+            try:
+                plan = compile_exact(k_op, spec, dt * g / j, None if runs else (means, width, exact))
+                break
+            except NonSplittableTerm:
+                if j == splits[-1]:
+                    raise
+        runs.append((plan, j, t_final if len(lengths) == 1 else g * count * dt, exact))
+        total += exact
+    return runs
 
 
 def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):

@@ -360,13 +360,33 @@ def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, m
         assert not (tmp_path / "cap").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid-n", "8", "--grid-l", "1e300"],  # no split compiles an exact plan
+    ["--dt", "1e-9", "--t-final", "100", "--stride", "100000000000"],  # past the step cap
+    ["--mode", "quantum-quantum", "--dt", "0.125", "--t-final", "5000000.5", "--stride", "8"],
+    ["--grid-n", "4096"],  # past physical memory
+], ids=["no-exact-plan", "step-cap", "step-cap-last-interval", "memory"])
+def test_a_refused_grid_run_does_no_engine_work(capsys, tmp_path, monkeypatch, flags):
+    calls = []
+    for name in ("propagate_moments", "classify_spectrum"):
+        def refuse(*args, _name=name, **kwargs):
+            calls.append(_name)
+            raise AssertionError(f"{_name} ran")
+
+        monkeypatch.setattr(cli, name, refuse)
+    code, _, err = run(capsys, "compare", *flags, "--out", str(tmp_path / "refused"))
+    assert (code, calls) == (2, [])
+    assert err.startswith("configuration error: ")
+    assert not (tmp_path / "refused").exists()
+
+
 def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
     # 4096^3 complex amplitudes are 1 TiB for the state alone
     def refuse(*args, **kwargs):
         raise AssertionError("the grid engine started")
 
-    for name in ("compile_exact", "gaussian_state"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(grid, "compile_exact", refuse)
+    monkeypatch.setattr(cli, "gaussian_state", refuse)
     code, _, err = run(
         capsys, "simulate", "--engine", "grid", "--grid-n", "4096", "--out", str(tmp_path / "big"),
     )
@@ -723,13 +743,13 @@ def test_a_run_with_no_exact_plan_stops_after_few_compiles(capsys, tmp_path, mon
         calls.append(args[2])
         return compile_exact(*args)
 
-    monkeypatch.setattr(cli, "compile_exact", counted)
+    monkeypatch.setattr(grid, "compile_exact", counted)
     code, _, err = run(capsys, "simulate", "--engine", "grid", "--grid-n", "8", "--grid-l", "1e300",
                        "--dt", "0.01", "--t-final", "1", "--stride", "1000",
                        "--out", str(tmp_path / "none"))
     assert code == 2 and "a chirp's phase steps" in err
-    assert len(calls) <= 2 * cli._MAX_SPLIT
-    assert calls[0] == 1.0 and calls[-1] == 0.01 / cli._MAX_SPLIT
+    assert len(calls) <= 2 * grid._MAX_SPLIT
+    assert calls[0] == 1.0 and calls[-1] == 0.01 / grid._MAX_SPLIT
     assert not (tmp_path / "none").exists()
 
 
@@ -1155,7 +1175,7 @@ def test_a_stride_coprime_to_the_steps_takes_few_exact_steps(capsys, tmp_path):
                      "--t-final", "0.1", "--dt", "1e-5", "--stride", "9973", "--out", str(out_dir))
     assert code == 0
     report = json.loads((out_dir / "report-grid.json").read_text())
-    assert report["plan_steps"] <= 2 * cli._MAX_SPLIT
+    assert report["plan_steps"] <= 2 * grid._MAX_SPLIT
     assert json.loads((out_dir / "compare.json").read_text())["max_deviation"] <= 1e-12
 
 
@@ -1200,7 +1220,7 @@ def test_a_grid_run_stacks_only_where_its_chirped_states_stay_in_the_box(capsys,
     # run, compiled without the packet, does in the same ring
     argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "32", "--t-final", "100"]
     assert run(capsys, *argv, "--out", str(tmp_path / "run"))[0] == 0
-    monkeypatch.setattr(cli, "compile_exact",
+    monkeypatch.setattr(grid, "compile_exact",
                         lambda K, spec, tau, packet: compile_exact(K, spec, tau))
     assert run(capsys, *argv, "--out", str(tmp_path / "one"))[0] == 0
     deviation = {}

@@ -406,6 +406,16 @@ def test_evolution_norm_and_sampling():
     assert np.max(result.imag_residuals) < 1e-12
 
 
+def test_sample_steps_tolerance_grows_with_the_step_count():
+    # 316886.364 / (12 * 0.003) rounds 1.9e-9 steps off the whole count 8 802 399,
+    # past an absolute tolerance of 1e-9; half a step stays refused up to 5e13 steps
+    tau = 0.003 * 12
+    assert sample_steps(316886.364, tau, 1)[1] == 8_802_399
+    for n in (10, 10**7, 10**12):
+        with pytest.raises(ValueError, match="whole number"):
+            sample_steps((n + 0.5) * tau, tau, 1)
+
+
 def test_evolution_validates_inputs():
     spec = _spec1(32)
     plan = compile_splitting(quantum_energy(), spec, 0.01)

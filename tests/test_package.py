@@ -96,6 +96,18 @@ def _imported_modules(path: Path) -> list[tuple[str, int]]:
     return found
 
 
+def test_cli_imports_only_public_grid_names():
+    path = Path(hybridlab.__file__).resolve().parent / "cli.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "grid"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_runtime_imports_only_stdlib_and_numpy():
     package = Path(hybridlab.__file__).resolve().parent
     allowed = set(sys.stdlib_module_names) | {"numpy"}
