@@ -11,7 +11,8 @@ built on the first call and reused, and each call parses into a fresh
 namespace, so no option carries over from one call to the next.
 
 simulate and compare share one runner.  grid.plan_run plans, or refuses, a
-grid run while the inputs are validated, before either engine runs.  Each
+grid run, and gaussian_state its initial state (outside the box, vanishing on
+the grid), while the inputs are validated, before either engine runs.  Each
 engine is a table builder that returns its named sample columns; the runner
 writes nothing until every engine has finished, then writes spectrum.json
 once and per engine the CSV and a report derived from that CSV as read back.
@@ -200,8 +201,6 @@ def _coupling_of(args) -> Fraction:
     raw = getattr(args, "k", None)
     if raw is None:
         return Fraction(1, 5)
-    if isinstance(raw, Fraction):
-        return raw
     return _parse_fraction(raw)
 
 
@@ -309,32 +308,31 @@ def _simulation_settings(args):
     for name in means:
         if name not in ("q", "x", "y"):
             raise ConfigError(f"--mean supports q, x, y; got {name!r}")
-    # The engines' own constructors validate these inputs with ValueError.
-    try:
-        marks, steps = sample_steps(t_final, dt, stride)
-        grid_spec = _grid_spec_for(mode, grid_l, grid_n) if "grid" in engines else None
-        moment_state = (
-            benchmark.default_moment_state(means) if "moments" in engines else None
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     out_dir = _required(args, "out", "hybridlab-run")
     _parse_bool(_required(args, "deterministic", False))  # validated; runs are always reproducible
     binding = _binding(args, k)
     koopmanian = None if mode == "classical-classical" else benchmark.mode_koopmanian(mode, k)
     observers = _observer_list(args, mode, k, binding, koopmanian)
-    grid_means, grid_runs = None, None
-    if grid_spec is not None:  # every grid refusal happens here, before either engine runs
-        grid_means = {lbl: means.get(lbl, 0.0) for lbl in grid_spec.labels}
-        grid_runs = plan_run(koopmanian, grid_spec, dt, t_final, steps, stride, grid_means,
-                             _DEFAULT_WIDTH, observers)
+    # The engines' own constructors validate these inputs with ValueError.  Every grid
+    # refusal happens here, before either engine runs, and the plan's before any array.
+    try:
+        marks, steps = sample_steps(t_final, dt, stride)
+        moment_state = benchmark.default_moment_state(means) if "moments" in engines else None
+        grid_runs = grid_state = None
+        if "grid" in engines:
+            spec = _grid_spec_for(mode, grid_l, grid_n)
+            grid_means = {lbl: means.get(lbl, 0.0) for lbl in spec.labels}
+            grid_runs = plan_run(koopmanian, spec, dt, steps, stride, grid_means,
+                                 _DEFAULT_WIDTH, observers)
+            grid_state = gaussian_state(spec, grid_means, _DEFAULT_WIDTH)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return argparse.Namespace(
         engines=engines,
         generator=benchmark.mode_generator_matrix(mode, k, koopmanian),
         stride=stride,
         steps=steps,
-        grid_spec=grid_spec,
-        grid_means=grid_means,
+        grid_state=grid_state,
         grid_runs=grid_runs,
         moment_state=moment_state,
         out_dir=out_dir,
@@ -420,12 +418,11 @@ def _moment_columns(settings):
 
 
 def _grid_columns(settings):
-    runs = settings.grid_runs
-    state = gaussian_state(settings.grid_spec, settings.grid_means, _DEFAULT_WIDTH)
+    runs, state = settings.grid_runs, settings.grid_state
     parts = []  # per run: norms, observer values and imaginary residuals
-    for plan, stride, t_final, _ in runs:
+    for plan, stride, steps in runs:
         try:
-            result = evolve(state, plan, t_final, observers=settings.observers, stride=stride)
+            result = evolve(state, plan, steps * plan.dt, settings.observers, stride=stride)
         except BoxOverflow as exc:  # a last interval's evolve counts t from its own start
             if not parts:
                 raise

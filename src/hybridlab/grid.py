@@ -808,6 +808,8 @@ def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, in
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
     steps_float = t_final / abs(dt)
     steps = int(round(steps_float)) if math.isfinite(steps_float) else 0
     if steps < 1 or abs(steps_float - steps) > max(1e-9, 1e-14 * steps):
@@ -882,17 +884,18 @@ def _run_bytes(spec: GridSpec, observers) -> int:
     return need + 8 * (sum(rows) + 2 * max(rows))
 
 
-def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, t_final: float, steps: int,
-             stride: int, means, width, observers) -> list[tuple]:
+def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, stride: int,
+             means, width, observers) -> list[tuple]:
     """One exact plan per sample-interval length of a run, or its refusal before any array.
 
-    The run is sample_steps(t_final, dt, stride)'s from gaussian_state(spec, means,
+    The run is sample_steps's `steps` steps of dt from gaussian_state(spec, means,
     width).  RunTooLarge refuses it, before any compile, when its arrays (_run_bytes)
     exceed physical memory, then past _MAX_GRID_STEPS exact steps.  An interval of
     g * dt (stride, and steps mod stride for a last one off the stride) takes j steps
     of g * dt / j, j the first split that compiles: 1 to _MAX_SPLIT, then multiples of
     g down to dt / _MAX_SPLIT, else NonSplittableTerm.  The first plan is stacked for
-    the packet.  Returns (plan, stride, t_final, exact steps) per run, to evolve in turn.
+    the packet.  Returns (plan, stride, exact steps) per run: evolve each in turn for
+    its exact steps times plan.dt.
     """
     need = _run_bytes(spec, observers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -918,7 +921,7 @@ def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, t_final: float
             except NonSplittableTerm:
                 if j == splits[-1]:
                     raise
-        runs.append((plan, j, t_final if len(lengths) == 1 else g * count * dt, exact))
+        runs.append((plan, j, exact))
         total += exact
     return runs
 

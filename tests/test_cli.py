@@ -310,6 +310,11 @@ def test_sample_count_above_cap_is_refused(t_final, dt, stride, samples):
         sample_steps(t_final, dt, stride)
 
 
+def test_sample_steps_refuses_a_zero_step():
+    with pytest.raises(ValueError, match="dt must be nonzero"):
+        sample_steps(1.0, 0.0, 1)
+
+
 def test_sample_count_above_cap_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--engine", "moments", "--dt", "1e-6", "--t-final", "20",
@@ -365,7 +370,12 @@ def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, m
     ["--dt", "1e-9", "--t-final", "100", "--stride", "100000000000"],  # past the step cap
     ["--mode", "quantum-quantum", "--dt", "0.125", "--t-final", "5000000.5", "--stride", "8"],
     ["--grid-n", "4096"],  # past physical memory
-], ids=["no-exact-plan", "step-cap", "step-cap-last-interval", "memory"])
+    ["--mean", "q=7.9"],  # the initial state reaches the box edge
+    ["--mode", "quantum-quantum", "--grid-n", "8", "--grid-l", "400", "--dt", "0.0001",
+     "--stride", "1", "--t-final", "0.0001", "--mean", "x=50"],  # it vanishes on the grid
+    ["--observer", "qp=q*p"],  # an observer no sampler can measure
+], ids=["no-exact-plan", "step-cap", "step-cap-last-interval", "memory", "mean-out-of-box",
+        "vanishing-state", "unsplittable-observer"])
 def test_a_refused_grid_run_does_no_engine_work(capsys, tmp_path, monkeypatch, flags):
     calls = []
     for name in ("propagate_moments", "classify_spectrum"):
