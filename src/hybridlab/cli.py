@@ -11,18 +11,18 @@ built on the first call and reused, and each call parses into a fresh
 namespace, so no option carries over from one call to the next.
 
 simulate and compare share one runner.  grid.plan_run plans, or refuses, a
-grid run, and gaussian_state its initial state (outside the box, vanishing on
-the grid), while the inputs are validated, before either engine runs.  Each
-engine is a table builder that returns its named sample columns; the runner
-writes nothing until every engine has finished, then writes spectrum.json
-once and per engine the CSV and a report derived from that CSV as read back.
+grid run, and gaussian_state its initial state (over the box's edge-mass
+rule, vanishing on the grid), while the inputs are validated, before either
+engine runs.  Each engine is a table builder that returns its named sample
+columns; the runner writes nothing until every engine has finished, then
+writes spectrum.json once and per engine the CSV and a report derived from
+that CSV as read back.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import os
 import sys
@@ -76,11 +76,12 @@ from .moments import (
     quadratic_expectation,
 )
 from .reporting import (
-    RunReport,
     aggregate_reports,
+    format_number,
     read_csv,  # not called here: perfbench's tracer wraps cli.read_csv
     write_atomic,
     write_csv,
+    write_json,
 )
 
 __all__ = ["main"]
@@ -241,10 +242,6 @@ def _explicit_generator(args, binding: ParameterBinding) -> OperatorPolynomial |
     if ham is not None:
         return hybridize(parse_polynomial(ham, binding))
     return None
-
-
-def _write_json(path: str, data) -> None:
-    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _spectrum_summary(report) -> str:
@@ -444,12 +441,12 @@ def _grid_columns(settings):
 _ENGINES = {"moments": _moment_columns, "grid": _grid_columns}
 
 
-def _run_engines(settings) -> list[tuple[RunReport, dict]]:
+def _run_engines(settings) -> list[tuple[dict, dict]]:
     """Run every engine, then write <engine>.csv and report-<engine>.json.
 
-    Returns each engine's report with its CSV's columns.  The CSV holds
-    every float to 17 significant digits, which round-trips it, so these
-    in-memory columns equal the file's bit for bit.
+    Returns each engine's report, as written, with its CSV's columns.  The
+    CSV holds every float to 17 significant digits, which round-trips it, so
+    these in-memory columns equal the file's bit for bit.
     """
     spectrum = classify_spectrum(settings.generator)
     tables = {}
@@ -465,7 +462,7 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
     out_dir = settings.out_dir
     os.makedirs(out_dir, exist_ok=True)
     spectrum_path = os.path.join(out_dir, "spectrum.json")
-    _write_json(spectrum_path, spectrum.to_dict())
+    write_json(spectrum_path, spectrum.to_dict())
     spectrum_summary = _spectrum_summary(spectrum)
     runs = []
     for engine, (columns, extra, snapshot_state, seconds) in tables.items():
@@ -475,17 +472,17 @@ def _run_engines(settings) -> list[tuple[RunReport, dict]]:
         csv_path = os.path.join(out_dir, f"{engine}.csv")
         written = {"t": settings.times, **columns}
         write_csv(csv_path, list(written), list(written.values()))
-        report = RunReport(
-            config=settings.config_echo,
-            engine=engine,
-            csv_path=csv_path,
-            spectrum_path=spectrum_path,
-            spectrum_summary=spectrum_summary,
-            wall_seconds=seconds + time.perf_counter() - t0,
-            extra=extra,
+        report = {
+            "config": settings.config_echo,
+            "engine": engine,
+            "csv_path": csv_path,
+            "spectrum_path": spectrum_path,
+            "spectrum_summary": spectrum_summary,
+            "wall_seconds": seconds + time.perf_counter() - t0,
             **_report_numbers(written),
-        )
-        report.write(os.path.join(out_dir, f"report-{engine}.json"))
+            **extra,
+        }
+        write_json(os.path.join(out_dir, f"report-{engine}.json"), report)
         runs.append((report, written))
     return runs
 
@@ -565,22 +562,23 @@ def _cmd_spectrum(args) -> int:
     print("secular growth:", "yes" if report.secular else "no")
     json_path = getattr(args, "json", None)
     if json_path:
-        _write_json(json_path, report.to_dict())
+        write_json(json_path, report.to_dict())
         print(f"wrote {json_path}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     for report, _ in _run_engines(_simulation_settings(args)):
-        print(f"[{report.engine}] wrote {report.csv_path}")
-        if report.norm_drift is not None:
-            print(f"[{report.engine}] norm drift {report.norm_drift:.3e}")
-        if report.koopmanian_drift is not None:
-            print(f"[{report.engine}] K drift {report.koopmanian_drift:.3e}")
-        if report.envelope:
+        engine, envelope = report["engine"], report["envelope"]
+        print(f"[{engine}] wrote {report['csv_path']}")
+        if report["norm_drift"] is not None:
+            print(f"[{engine}] norm drift {report['norm_drift']:.3e}")
+        if report["koopmanian_drift"] is not None:
+            print(f"[{engine}] K drift {report['koopmanian_drift']:.3e}")
+        if envelope:
             print(
-                f"[{report.engine}] sqrt(q2) envelope degree {report.envelope['degree']} "
-                f"(residual {report.envelope['relative_residual']:.2e})"
+                f"[{engine}] sqrt(q2) envelope degree {envelope['degree']} "
+                f"(residual {envelope['relative_residual']:.2e})"
             )
     return 0
 
@@ -597,7 +595,7 @@ def _cmd_compare(args) -> int:
     write_atomic(
         table_path,
         "observable,max_abs_deviation\n"
-        + "".join(f"{n},{format(d, '.17g')}\n" for n, d in zip(shared, deviations)),
+        + "".join(f"{n},{format_number(d)}\n" for n, d in zip(shared, deviations)),
     )
     print(f"{'observable':<12} max |moments - grid|")
     for name, dev in zip(shared, deviations):
@@ -606,10 +604,10 @@ def _cmd_compare(args) -> int:
     summary = {
         "observables": dict(zip(shared, deviations)),
         "max_deviation": max(deviations) if deviations else 0.0,
-        "moments_csv": moments_report.csv_path,
-        "grid_csv": grid_report.csv_path,
+        "moments_csv": moments_report["csv_path"],
+        "grid_csv": grid_report["csv_path"],
     }
-    _write_json(os.path.join(settings.out_dir, "compare.json"), summary)
+    write_json(os.path.join(settings.out_dir, "compare.json"), summary)
     return 0
 
 
@@ -637,7 +635,7 @@ def _cmd_report(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "summary.json")
     md_path = os.path.join(out_dir, "summary.md")
-    _write_json(json_path, combined)
+    write_json(json_path, combined)
     write_atomic(md_path, markdown + "\n")
     print(markdown)
     print(f"wrote {json_path} and {md_path}")

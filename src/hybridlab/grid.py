@@ -246,8 +246,10 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     standard deviation s; on the quantum axis it is the usual wave packet
     with position spread s (momentum spread 1/(2s)).  means/widths map
     axis labels to numbers (sequences aligned with the axes also work).
-    Raises OutOfBox unless |mean| + 4*width < half_extent per axis, and
-    ValueError when an axis's Gaussian underflows to 0 at every grid point.
+    Raises ValueError when an axis's Gaussian underflows to 0 at every grid
+    point, and OutOfBox when more than _BOUNDARY_MASS_LIMIT of its mass lies
+    within _BOUNDARY_CELLS of the axis's position edges: evolve's box rule,
+    which the state then meets at t = 0 up to roundoff at the limit.
     """
     means = _per_axis(spec, means, "means")
     widths = _per_axis(spec, widths, "widths")
@@ -258,21 +260,29 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
             raise ValueError(f"mean and width for axis {ax.label!r} must be finite")
         if not sigma > 0:
             raise ValueError(f"width for axis {ax.label!r} must be positive")
-        if abs(mu) + 4.0 * sigma >= ax.half_extent:
-            raise OutOfBox(
-                f"axis {ax.label!r}: |{mu}| + 4*{sigma} reaches the half extent "
-                f"{ax.half_extent}"
-            )
         with np.errstate(over="ignore"):  # a square past the float range weighs exp(-inf) = 0
             g = np.exp(-((ax.positions() - mu) ** 2) / (4.0 * sigma**2))
         norm = math.sqrt(float(g @ g) * ax.spacing)
         if not norm > 0:
             raise ValueError(f"axis {ax.label!r}: its Gaussian vanishes at every grid point")
-        g /= norm  # normalized on its own axis
+        g /= norm  # normalized on its own axis, so g^2 * spacing is its position marginal
+        edge = _edge_cells(ax.points)
+        mass = float(g[edge] @ g[edge]) * ax.spacing
+        if not mass <= _BOUNDARY_MASS_LIMIT:
+            raise OutOfBox(
+                f"axis {ax.label!r} holds {mass:.3e} probability mass within "
+                f"{_BOUNDARY_CELLS} cells of the half extent {ax.half_extent}"
+            )
         if i < len(spec.axes) - 1:
             head = np.multiply.outer(head, g)
     psi = np.multiply(head[..., None], g, out=np.empty(spec.shape, dtype=complex))
     return GridState(spec, psi)
+
+
+def _edge_cells(points: int) -> np.ndarray:
+    """The mask of an axis's cells within _BOUNDARY_CELLS of either edge."""
+    cells = np.arange(points)
+    return np.minimum(cells, cells[::-1]) < _BOUNDARY_CELLS
 
 
 def _per_axis(spec: GridSpec, values, what: str) -> list[float]:
@@ -679,8 +689,7 @@ class _Sampler:
         # imaginary residual.
         parts = []
         for i in range(self.n_edges):
-            cells = np.arange(spec.shape[i])
-            near = np.minimum(cells, cells[::-1]) < _BOUNDARY_CELLS
+            near = _edge_cells(spec.shape[i])
             parts.append((((i, "pos"),), 1 + i, lambda near=near: volume * near))
         first = 1 + self.n_edges
         for o, poly in enumerate(observers):

@@ -1,4 +1,4 @@
-"""Output plumbing: atomic file writes, lossless CSV, and run reports.
+"""Output plumbing: atomic file writes, lossless CSV, JSON, and run summaries.
 
 CSV numbers are rendered with 17 significant digits, which round-trips
 every 64-bit float exactly, so any number a report claims can be
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,8 +18,7 @@ __all__ = [
     "format_number",
     "write_csv",
     "read_csv",
-    "RunReport",
-    "load_report",
+    "write_json",
     "aggregate_reports",
 ]
 
@@ -74,55 +72,17 @@ def read_csv(path):
     return header, {name: data[:, i] for i, name in enumerate(header)}
 
 
-@dataclass
-class RunReport:
-    """Everything a simulate/compare invocation claims about itself.
-
-    Numeric claims (drifts, envelope) are computed from the same arrays
-    the CSVs hold, so re-deriving them from the files reproduces the
-    report to the last bit.
-    """
-
-    config: dict
-    engine: str
-    csv_path: str
-    norm_drift: float | None = None
-    koopmanian_drift: float | None = None
-    envelope: dict | None = None
-    spectrum_path: str | None = None
-    spectrum_summary: str | None = None
-    wall_seconds: float | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "config": self.config,
-            "engine": self.engine,
-            "csv_path": self.csv_path,
-            "norm_drift": self.norm_drift,
-            "koopmanian_drift": self.koopmanian_drift,
-            "envelope": self.envelope,
-            "spectrum_path": self.spectrum_path,
-            "spectrum_summary": self.spectrum_summary,
-            "wall_seconds": self.wall_seconds,
-        }
-        out.update(self.extra)
-        return out
-
-    def write(self, path) -> None:
-        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def write_json(path, data) -> None:
+    """Write data as indented JSON with sorted keys, atomically."""
+    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def aggregate_reports(report_paths) -> tuple[dict, str]:
     """Combine run reports into one JSON dict and a markdown summary."""
     runs = []
     for path in report_paths:
-        data = load_report(path)
+        with open(path) as fh:
+            data = json.load(fh)
         data["_source"] = str(path)
         runs.append(data)
     combined = {"runs": runs, "count": len(runs)}

@@ -374,8 +374,13 @@ def test_grid_step_count_above_cap_exits_2_before_allocating(capsys, tmp_path, m
     ["--mode", "quantum-quantum", "--grid-n", "8", "--grid-l", "400", "--dt", "0.0001",
      "--stride", "1", "--t-final", "0.0001", "--mean", "x=50"],  # it vanishes on the grid
     ["--observer", "qp=q*p"],  # an observer no sampler can measure
+    # within |mean| + 4 sigma of the box, but over the sampler's edge mass at t = 0
+    ["--mode", "quantum-quantum", "--grid-n", "16", "--grid-l", "4", "--dt", "0.01",
+     "--stride", "1", "--t-final", "20000"],
+    ["--mode", "hybrid", "--k", "0.2", "--dt", "0.01", "--t-final", "2", "--stride", "10",
+     "--grid-n", "16", "--grid-l", "5", "--mean", "x=0.5", "--mean", "q=0.3"],
 ], ids=["no-exact-plan", "step-cap", "step-cap-last-interval", "memory", "mean-out-of-box",
-        "vanishing-state", "unsplittable-observer"])
+        "vanishing-state", "unsplittable-observer", "edge-mass-qq", "edge-mass-hybrid"])
 def test_a_refused_grid_run_does_no_engine_work(capsys, tmp_path, monkeypatch, flags):
     calls = []
     for name in ("propagate_moments", "classify_spectrum"):
@@ -555,13 +560,15 @@ def test_classical_grid_request_exits_2(capsys, tmp_path):
 
 
 def test_box_overflow_exits_1(capsys, tmp_path):
+    # the initial state clears the box rule; its spreading q marginal reaches the edge later
     code, _, err = run(
         capsys, "simulate", "--mode", "hybrid", "--engine", "grid",
-        "--grid-n", "32", "--grid-l", "4", "--mean", "q=1.0",
-        "--t-final", "1", "--out", str(tmp_path / "of"),
+        "--grid-n", "32", "--grid-l", "4", "--t-final", "1", "--out", str(tmp_path / "of"),
     )
     assert code == 1
     assert "runtime failure" in err
+    match = re.search(r"boundary at t = (\S+)$", err.strip())
+    assert match and float(match.group(1)) > 0
 
 
 def test_bad_mean_name_exits_2(capsys):

@@ -114,7 +114,8 @@ def test_gaussian_state_moments():
 
 def test_gaussian_state_is_the_product_of_normalized_axis_gaussians():
     spec = GridSpec((AxisSpec("x", 8.0, 32), AxisSpec("y", 6.0, 16), AxisSpec("q", 8.0, 64)))
-    means, widths = {"x": 0.4, "y": -1.0, "q": 0.125}, {"x": WIDTH, "y": 0.9, "q": 1.3}
+    # each factor clears the edge rule: y's puts 2.8e-7 of its mass in its edge cells
+    means, widths = {"x": 0.4, "y": -1.0, "q": 0.125}, {"x": WIDTH, "y": 0.8, "q": 1.3}
     state = gaussian_state(spec, means, widths)
     assert abs(state.norm() - 1.0) <= 1e-15
     factors = []
@@ -133,6 +134,34 @@ def test_gaussian_state_out_of_box():
         gaussian_state(_spec1(), {"q": 5.5}, WIDTH)
     with pytest.raises(OutOfBox):
         gaussian_state(_spec1(), {"q": 0.0}, 2.1)
+
+
+def _product_state(spec, means, width) -> GridState:
+    """gaussian_state's product of normalized axis Gaussians, without its box rule."""
+    psi = np.ones(())
+    for ax in spec.axes:
+        g = np.exp(-((ax.positions() - means.get(ax.label, 0.0)) ** 2) / (4.0 * width**2))
+        psi = np.multiply.outer(psi, g / math.sqrt(g @ g * ax.spacing))
+    return GridState(spec, psi)
+
+
+@pytest.mark.parametrize("spec, means", [
+    (_qq_spec(16, 4.0), {}),  # x and q over the limit; x is named first
+    (_spec3(16, 5.0), {"x": 0.5, "q": 0.3}),  # x over, y and q under
+    (_spec3(16, 8.0), {"x": 0.5, "q": 0.3}),  # all under
+], ids=["qq-16-L4", "hybrid-16-L5", "hybrid-16-L8"])
+def test_gaussian_state_refuses_by_the_samplers_edge_mass(spec, means):
+    # the sampler's t = 0 row and gaussian_state's rule agree on every axis
+    row = _Sampler(spec, ("pos",) * len(spec.axes), (), boundary=True).measure(
+        _product_state(spec, means, WIDTH).array)
+    over = np.flatnonzero(row[1:] > grid._BOUNDARY_MASS_LIMIT)
+    if not over.size:
+        gaussian_state(spec, means, WIDTH)  # accepted
+        return
+    label, mass = spec.axes[over[0]].label, row[1 + over[0]]
+    with pytest.raises(OutOfBox, match=f"axis '{label}' holds {mass:.3e} probability mass "
+                                       f"within 2 cells of the half extent"):
+        gaussian_state(spec, means, WIDTH)
 
 
 def test_gaussian_state_rejects_non_finite():
@@ -1113,8 +1142,10 @@ def test_in_place_transform_matches_out_of_place_bit_for_bit(shape):
 def test_boundary_overflow_detection():
     spec = _spec1(32, 4.0)
     plan = compile_splitting(quantum_energy(), spec, 0.01)
-    state = gaussian_state(spec, {"q": 1.0}, WIDTH)  # inside, but tail at the wall
-    with pytest.raises(BoxOverflow):
+    state = _product_state(spec, {"q": 1.0}, WIDTH)  # inside, but tail at the wall
+    with pytest.raises(OutOfBox, match="axis 'q' holds 3.456e-04"):
+        gaussian_state(spec, {"q": 1.0}, WIDTH)  # which is where gaussian_state refuses it
+    with pytest.raises(BoxOverflow, match="at t = 0$"):
         evolve(state, plan, 1.0)
     quiet = evolve(state, plan, 1.0, boundary_check=False)
     assert quiet.norm_drift < 1e-11
