@@ -1,4 +1,4 @@
-"""Text frontend: parse operator expressions and lower them to polynomials.
+"""Text frontend: parse operator expressions straight to polynomials.
 
 Grammar (EBNF, also published in docs/grammar.md):
 
@@ -11,17 +11,20 @@ Grammar (EBNF, also published in docs/grammar.md):
 
 Numbers are unsigned decimals read exactly (0.2 becomes 1/5).  Names are
 identifiers; the six generator names are reserved, `i` is the imaginary
-unit, and anything else is a parameter to be supplied at lowering time.
-`*` is mandatory between factors, and a divisor must lower to a nonzero
-scalar, so the target stays a polynomial algebra.
+unit, and anything else is a parameter whose value the binding supplies.
+`*` is mandatory between factors, and a divisor must be a nonzero scalar,
+so the target stays a polynomial algebra.  Each grammar rule returns its
+polynomial.  A grammar error (ParseError) wins over the other two; of
+those, the first unbound parameter or bad divisor in the source is
+raised, once the whole source has parsed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .algebra import (
     GENERATOR_NAMES,
@@ -34,10 +37,7 @@ __all__ = [
     "ParseError",
     "UnboundParameter",
     "InvalidDivisor",
-    "ExpressionNode",
     "ParameterBinding",
-    "parse",
-    "lower",
     "parse_polynomial",
 ]
 
@@ -64,7 +64,7 @@ class ParseError(ExpressionError):
 
 
 class UnboundParameter(ExpressionError):
-    """Lowering met a parameter with no bound value."""
+    """The source names a parameter with no bound value."""
 
 
 class InvalidDivisor(ExpressionError):
@@ -101,198 +101,15 @@ def _tokenize(source: str) -> list[_Token]:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             raise ParseError(f"unknown character {source[pos]!r}", source=source, pos=pos)
-        if m.lastgroup == "symbol":
-            tokens.append(_Token(m.group(), m.group(), pos))
-        else:
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
+        kind = m.group() if m.lastgroup == "symbol" else m.lastgroup
+        tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(_Token("end", "", n))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# AST.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpressionNode:
-    """Immutable AST node.
-
-    kind is one of: constant, parameter, generator, negate, add, multiply,
-    divide, power.  span is the (start, end) byte range in the source text.
-    `value` is set for constants, `name` for parameters and generators,
-    `exponent` for powers.
-    """
-
-    kind: str
-    span: tuple[int, int]
-    children: tuple["ExpressionNode", ...] = ()
-    value: ComplexRational | None = None
-    name: str | None = None
-    exponent: int | None = None
-
-    def walk(self) -> Iterator["ExpressionNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def parameters(self) -> set[str]:
-        return {n.name for n in self.walk() if n.kind == "parameter"}
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, source=self.source, pos=tok.pos)
-
-    # expr := term (('+' | '-') term)*
-    def expr(self) -> ExpressionNode:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                if tok.kind == "-":
-                    rhs = ExpressionNode("negate", (tok.pos, rhs.span[1]), (rhs,))
-                node = ExpressionNode("add", (node.span[0], rhs.span[1]), (node, rhs))
-            elif tok.kind in ("number", "name", "("):
-                # e.g. "2q" or "k q": adjacency is never multiplication here
-                self.fail(
-                    f"missing '*' before {tok.text!r} (implicit multiplication is not allowed)",
-                    tok,
-                )
-            else:
-                return node
-
-    # term := factor (('*' | '/') factor)*
-    def term(self) -> ExpressionNode:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind in ("*", "/"):
-                self.advance()
-                rhs = self.factor()
-                kind = "multiply" if tok.kind == "*" else "divide"
-                node = ExpressionNode(kind, (node.span[0], rhs.span[1]), (node, rhs))
-            else:
-                return node
-
-    # factor := '-' factor | power
-    def factor(self) -> ExpressionNode:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            inner = self.factor()
-            return ExpressionNode("negate", (tok.pos, inner.span[1]), (inner,))
-        return self.power()
-
-    # power := atom ('^' exponent)?
-    def power(self) -> ExpressionNode:
-        base = self.atom()
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        exp, end = self.exponent()
-        return ExpressionNode("power", (base.span[0], end), (base,), exponent=exp)
-
-    # exponent := integer | '(' ['-'] integer ')'
-    def exponent(self) -> tuple[int, int]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if "." in tok.text:
-                self.fail("exponent must be an integer", tok)
-            return int(tok.text), tok.pos + len(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            sign_tok = None
-            if self.peek().kind == "-":
-                sign_tok = self.advance()
-            num = self.peek()
-            if num.kind != "number" or "." in num.text:
-                self.fail("exponent must be an integer", num)
-            self.advance()
-            close = self.peek()
-            if close.kind != ")":
-                self.fail("expected ')' after exponent", close)
-            self.advance()
-            if sign_tok is not None:
-                raise ParseError(
-                    "negative exponents are not supported",
-                    source=self.source,
-                    pos=sign_tok.pos,
-                )
-            return int(num.text), close.pos + 1
-        self.fail("exponent must be an integer or a parenthesized integer", tok)
-
-    # atom := number | 'i' | name | '(' expr ')'
-    def atom(self) -> ExpressionNode:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            span = (tok.pos, tok.pos + len(tok.text))
-            return ExpressionNode(
-                "constant", span, value=ComplexRational(Fraction(tok.text))
-            )
-        if tok.kind == "name":
-            self.advance()
-            span = (tok.pos, tok.pos + len(tok.text))
-            if tok.text == "i":
-                return ExpressionNode(
-                    "constant", span, value=ComplexRational(Fraction(0), Fraction(1))
-                )
-            if tok.text in GENERATOR_NAMES:
-                return ExpressionNode("generator", span, name=tok.text)
-            return ExpressionNode("parameter", span, name=tok.text)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            close = self.peek()
-            if close.kind != ")":
-                self.fail("expected ')'", close)
-            self.advance()
-            return ExpressionNode(inner.kind, (tok.pos, close.pos + 1), inner.children,
-                                  value=inner.value, name=inner.name, exponent=inner.exponent)
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected {tok.text!r}", tok)
-
-
-def parse(source: str) -> ExpressionNode:
-    """Parse source text into an ExpressionNode tree.
-
-    Raises ParseError (with line/column) on empty input, unknown
-    characters, or any grammar violation.
-    """
-    if not isinstance(source, str):
-        raise TypeError("expression source must be a string")
-    parser = _Parser(source)
-    if parser.peek().kind == "end":
-        raise ParseError("empty input", source=source, pos=0)
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        parser.fail(f"unexpected {trailing.text!r}", trailing)
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Parameter binding and lowering.
+# Parameter binding.
 # ---------------------------------------------------------------------------
 
 
@@ -333,65 +150,171 @@ class ParameterBinding(Mapping):
         return f"ParameterBinding({inner})"
 
 
-def lower(
-    ast: ExpressionNode,
-    params: ParameterBinding | Mapping | None = None,
-    *,
-    source: str | None = None,
-) -> OperatorPolynomial:
-    """Evaluate an AST to a normal-ordered OperatorPolynomial.
+# ---------------------------------------------------------------------------
+# Parser.
+# ---------------------------------------------------------------------------
 
-    Products multiply left to right through the exact algebra.  Raises
-    UnboundParameter for a parameter missing from `params` and
-    InvalidDivisor when a divisor fails to lower to a nonzero scalar.
-    Pass `source` to get line/column prefixes on those errors.
+
+class _Parser:
+    """Recursive descent whose rules return polynomials.
+
+    An unbound parameter or a bad divisor does not stop the parse: the
+    first one met is kept, zero stands in for the value, and
+    parse_polynomial raises it once the whole source has parsed, so a
+    grammar error anywhere in the source wins.
     """
-    if params is None:
-        params = ParameterBinding()
-    elif not isinstance(params, ParameterBinding):
-        params = ParameterBinding(params)
 
-    def visit(node: ExpressionNode) -> OperatorPolynomial:
-        kind = node.kind
-        if kind == "constant":
-            return OperatorPolynomial.constant(node.value)
-        if kind == "generator":
-            return OperatorPolynomial.generator(node.name)
-        if kind == "parameter":
-            if node.name not in params:
-                raise UnboundParameter(
-                    f"unbound parameter {node.name!r}", source=source, pos=node.span[0]
-                )
-            return OperatorPolynomial.constant(params[node.name])
-        if kind == "negate":
-            return -visit(node.children[0])
-        if kind == "add":
-            return visit(node.children[0]) + visit(node.children[1])
-        if kind == "multiply":
-            return visit(node.children[0]) * visit(node.children[1])
-        if kind == "divide":
-            divisor = visit(node.children[1])
-            if divisor.degree > 0:
-                raise InvalidDivisor(
-                    "division requires a scalar divisor (no generators)",
-                    source=source,
-                    pos=node.children[1].span[0],
-                )
-            scalar = divisor.constant_term()
-            if scalar.is_zero:
-                raise InvalidDivisor(
-                    "division by zero", source=source, pos=node.children[1].span[0]
-                )
-            return visit(node.children[0]) * OperatorPolynomial.constant(scalar.reciprocal())
-        if kind == "power":
-            return visit(node.children[0]) ** node.exponent
-        raise AssertionError(f"unhandled node kind {kind!r}")
+    def __init__(self, source: str, params: ParameterBinding):
+        self.source = source
+        self.params = params
+        self.tokens = _tokenize(source)
+        self.i = 0
+        self.error: ExpressionError | None = None
 
-    return visit(ast)
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None):
+        tok = tok or self.peek()
+        raise ParseError(message, source=self.source, pos=tok.pos)
+
+    def keep(self, error: type[ExpressionError], message: str, pos: int) -> OperatorPolynomial:
+        if self.error is None:
+            self.error = error(message, source=self.source, pos=pos)
+        return OperatorPolynomial.zero()
+
+    # expr := term (('+' | '-') term)*
+    def expr(self) -> OperatorPolynomial:
+        poly = self.term()
+        while True:
+            tok = self.peek()
+            if tok.kind in ("+", "-"):
+                self.advance()
+                rhs = self.term()
+                poly = poly + (-rhs if tok.kind == "-" else rhs)
+            elif tok.kind in ("number", "name", "("):
+                # e.g. "2q" or "k q": adjacency is never multiplication here
+                self.fail(
+                    f"missing '*' before {tok.text!r} (implicit multiplication is not allowed)",
+                    tok,
+                )
+            else:
+                return poly
+
+    # term := factor (('*' | '/') factor)*
+    def term(self) -> OperatorPolynomial:
+        poly = self.factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.advance().kind
+            pos = self.peek().pos
+            rhs = self.factor()
+            poly = poly * (rhs if op == "*" else self.reciprocal(rhs, pos))
+        return poly
+
+    def reciprocal(self, divisor: OperatorPolynomial, pos: int) -> OperatorPolynomial:
+        if divisor.degree > 0:
+            return self.keep(
+                InvalidDivisor, "division requires a scalar divisor (no generators)", pos
+            )
+        scalar = divisor.constant_term()
+        if scalar.is_zero:
+            return self.keep(InvalidDivisor, "division by zero", pos)
+        return OperatorPolynomial.constant(scalar.reciprocal())
+
+    # factor := '-' factor | power
+    def factor(self) -> OperatorPolynomial:
+        if self.peek().kind == "-":
+            self.advance()
+            return -self.factor()
+        return self.power()
+
+    # power := atom ('^' exponent)?
+    def power(self) -> OperatorPolynomial:
+        base = self.atom()
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        return base ** self.exponent()
+
+    # exponent := integer | '(' ['-'] integer ')'
+    def exponent(self) -> int:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            if "." in tok.text:
+                self.fail("exponent must be an integer", tok)
+            return int(tok.text)
+        if tok.kind == "(":
+            self.advance()
+            sign_tok = None
+            if self.peek().kind == "-":
+                sign_tok = self.advance()
+            num = self.peek()
+            if num.kind != "number" or "." in num.text:
+                self.fail("exponent must be an integer", num)
+            self.advance()
+            if self.peek().kind != ")":
+                self.fail("expected ')' after exponent")
+            self.advance()
+            if sign_tok is not None:
+                self.fail("negative exponents are not supported", sign_tok)
+            return int(num.text)
+        self.fail("exponent must be an integer or a parenthesized integer", tok)
+
+    # atom := number | 'i' | name | '(' expr ')'
+    def atom(self) -> OperatorPolynomial:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return OperatorPolynomial.constant(ComplexRational(Fraction(tok.text)))
+        if tok.kind == "name":
+            self.advance()
+            if tok.text == "i":
+                return OperatorPolynomial.constant(ComplexRational(Fraction(0), Fraction(1)))
+            if tok.text in GENERATOR_NAMES:
+                return OperatorPolynomial.generator(tok.text)
+            if tok.text not in self.params:
+                return self.keep(UnboundParameter, f"unbound parameter {tok.text!r}", tok.pos)
+            return OperatorPolynomial.constant(self.params[tok.text])
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            if self.peek().kind != ")":
+                self.fail("expected ')'")
+            self.advance()
+            return inner
+        if tok.kind == "end":
+            self.fail("unexpected end of input", tok)
+        self.fail(f"unexpected {tok.text!r}", tok)
 
 
 def parse_polynomial(
     source: str, parameters: ParameterBinding | Mapping | None = None
 ) -> OperatorPolynomial:
-    """Convenience: parse text and lower it in one call."""
-    return lower(parse(source), parameters, source=source)
+    """Parse source text into a normal-ordered OperatorPolynomial.
+
+    Products multiply left to right through the exact algebra.  Raises
+    ParseError (with line/column) on empty input, unknown characters or
+    any grammar violation; otherwise UnboundParameter for a parameter
+    missing from `parameters`, or InvalidDivisor for a divisor that is not
+    a nonzero scalar, whichever comes first in the source.
+    """
+    if not isinstance(source, str):
+        raise TypeError("expression source must be a string")
+    if not isinstance(parameters, ParameterBinding):
+        parameters = ParameterBinding(parameters)
+    parser = _Parser(source, parameters)
+    if parser.peek().kind == "end":
+        raise ParseError("empty input", source=source, pos=0)
+    poly = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        parser.fail(f"unexpected {trailing.text!r}", trailing)
+    if parser.error is not None:
+        raise parser.error
+    return poly

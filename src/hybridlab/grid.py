@@ -677,30 +677,29 @@ class _Sampler:
     allocates one; without it the sampler holds one state's, for measure.
     """
 
-    def __init__(self, spec: GridSpec, base: tuple, observers, boundary: bool, *, density=None):
+    def __init__(self, spec: GridSpec, base: tuple, observers, *, density=None):
         ndim, volume = len(spec.axes), spec.cell_volume
         self.density = np.empty((1, *spec.shape)) if density is None else density
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
-        self.n_edges = ndim if boundary else 0
-        self.n_observers = len(observers)
+        self.n_outputs = 1 + ndim + 2 * len(observers)
         # A part (key, slot, row) adds row() to an output slot's weights on the
         # marginal over key ((axis, rep), ...).  Slots: the squared norm, the
         # edge mass per axis, each observer's value, then each observer's
         # imaginary residual.
         parts = []
-        for i in range(self.n_edges):
+        for i in range(ndim):
             near = _edge_cells(spec.shape[i])
             parts.append((((i, "pos"),), 1 + i, lambda near=near: volume * near))
-        first = 1 + self.n_edges
+        first = 1 + ndim
         for o, poly in enumerate(observers):
             for mono, coeff in poly.monomials():
                 rep = _term_representation(spec, mono)
                 key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
-                for slot, c in ((first + o, coeff.real), (first + self.n_observers + o, coeff.imag)):
+                for slot, c in ((first + o, coeff.real), (first + len(observers) + o, coeff.imag)):
                     if c:
                         parts.append((key, slot, lambda c=float(c), mono=mono, rep=rep:
                                       c * (_monomial_values(spec, mono, rep) * volume).ravel()))
-        parts.append((parts[0][0] if parts else (), 0, lambda: volume))  # the squared norm
+        parts.append((parts[0][0], 0, lambda: volume))  # the squared norm, off axis 0's marginal
         index: dict[tuple, dict[int, int]] = {}  # key -> slot -> its row in the key's weights
         for key, slot, _ in parts:
             index.setdefault(key, {}).setdefault(slot, len(index[key]))
@@ -743,7 +742,7 @@ class _Sampler:
         edge mass per axis, each observer's value, then each observer's
         imaginary residual.  block is scratch: it is transformed in place.  It
         may be padded past the grid on the last axis; the pad is not read."""
-        out = np.zeros((len(block), 1 + self.n_edges + 2 * self.n_observers))
+        out = np.zeros((len(block), self.n_outputs))
         block = block[..., :self.n_last]
         with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
             for move, reductions in self.stops:
@@ -774,7 +773,7 @@ def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
     with the imaginary residual.
     """
     base = ("pos",) * len(state.spec.axes)
-    _, value, resid = _Sampler(state.spec, base, [a], boundary=False).measure(state.array)
+    value, resid = _Sampler(state.spec, base, [a]).measure(state.array)[1 + len(base):]
     return Expectation(float(value), float(resid))
 
 
@@ -1070,7 +1069,6 @@ def evolve(
     observers=(),
     *,
     stride: int = 1,
-    boundary_check: bool = True,
 ) -> EvolutionResult:
     """Propagate for t_final, sampling observers every `stride` steps.
 
@@ -1098,7 +1096,7 @@ def evolve(
     polys = [poly for _, poly in labeled]
 
     spec = plan.spec
-    first = 1 + (len(spec.axes) if boundary_check else 0)  # column of the first observer
+    first = 1 + len(spec.axes)  # column of the first observer
     # a ring of blocks, each state one zero past the grid on the last axis (the pad),
     # so no leading stride of a slot is a power of two: slot s is state s % per_block
     # of block s // per_block
@@ -1151,7 +1149,7 @@ def evolve(
     try:
         for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
-                samplers[reps] = _Sampler(spec, reps, polys, boundary_check, density=density)
+                samplers[reps] = _Sampler(spec, reps, polys, density=density)
             # a stack's owed factors have a row per state: it is a batch of its own
             if filled and (reps != base[0] or owed is not base[1] or count > 1):
                 submit(slot - count)

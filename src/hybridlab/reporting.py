@@ -78,11 +78,19 @@ def write_json(path, data) -> None:
 
 
 def aggregate_reports(report_paths) -> tuple[dict, str]:
-    """Combine run reports into one JSON dict and a markdown summary."""
+    """Combine run reports into one JSON dict and a markdown summary.
+
+    Raises ValueError for a file that is not JSON, or whose report, config
+    or envelope is not a JSON object.
+    """
     runs = []
     for path in report_paths:
         with open(path) as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and isinstance(data.get("config", {}), dict)
+                and isinstance(data.get("envelope") or {}, dict)):
+            raise ValueError(f"{path} is not a run report: it, its config and its "
+                             "envelope must be JSON objects")
         data["_source"] = str(path)
         runs.append(data)
     combined = {"runs": runs, "count": len(runs)}

@@ -116,6 +116,6 @@ def period_residual(spec: GridSpec, dt: float) -> float:
     steps = int(round(2.0 * np.pi / dt))
     plan = compile_splitting(classical_liouvillian(), spec, dt)
     psi0 = gaussian_state(spec, _PERIOD_MEANS, _PERIOD_WIDTHS)
-    result = evolve(psi0, plan, steps * dt, stride=steps, boundary_check=False)
+    result = evolve(psi0, plan, steps * dt, stride=steps)
     diff = result.final_state.array - psi0.array
     return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * spec.cell_volume)

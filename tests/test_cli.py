@@ -908,6 +908,17 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
     assert "unreadable report file" in err
 
 
+@pytest.mark.parametrize("text", ["[]", '{"config": 5}', '{"envelope": 3}'])
+def test_report_refuses_json_that_is_not_a_run_report(capsys, tmp_path, text):
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    (run_dir / "report-a.json").write_text(text)
+    code, _, err = run(capsys, "report", "--runs", str(run_dir), "--out", str(tmp_path / "sum"))
+    assert code == 2
+    assert "unreadable report file" in err and "is not a run report" in err
+    assert not (tmp_path / "sum").exists()
+
+
 def test_internal_error_exits_1(capsys, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("engine bug")

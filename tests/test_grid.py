@@ -152,7 +152,7 @@ def _product_state(spec, means, width) -> GridState:
 ], ids=["qq-16-L4", "hybrid-16-L5", "hybrid-16-L8"])
 def test_gaussian_state_refuses_by_the_samplers_edge_mass(spec, means):
     # the sampler's t = 0 row and gaussian_state's rule agree on every axis
-    row = _Sampler(spec, ("pos",) * len(spec.axes), (), boundary=True).measure(
+    row = _Sampler(spec, ("pos",) * len(spec.axes), ()).measure(
         _product_state(spec, means, WIDTH).array)
     over = np.flatnonzero(row[1:] > grid._BOUNDARY_MASS_LIMIT)
     if not over.size:
@@ -535,7 +535,7 @@ def _serial_samples(state, plan, t_final, observers, stride=1):
         for group in owed:
             chi *= group.phase
         if reps not in samplers:
-            samplers[reps] = _Sampler(plan.spec, reps, polys, boundary=True)
+            samplers[reps] = _Sampler(plan.spec, reps, polys)
         rows += [samplers[reps].measure(sample[..., :n]) for sample in chi]
     return marks * plan.dt, np.array(rows)
 
@@ -678,11 +678,11 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     spec = _qq_spec()
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
     state = gaussian_state(spec, {"x": 0.3, "q": -0.2}, WIDTH)
-    evolve(state, compile_exact(K, spec, 0.1), 10.0, boundary_check=False)
+    evolve(state, compile_exact(K, spec, 0.1), 10.0)
     assert len(calls) == 4 * 100 and set(calls) == {(1, *spec.shape)}
     calls.clear()
     plan = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 100))
-    evolve(state, plan, 10.0, boundary_check=False)
+    evolve(state, plan, 10.0)
     assert len(calls) == 4 * 17
     assert collections.Counter(shape[0] for shape in calls) == {6: 4 * 16, 4: 4}
 
@@ -857,7 +857,7 @@ def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatc
     state = gaussian_state(spec, {}, WIDTH)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="half failed"):
-        evolve(state, plan, 10.0, boundary_check=False)
+        evolve(state, plan, 10.0)
     assert threading.active_count() == threads
 
 
@@ -886,7 +886,7 @@ def test_a_sample_batch_allocates_no_density():
     spec = _spec3(64)
     n = spec.shape[-1]
     polys = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
-    sampler = _Sampler(spec, ("pos",) * 3, polys, boundary=True,
+    sampler = _Sampler(spec, ("pos",) * 3, polys,
                        density=np.empty((1, *spec.shape)))
     blocks = [np.zeros((1, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
     for block in blocks:
@@ -1104,10 +1104,14 @@ def test_hybrid_sample_costs_at_most_three_ffts(monkeypatch):
         state = gaussian_state(spec, {}, WIDTH)
         inside.clear()
         outside.clear()
-        evolve(state, plan, 1.0, stride=1, boundary_check=False)
-        # a norm-only sample needs no transform: these are the steps' own
+        per_block.clear()
+        evolve(state, plan, 1.0, stride=1)
+        # a norm and edge-mass sample makes one transform per batch, y back to
+        # position; the calls outside measure_block are the steps' own
         steps = sum(outside.values())
-        assert steps > 0 and not inside
+        assert steps > 0 and per_block == [(size, 1) for size in sizes]
+        assert sum(inside.values()) == len(sizes)
+        inside.clear()
         outside.clear()
         per_block.clear()
         evolve(state, plan, 1.0, observers=observers, stride=1)
@@ -1147,8 +1151,6 @@ def test_boundary_overflow_detection():
         gaussian_state(spec, {"q": 1.0}, WIDTH)  # which is where gaussian_state refuses it
     with pytest.raises(BoxOverflow, match="at t = 0$"):
         evolve(state, plan, 1.0)
-    quiet = evolve(state, plan, 1.0, boundary_check=False)
-    assert quiet.norm_drift < 1e-11
 
 
 # -- partial traces and factorization ----------------------------------------
@@ -1219,7 +1221,7 @@ def test_characteristics_match_spectral_evolution():
     state = gaussian_state(spec, {"x": 1.2, "y": 0.0}, {"x": 0.6, "y": 0.9})
     f0 = state.density()
     plan = compile_splitting(classical_liouvillian(), spec, 0.01)
-    evolved = evolve(state, plan, 10.0, boundary_check=False).final_state.density()
+    evolved = evolve(state, plan, 10.0).final_state.density()
     reference = characteristics_reference(
         f0, spec, parse_polynomial("(x^2+y^2)/2"), 10.0
     )
@@ -1232,7 +1234,7 @@ def test_quarter_turn_rotates_clockwise():
     state = gaussian_state(spec, {"x": 1.2, "y": 0.0}, {"x": 0.6, "y": 0.9})
     t = math.pi / 2
     plan = compile_splitting(classical_liouvillian(), spec, t / 158)
-    final = evolve(state, plan, t, boundary_check=False).final_state
+    final = evolve(state, plan, t).final_state
     assert grid_expectation(final, parse_polynomial("x")).value == pytest.approx(
         0.0, abs=1e-4
     )
