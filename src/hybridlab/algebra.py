@@ -6,10 +6,12 @@ The generators q, p, x, y, p_x, p_y satisfy
 
 with q, p the quantum pair, x, y the observable classical phase-space
 coordinates, and p_x, p_y the unobservable shift/boost operators that
-generate translations of x and y.  Polynomials are held in the normal form
-q^a p^b x^c p_x^d y^e p_y^f with exact rational-complex coefficients, so
-every identity the test suite checks holds without floating-point
-tolerances.
+generate translations of x and y.  A polynomial maps each monomial, the
+tuple of its six exponents in GENERATOR_NAMES order (q, p, x, y, p_x, p_y),
+to an exact rational-complex coefficient.  Each conjugate pair is
+normal-ordered with position left of momentum, and factors from different
+pairs commute, so the tuple fixes the operator and every identity the test
+suite checks holds without floating-point tolerances.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
     "AlgebraError",
     "ShiftOperatorPresent",
     "UnsupportedMixing",
     "ComplexRational",
-    "Generator",
-    "Monomial",
     "OperatorPolynomial",
     "GENERATOR_NAMES",
     "GENERATORS",
@@ -143,7 +143,7 @@ _MINUS_I_POWERS = (CR_ONE, CR_MINUS_I, ComplexRational(Fraction(-1)), CR_I)
 
 
 # ---------------------------------------------------------------------------
-# Generators and monomials.
+# Generators and monomials: a monomial is its 6-tuple of exponents.
 # ---------------------------------------------------------------------------
 
 GENERATOR_NAMES = ("q", "p", "x", "y", "p_x", "p_y")
@@ -154,56 +154,30 @@ CONJUGATE_PAIRS = ((0, 1), (2, 4), (3, 5))
 
 _SHIFT_INDICES = (4, 5)
 
+# each generator's index in a monomial's exponent tuple
+GENERATORS: dict[str, int] = {name: i for i, name in enumerate(GENERATOR_NAMES)}
 
-@dataclass(frozen=True)
-class Generator:
-    """One of the six canonical generators and its exponent index."""
-
-    name: str
-    index: int
+_Monomial = tuple[int, int, int, int, int, int]
+_MONOMIAL_ONE: _Monomial = (0,) * 6
 
 
-GENERATORS: dict[str, Generator] = {
-    name: Generator(name, i) for i, name in enumerate(GENERATOR_NAMES)
-}
+def _monomial(key) -> _Monomial:
+    """A monomial key from outside, checked: six nonnegative ints."""
+    mono = tuple(key)
+    if len(mono) != 6:
+        raise ValueError("monomial needs one exponent per generator")
+    if any((not isinstance(e, int)) or e < 0 for e in mono):
+        raise ValueError("monomial exponents must be nonnegative integers")
+    return mono
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Normal-ordered product q^a p^b x^c p_x^d y^e p_y^f.
-
-    Exponents are stored in GENERATOR_NAMES order (q, p, x, y, p_x, p_y);
-    each conjugate pair keeps position left of momentum, and factors from
-    different pairs commute, so this fixes the operator uniquely.
-    """
-
-    exponents: tuple[int, int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.exponents) != 6:
-            raise ValueError("monomial needs one exponent per generator")
-        if any((not isinstance(e, int)) or e < 0 for e in self.exponents):
-            raise ValueError("monomial exponents must be nonnegative integers")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Monomial{self.exponents}"
-
-
-MONOMIAL_ONE = Monomial((0, 0, 0, 0, 0, 0))
-
-
-def _monomial_product(a: Monomial, b: Monomial) -> Iterator[tuple[Monomial, ComplexRational]]:
+def _monomial_product(ea: _Monomial, eb: _Monomial) -> Iterator[tuple[_Monomial, ComplexRational]]:
     """Expand a*b into normal-ordered terms.
 
     Within each conjugate pair, mom^m pos^n is reordered with
     mom^m pos^n = sum_k C(m,k) C(n,k) k! (-i)^k pos^(n-k) mom^(m-k),
     the standard consequence of [pos, mom] = i; pairs are independent.
     """
-    ea, eb = a.exponents, b.exponents
     bounds = [min(ea[mom], eb[pos]) for pos, mom in CONJUGATE_PAIRS]
     for k0 in range(bounds[0] + 1):
         for k1 in range(bounds[1] + 1):
@@ -218,7 +192,7 @@ def _monomial_product(a: Monomial, b: Monomial) -> Iterator[tuple[Monomial, Comp
                         coeff = coeff.scale(Fraction(weight)) * _MINUS_I_POWERS[k % 4]
                     exps[pos] = ea[pos] + n - k
                     exps[mom] = m - k + eb[mom]
-                yield Monomial(tuple(exps)), coeff
+                yield tuple(exps), coeff
 
 
 # ---------------------------------------------------------------------------
@@ -229,46 +203,25 @@ def _monomial_product(a: Monomial, b: Monomial) -> Iterator[tuple[Monomial, Comp
 class OperatorPolynomial:
     """Finite sum of normal-ordered monomials with exact coefficients.
 
-    Instances are immutable; arithmetic returns new polynomials and never
-    stores explicit zero coefficients.
+    The key of each term is its exponent tuple in GENERATOR_NAMES order
+    (q, p, x, y, p_x, p_y), each conjugate pair normal-ordered with position
+    left of momentum.  OperatorPolynomial() is zero.  Instances are
+    immutable; arithmetic returns new polynomials and never stores explicit
+    zero coefficients.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, ComplexRational] | None = None):
-        clean: dict[Monomial, ComplexRational] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], _NumberLike] | None = None):
+        clean: dict[_Monomial, ComplexRational] = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(tuple(mono))
-                coeff = ComplexRational.coerce(coeff)
+                mono, coeff = _monomial(mono), ComplexRational.coerce(coeff)
                 if not coeff.is_zero:
                     clean[mono] = coeff
         self._terms = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "OperatorPolynomial":
-        return OperatorPolynomial()
-
-    @staticmethod
-    def constant(value: _NumberLike) -> "OperatorPolynomial":
-        return OperatorPolynomial({MONOMIAL_ONE: ComplexRational.coerce(value)})
-
-    @staticmethod
-    def generator(name: str) -> "OperatorPolynomial":
-        if name not in GENERATORS:
-            raise KeyError(f"unknown generator {name!r}")
-        exps = [0] * 6
-        exps[GENERATORS[name].index] = 1
-        return OperatorPolynomial({Monomial(tuple(exps)): CR_ONE})
-
     # -- views ---------------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, ComplexRational]:
-        return dict(self._terms)
 
     @property
     def is_zero(self) -> bool:
@@ -277,17 +230,15 @@ class OperatorPolynomial:
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        return max((m.degree for m in self._terms), default=0)
+        return max(map(sum, self._terms), default=0)
 
-    def coefficient(self, monomial: Monomial | tuple[int, ...]) -> ComplexRational:
-        if not isinstance(monomial, Monomial):
-            monomial = Monomial(tuple(monomial))
-        return self._terms.get(monomial, CR_ZERO)
+    def coefficient(self, monomial: tuple[int, ...]) -> ComplexRational:
+        return self._terms.get(_monomial(monomial), CR_ZERO)
 
     def constant_term(self) -> ComplexRational:
-        return self._terms.get(MONOMIAL_ONE, CR_ZERO)
+        return self._terms.get(_MONOMIAL_ONE, CR_ZERO)
 
-    def monomials(self) -> Iterator[tuple[Monomial, ComplexRational]]:
+    def monomials(self) -> Iterator[tuple[_Monomial, ComplexRational]]:
         return iter(self._terms.items())
 
     # -- arithmetic ----------------------------------------------------------
@@ -303,9 +254,7 @@ class OperatorPolynomial:
                 merged.pop(mono, None)
             else:
                 merged[mono] = total
-        out = OperatorPolynomial.__new__(OperatorPolynomial)
-        out._terms = merged
-        return out
+        return _wrap(merged)
 
     __radd__ = __add__
 
@@ -322,15 +271,13 @@ class OperatorPolynomial:
         return other + (-self)
 
     def __neg__(self) -> "OperatorPolynomial":
-        out = OperatorPolynomial.__new__(OperatorPolynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "OperatorPolynomial":
         other = _as_polynomial(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Monomial, ComplexRational] = {}
+        acc: dict[_Monomial, ComplexRational] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 cab = ca * cb
@@ -341,9 +288,7 @@ class OperatorPolynomial:
                         acc.pop(mono, None)
                     else:
                         acc[mono] = total
-        out = OperatorPolynomial.__new__(OperatorPolynomial)
-        out._terms = acc
-        return out
+        return _wrap(acc)
 
     def __rmul__(self, other) -> "OperatorPolynomial":
         other = _as_polynomial(other)
@@ -354,7 +299,7 @@ class OperatorPolynomial:
     def __pow__(self, exponent: int) -> "OperatorPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = OperatorPolynomial.constant(1)
+        result = constant(1)
         for _ in range(exponent):
             result = result * self
         return result
@@ -378,7 +323,7 @@ class OperatorPolynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono in sorted(self._terms, key=lambda m: m.exponents, reverse=True):
+        for mono in sorted(self._terms, reverse=True):
             sign, body = _term_text(mono, self._terms[mono])
             if not parts:
                 parts.append(body if sign >= 0 else "-" + body)
@@ -393,11 +338,18 @@ class OperatorPolynomial:
         return f"<OperatorPolynomial {self.canonical_text()}>"
 
 
+def _wrap(terms: dict[_Monomial, ComplexRational]) -> OperatorPolynomial:
+    """A polynomial on terms already checked and free of zeros, not copied."""
+    out = OperatorPolynomial.__new__(OperatorPolynomial)
+    out._terms = terms
+    return out
+
+
 def _as_polynomial(value) -> OperatorPolynomial:
     if isinstance(value, OperatorPolynomial):
         return value
     if isinstance(value, (int, float, complex, Fraction, ComplexRational)):
-        return OperatorPolynomial.constant(value)
+        return constant(value)
     return NotImplemented
 
 
@@ -432,10 +384,10 @@ def _rational_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _term_text(mono: Monomial, coeff: ComplexRational) -> tuple[int, str]:
+def _term_text(mono: _Monomial, coeff: ComplexRational) -> tuple[int, str]:
     """Render one term; returns (sign, body-without-sign)."""
     factors = []
-    for name, exp in zip(GENERATOR_NAMES, mono.exponents):
+    for name, exp in zip(GENERATOR_NAMES, mono):
         if exp == 1:
             factors.append(name)
         elif exp > 1:
@@ -470,15 +422,21 @@ def _term_text(mono: Monomial, coeff: ComplexRational) -> tuple[int, str]:
 
 def gens() -> tuple[OperatorPolynomial, ...]:
     """The six generators as polynomials, in (q, p, x, y, p_x, p_y) order."""
-    return tuple(OperatorPolynomial.generator(n) for n in GENERATOR_NAMES)
+    return tuple(generator(n) for n in GENERATOR_NAMES)
 
 
 def generator(name: str) -> OperatorPolynomial:
-    return OperatorPolynomial.generator(name)
+    """The generator called name (one of GENERATOR_NAMES) as a polynomial."""
+    if name not in GENERATORS:
+        raise KeyError(f"unknown generator {name!r}")
+    exps = [0] * 6
+    exps[GENERATORS[name]] = 1
+    return _wrap({tuple(exps): CR_ONE})
 
 
 def constant(value: _NumberLike) -> OperatorPolynomial:
-    return OperatorPolynomial.constant(value)
+    coeff = ComplexRational.coerce(value)
+    return _wrap({} if coeff.is_zero else {_MONOMIAL_ONE: coeff})
 
 
 def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:
@@ -489,14 +447,12 @@ def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomi
     coefficient ca*cb, and so is that of mb*ma: the two cancel exactly, so
     neither is accumulated.  Only the contraction terms of each order remain.
     """
-    acc: dict[Monomial, ComplexRational] = {}
+    acc: dict[_Monomial, ComplexRational] = {}
     for ma, ca in a._terms.items():
-        ea = ma.exponents
         for mb, cb in b._terms.items():
-            eb = mb.exponents
             # an order with no conjugate pair to contract is its uncontracted term alone
-            ab = any(ea[mom] and eb[pos] for pos, mom in CONJUGATE_PAIRS)
-            ba = any(eb[mom] and ea[pos] for pos, mom in CONJUGATE_PAIRS)
+            ab = any(ma[mom] and mb[pos] for pos, mom in CONJUGATE_PAIRS)
+            ba = any(mb[mom] and ma[pos] for pos, mom in CONJUGATE_PAIRS)
             if not (ab or ba):
                 continue
             cab = ca * cb
@@ -509,9 +465,7 @@ def commutator(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomi
                         acc.pop(mono, None)
                     else:
                         acc[mono] = total
-    out = OperatorPolynomial.__new__(OperatorPolynomial)
-    out._terms = acc
-    return out
+    return _wrap(acc)
 
 
 def jacobi_residual(
@@ -534,43 +488,34 @@ def nogo_witness(k: _NumberLike) -> OperatorPolynomial:
     vanishes only for k = 0, so no generator meets both demands at once.
     """
     kc = ComplexRational.coerce(k)
-    y_ = OperatorPolynomial.generator("y")
-    p_ = OperatorPolynomial.generator("p")
-    x_ = OperatorPolynomial.generator("x")
-    q_ = OperatorPolynomial.generator("q")
-    return commutator(y_, -(OperatorPolynomial.constant(kc) * x_)) + commutator(
-        p_, OperatorPolynomial.constant(kc) * q_
-    )
+    y_, p_, x_, q_ = (generator(n) for n in ("y", "p", "x", "q"))
+    return commutator(y_, -(constant(kc) * x_)) + commutator(p_, constant(kc) * q_)
 
 
 def _require_shift_free(h: OperatorPolynomial, operation: str) -> None:
     for mono in h._terms:
-        if any(mono.exponents[i] for i in _SHIFT_INDICES):
+        if any(mono[i] for i in _SHIFT_INDICES):
             raise ShiftOperatorPresent(
                 f"{operation} expects a polynomial in q, p, x, y only; "
                 f"found shift factor in term {OperatorPolynomial({mono: h._terms[mono]})}"
             )
 
 
-def partial_derivative(h: OperatorPolynomial, v: str | Generator) -> OperatorPolynomial:
-    """Formal monomial-wise derivative of a shift-free polynomial."""
-    name = v.name if isinstance(v, Generator) else v
+def partial_derivative(h: OperatorPolynomial, name: str) -> OperatorPolynomial:
+    """Formal monomial-wise derivative of a shift-free polynomial by a generator name.
+
+    Lowering one exponent maps distinct monomials to distinct monomials, so
+    no two terms merge and no coefficient cancels.
+    """
     if name not in GENERATORS:
         raise KeyError(f"unknown generator {name!r}")
     _require_shift_free(h, "partial_derivative")
-    idx = GENERATORS[name].index
-    result: dict[Monomial, ComplexRational] = {}
-    for mono, coeff in h._terms.items():
-        e = mono.exponents[idx]
-        if not e:
-            continue
-        exps = list(mono.exponents)
-        exps[idx] = e - 1
-        key = Monomial(tuple(exps))
-        total = result.get(key, CR_ZERO) + coeff.scale(Fraction(e))
-        if not total.is_zero:
-            result[key] = total
-    return OperatorPolynomial(result)
+    idx = GENERATORS[name]
+    return _wrap({
+        mono[:idx] + (e - 1,) + mono[idx + 1:]: coeff.scale(Fraction(e))
+        for mono, coeff in h._terms.items()
+        if (e := mono[idx])
+    })
 
 
 def koopmanize(h: OperatorPolynomial) -> OperatorPolynomial:
@@ -581,8 +526,7 @@ def koopmanize(h: OperatorPolynomial) -> OperatorPolynomial:
     commuting with every function of x and y it should commute with.
     """
     _require_shift_free(h, "koopmanize")
-    p_x = OperatorPolynomial.generator("p_x")
-    p_y = OperatorPolynomial.generator("p_y")
+    p_x, p_y = generator("p_x"), generator("p_y")
     return partial_derivative(h, "y") * p_x - partial_derivative(h, "x") * p_y
 
 
@@ -595,11 +539,9 @@ def hybridize(h_total: OperatorPolynomial) -> OperatorPolynomial:
     treatment and raise UnsupportedMixing.
     """
     _require_shift_free(h_total, "hybridize")
-    quantum = OperatorPolynomial.zero()
-    classical = OperatorPolynomial.zero()
-    for mono, coeff in h_total._terms.items():
-        e = mono.exponents
-        term = OperatorPolynomial({mono: coeff})
+    quantum = classical = OperatorPolynomial()
+    for e, coeff in h_total._terms.items():
+        term = _wrap({e: coeff})
         touches_quantum = e[0] or e[1]
         touches_classical = e[2] or e[3]
         if not touches_classical:
@@ -620,9 +562,7 @@ def heisenberg_rhs(x_op: OperatorPolynomial, k_op: OperatorPolynomial) -> Operat
 
     Multiplying by -i rotates each coefficient: -i*(a + b*i) = b - a*i.
     """
-    out = OperatorPolynomial.__new__(OperatorPolynomial)
-    out._terms = {
+    return _wrap({
         mono: ComplexRational(c.imag, -c.real)
         for mono, c in commutator(x_op, k_op)._terms.items()
-    }
-    return out
+    })

@@ -123,7 +123,7 @@ def default_moment_state(means: dict[str, float] | None = None) -> MomentState:
             raise ValueError(
                 f"initial mean for {name!r} is not supported; displace q, x, or y"
             )
-        m[GENERATORS[name].index] = float(value)
+        m[GENERATORS[name]] = float(value)
     return MomentState.vacuum_like(m)
 
 

@@ -16,7 +16,7 @@ rule, vanishing on the grid), while the inputs are validated, before either
 engine runs.  Each engine is a table builder that returns its named sample
 columns; the runner writes nothing until every engine has finished, then
 writes spectrum.json once and per engine the CSV and a report derived from
-that CSV as read back.
+the engine's in-memory columns, which equal that CSV bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .algebra import (
     OperatorPolynomial,
     ShiftOperatorPresent,
     UnsupportedMixing,
+    generator,
     heisenberg_rhs,
     hybridize,
     nogo_witness,
@@ -266,7 +267,8 @@ def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding, koop
         if not expr:
             label, expr = item, item
         poly = parse_polynomial(expr.strip(), binding)
-        _check_float_range(poly.terms.values(), f"--observer {item}: too large for a float")
+        _check_float_range((c for _, c in poly.monomials()),
+                           f"--observer {item}: too large for a float")
         observers.append((label.strip(), poly))
     labels = [label for label, _ in observers]
     if len(set(labels)) < len(labels) or {"t", "norm"} & set(labels):
@@ -519,7 +521,7 @@ def _cmd_derive(args) -> int:
         generator_poly = benchmark.mode_koopmanian(mode, k)
     print(f"K = {generator_poly}")
     for name in GENERATOR_NAMES:
-        rhs = heisenberg_rhs(OperatorPolynomial.generator(name), generator_poly)
+        rhs = heisenberg_rhs(generator(name), generator_poly)
         print(f"d{name}/dt = {rhs}")
     return 0
 

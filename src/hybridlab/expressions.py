@@ -30,6 +30,8 @@ from .algebra import (
     GENERATOR_NAMES,
     ComplexRational,
     OperatorPolynomial,
+    constant,
+    generator,
 )
 
 __all__ = [
@@ -186,7 +188,7 @@ class _Parser:
     def keep(self, error: type[ExpressionError], message: str, pos: int) -> OperatorPolynomial:
         if self.error is None:
             self.error = error(message, source=self.source, pos=pos)
-        return OperatorPolynomial.zero()
+        return OperatorPolynomial()
 
     # expr := term (('+' | '-') term)*
     def expr(self) -> OperatorPolynomial:
@@ -224,7 +226,7 @@ class _Parser:
         scalar = divisor.constant_term()
         if scalar.is_zero:
             return self.keep(InvalidDivisor, "division by zero", pos)
-        return OperatorPolynomial.constant(scalar.reciprocal())
+        return constant(scalar.reciprocal())
 
     # factor := '-' factor | power
     def factor(self) -> OperatorPolynomial:
@@ -271,16 +273,16 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return OperatorPolynomial.constant(ComplexRational(Fraction(tok.text)))
+            return constant(ComplexRational(Fraction(tok.text)))
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return OperatorPolynomial.constant(ComplexRational(Fraction(0), Fraction(1)))
+                return constant(ComplexRational(Fraction(0), Fraction(1)))
             if tok.text in GENERATOR_NAMES:
-                return OperatorPolynomial.generator(tok.text)
+                return generator(tok.text)
             if tok.text not in self.params:
                 return self.keep(UnboundParameter, f"unbound parameter {tok.text!r}", tok.pos)
-            return OperatorPolynomial.constant(self.params[tok.text])
+            return constant(self.params[tok.text])
         if tok.kind == "(":
             self.advance()
             inner = self.expr()

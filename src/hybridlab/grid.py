@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GENERATOR_NAMES, Monomial, OperatorPolynomial
+from .algebra import GENERATOR_NAMES, OperatorPolynomial
 from .moments import expm
 from .observables import Expectation, FiniteDensity
 from .reporting import write_atomic
@@ -344,10 +344,10 @@ def _factor(rep: tuple, exponents: list) -> _PhaseGroup:
     return _PhaseGroup(rep, phase)
 
 
-def _term_representation(spec: GridSpec, mono: Monomial) -> tuple:
+def _term_representation(spec: GridSpec, mono: tuple[int, ...]) -> tuple:
     """Required representation per axis, or None where the term is blind."""
     rep = [None] * len(spec.axes)
-    for gen_idx, exp in enumerate(mono.exponents):
+    for gen_idx, exp in enumerate(mono):
         if exp == 0:
             continue
         name = GENERATOR_NAMES[gen_idx]
@@ -363,7 +363,7 @@ def _term_representation(spec: GridSpec, mono: Monomial) -> tuple:
         if rep[i] is not None and rep[i] != want:
             names = " * ".join(
                 f"{n}^{e}" if e > 1 else n
-                for n, e in zip(GENERATOR_NAMES, mono.exponents)
+                for n, e in zip(GENERATOR_NAMES, mono)
                 if e
             )
             raise NonSplittableTerm(
@@ -381,10 +381,10 @@ def _merge_rep(a: tuple, b: tuple) -> tuple:
     return tuple(x if x is not None else y for x, y in zip(a, b))
 
 
-def _monomial_values(spec: GridSpec, mono: Monomial, rep: tuple) -> np.ndarray:
+def _monomial_values(spec: GridSpec, mono: tuple[int, ...], rep: tuple) -> np.ndarray:
     """prod(axis values ** exponent) in the representations rep, broadcastable."""
     factor = np.ones((1,) * len(spec.axes))
-    for gen_idx, exp in enumerate(mono.exponents):
+    for gen_idx, exp in enumerate(mono):
         if exp == 0:
             continue
         name = GENERATOR_NAMES[gen_idx]
@@ -416,7 +416,7 @@ def compile_splitting(k_op: OperatorPolynomial, spec: GridSpec, dt: float) -> Pr
     blind = (None,) * len(spec.axes)
     position, momentum, mixed = [blind, []], [blind, []], []  # groups: [merged rep, terms]
 
-    ordered = sorted(k_op.terms.items(), key=lambda kv: kv[0].exponents, reverse=True)
+    ordered = sorted(k_op.monomials(), key=lambda kv: kv[0], reverse=True)
     for mono, coeff in ordered:
         if not coeff.is_real:
             raise NonSplittableTerm(
@@ -543,8 +543,8 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     """
     tau, n = float(tau), len(spec.axes)
     entries = []
-    for mono, coeff in k_op.terms.items():
-        if not coeff.is_real or sum(mono.exponents) != 2:
+    for mono, coeff in k_op.monomials():
+        if not coeff.is_real or sum(mono) != 2:
             raise NonSplittableTerm(f"{OperatorPolynomial({mono: coeff})} is not a real quadratic")
         entries.append((mono, float(coeff.real), _term_representation(spec, mono)))
     for frame in itertools.product(("pos", "mom"), repeat=n):
@@ -561,7 +561,7 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     H = np.zeros((2 * n, 2 * n))
     for mono, coeff, _ in entries:
         (a, sa), (b, sb) = [
-            slot[GENERATOR_NAMES[g]] for g, e in enumerate(mono.exponents) for _ in range(e)
+            slot[GENERATOR_NAMES[g]] for g, e in enumerate(mono) for _ in range(e)
         ]
         H[a, b] += coeff * sa * sb
         H[b, a] += coeff * sa * sb

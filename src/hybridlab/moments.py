@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 from fractions import Fraction
 from operator import mul
 
@@ -21,8 +22,8 @@ from .algebra import (
     GENERATOR_NAMES,
     GENERATORS,
     CONJUGATE_PAIRS,
-    Monomial,
     OperatorPolynomial,
+    generator,
     heisenberg_rhs,
     partial_derivative,
 )
@@ -83,16 +84,16 @@ class MomentOverflow(Exception):
 class GeneratorMatrix:
     """Affine mean-flow d<v>/dt = matrix @ <v> + affine.
 
-    Rows and columns follow `labels` (always the canonical generator
-    order).  For every quadratic generator with no linear part the affine
-    vector is zero.  `exact` is derived from `matrix`, as rows of Fractions:
+    Rows and columns follow `labels`, the canonical generator order.  For
+    every quadratic generator with no linear part the affine vector is
+    zero.  `exact` is derived from `matrix`, as rows of Fractions:
     int and Fraction entries stay exact, any other entry is the Fraction of
     its float64 value.
     """
 
     matrix: np.ndarray
     affine: np.ndarray = field(default_factory=lambda: np.zeros(_DIM))
-    labels: tuple[str, ...] = GENERATOR_NAMES
+    labels: ClassVar[tuple[str, ...]] = GENERATOR_NAMES
     exact: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -112,7 +113,7 @@ class GeneratorMatrix:
         object.__setattr__(self, "affine", c)
 
     def entry(self, row: str, col: str) -> float:
-        return float(self.matrix[GENERATORS[row].index, GENERATORS[col].index])
+        return float(self.matrix[GENERATORS[row], GENERATORS[col]])
 
 
 def _affine_expansion(rhs: OperatorPolynomial, label: str) -> tuple[list, Fraction]:
@@ -121,11 +122,11 @@ def _affine_expansion(rhs: OperatorPolynomial, label: str) -> tuple[list, Fracti
     for mono, coeff in rhs.monomials():
         if not coeff.is_real:
             raise NonlinearDynamics(label, OperatorPolynomial({mono: coeff}))
-        deg = mono.degree
+        deg = sum(mono)
         if deg == 0:
             const = coeff.real
         elif deg == 1:
-            row[mono.exponents.index(1)] = coeff.real
+            row[mono.index(1)] = coeff.real
         else:
             raise NonlinearDynamics(label, OperatorPolynomial({mono: coeff}))
     return row, const
@@ -135,7 +136,7 @@ def _exact_generator(flows: dict[str, OperatorPolynomial]) -> GeneratorMatrix:
     """GeneratorMatrix whose row b expands flows[b]; absent rows stay zero."""
     rows, consts = [[0] * _DIM] * _DIM, [0] * _DIM
     for name, rhs in flows.items():
-        i = GENERATORS[name].index
+        i = GENERATORS[name]
         rows[i], consts[i] = _affine_expansion(rhs, name)
     return GeneratorMatrix(rows, consts)
 
@@ -150,7 +151,7 @@ def derive_generator(k_op: OperatorPolynomial) -> GeneratorMatrix:
     when an entry is too large for a float.
     """
     return _exact_generator({
-        name: heisenberg_rhs(OperatorPolynomial.generator(name), k_op)
+        name: heisenberg_rhs(generator(name), k_op)
         for name in GENERATOR_NAMES
     })
 
@@ -613,7 +614,7 @@ def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float | n
     """
     total = np.zeros(s.mean.shape[:-1])
     for mono, coeff in k_op.monomials():
-        deg = mono.degree
+        deg = sum(mono)
         if deg > 2:
             raise DegreeTooHigh(
                 f"term {OperatorPolynomial({mono: coeff})} has degree {deg}; "
@@ -622,9 +623,9 @@ def quadratic_expectation(k_op: OperatorPolynomial, s: MomentState) -> float | n
         if deg == 0:
             value = 1.0
         elif deg == 1:
-            value = s.mean[..., mono.exponents.index(1)]
+            value = s.mean[..., mono.index(1)]
         else:
-            idx = [i for i, e in enumerate(mono.exponents) for _ in range(e)]
+            idx = [i for i, e in enumerate(mono) for _ in range(e)]
             # same-pair cross term: real part is the symmetrized moment,
             # the +i/2 ordering correction is imaginary and drops here
             value = s.second[..., idx[0], idx[1]]

@@ -80,17 +80,20 @@ def write_json(path, data) -> None:
 def aggregate_reports(report_paths) -> tuple[dict, str]:
     """Combine run reports into one JSON dict and a markdown summary.
 
-    Raises ValueError for a file that is not JSON, or whose report, config
-    or envelope is not a JSON object.
+    Raises ValueError for a file that is not JSON, whose report, config
+    or envelope is not a JSON object, or whose norm_drift or
+    koopmanian_drift is neither a JSON number nor null.
     """
     runs = []
     for path in report_paths:
         with open(path) as fh:
             data = json.load(fh)
         if not (isinstance(data, dict) and isinstance(data.get("config", {}), dict)
-                and isinstance(data.get("envelope") or {}, dict)):
+                and isinstance(data.get("envelope") or {}, dict)
+                and all(data.get(key) is None or type(data[key]) in (int, float)
+                        for key in ("norm_drift", "koopmanian_drift"))):
             raise ValueError(f"{path} is not a run report: it, its config and its "
-                             "envelope must be JSON objects")
+                             "envelope must be JSON objects, its drifts numbers or null")
         data["_source"] = str(path)
         runs.append(data)
     combined = {"runs": runs, "count": len(runs)}
@@ -117,6 +120,4 @@ def aggregate_reports(report_paths) -> tuple[dict, str]:
 
 
 def _fmt_opt(value) -> str:
-    if value is None:
-        return "-"
-    return f"{float(value):.3e}"
+    return "-" if value is None else f"{value:.3e}"

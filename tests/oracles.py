@@ -30,8 +30,7 @@ def _classical_velocity(h: OperatorPolynomial):
 
     def as_callable(poly: OperatorPolynomial):
         terms = []
-        for mono, coeff in poly.monomials():
-            e = mono.exponents
+        for e, coeff in poly.monomials():
             if any(e[i] for i in (0, 1, 4, 5)):
                 raise ValueError("classical Hamiltonian must involve x and y only")
             terms.append((float(coeff.real), e[2], e[3]))

@@ -13,7 +13,6 @@ from hybridlab import (
     CONJUGATE_PAIRS,
     GENERATOR_NAMES,
     ComplexRational,
-    Monomial,
     OperatorPolynomial,
     ShiftOperatorPresent,
     UnsupportedMixing,
@@ -72,8 +71,19 @@ def test_powers_and_degree():
 def test_constant_term_and_coefficient():
     poly = constant(Fraction(3, 7)) + Q * P * constant(2)
     assert poly.constant_term() == ComplexRational.coerce(Fraction(3, 7))
-    mono = Monomial((1, 1, 0, 0, 0, 0))
-    assert poly.coefficient(mono) == ComplexRational.coerce(2)
+    assert poly.coefficient((1, 1, 0, 0, 0, 0)) == ComplexRational.coerce(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OperatorPolynomial({(1, 0, 0, 0, 0): 1}),  # five exponents
+    lambda: OperatorPolynomial({(0, -1, 0, 0, 0, 0): 1}),
+    lambda: OperatorPolynomial({(0, 0, 1.0, 0, 0, 0): 1}),
+    lambda: OperatorPolynomial({(1, 0, 0, 0, 0): 0}),  # checked even when dropped
+    lambda: Q.coefficient((1, 1)),
+], ids=["five-tuple", "negative", "non-int", "zero-coefficient", "coefficient"])
+def test_malformed_monomial_keys_raise(build):
+    with pytest.raises(ValueError, match="monomial"):
+        build()
 
 
 # -- small random polynomials for property tests ----------------------------
@@ -87,12 +97,12 @@ def _monomial(max_total=2, indices=tuple(range(6))):
     # draw at most max_total generator picks; multiplicity becomes the exponent
     return st.lists(
         st.sampled_from(tuple(indices)), min_size=0, max_size=max_total
-    ).map(lambda picks: Monomial(tuple(picks.count(i) for i in range(6))))
+    ).map(lambda picks: tuple(picks.count(i) for i in range(6)))
 
 
 def _polynomials(max_total=2, indices=range(6), max_terms=3, coeffs=_coeffs):
     def build(pairs):
-        total = OperatorPolynomial.zero()
+        total = OperatorPolynomial()
         for mono, c in pairs:
             total = total + OperatorPolynomial({mono: ComplexRational.coerce(c)})
         return total
@@ -245,7 +255,7 @@ def test_rendering_examples():
     assert str((constant(0.5) - constant(1j)) * Q) == "(0.5-i)*q"
     assert str(constant(Fraction(1, 3)) * Q) == "1/3*q"
     assert str(constant(Fraction(-1, 3))) == "-1/3"
-    assert str(OperatorPolynomial.zero()) == "0"
+    assert str(OperatorPolynomial()) == "0"
     assert str(Q * Q * X - P) == "q^2*x - p"
 
 
@@ -263,7 +273,7 @@ _render_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12).fil
     )
 )
 def test_rendering_round_trips_through_parser(pairs):
-    poly = OperatorPolynomial.zero()
+    poly = OperatorPolynomial()
     for mono, re_, im_ in pairs:
         poly = poly + OperatorPolynomial({mono: ComplexRational(re_, im_)})
     assert parse_polynomial(str(poly)) == poly

@@ -908,7 +908,10 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
     assert "unreadable report file" in err
 
 
-@pytest.mark.parametrize("text", ["[]", '{"config": 5}', '{"envelope": 3}'])
+@pytest.mark.parametrize("text", [
+    "[]", '{"config": 5}', '{"envelope": 3}', '{"norm_drift": []}',
+    '{"koopmanian_drift": {"x": 1}}',
+])
 def test_report_refuses_json_that_is_not_a_run_report(capsys, tmp_path, text):
     run_dir = tmp_path / "r"
     run_dir.mkdir()

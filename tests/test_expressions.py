@@ -11,7 +11,6 @@ from hybridlab import (
     ComplexRational,
     ExpressionError,
     InvalidDivisor,
-    Monomial,
     OperatorPolynomial,
     ParameterBinding,
     ParseError,
@@ -56,7 +55,7 @@ def test_division():
 
 def test_decimal_coefficients_are_exact():
     poly = parse_polynomial("0.2*q")
-    assert poly.coefficient(Monomial((1, 0, 0, 0, 0, 0))).real == Fraction(1, 5)
+    assert poly.coefficient((1, 0, 0, 0, 0, 0)).real == Fraction(1, 5)
 
 
 def test_whitespace_insensitive():
@@ -128,7 +127,7 @@ def test_division_by_parameter_scalar():
 
 
 _exponents = st.lists(st.sampled_from(range(6)), min_size=0, max_size=3).map(
-    lambda picks: Monomial(tuple(picks.count(i) for i in range(6)))
+    lambda picks: tuple(picks.count(i) for i in range(6))
 )
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
@@ -144,7 +143,7 @@ _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
     )
 )
 def test_round_trip_parse_of_canonical_text(pairs):
-    poly = OperatorPolynomial.zero()
+    poly = OperatorPolynomial()
     for mono, re_, im_ in pairs:
         poly = poly + OperatorPolynomial({mono: ComplexRational(re_, im_)})
     assert parse_polynomial(str(poly)) == poly

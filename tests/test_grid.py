@@ -1026,7 +1026,7 @@ def _full_grid_expectation(state, poly):
     for mono, coeff in poly.monomials():
         arr = state.array
         weight = np.ones(spec.shape)
-        for name, exp in zip(GENERATOR_NAMES, mono.exponents):
+        for name, exp in zip(GENERATOR_NAMES, mono):
             if not exp:
                 continue
             i = spec.index(_POSITION_LABEL[name])
