@@ -364,9 +364,11 @@ def _report_numbers(columns) -> dict:
     if "norm" in columns:
         numbers["norm_drift"] = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
     if "K" in columns:
-        k0 = columns["K"][0]
+        k0 = float(columns["K"][0])
         drift = float(np.max(np.abs(columns["K"] - k0)))
-        numbers["koopmanian_drift"] = drift / abs(k0) if k0 != 0 else drift
+        relative = drift / abs(k0) if k0 else math.inf
+        # absolute where K(0) is 0, or too close to 0 for the relative drift to be a float
+        numbers["koopmanian_drift"] = relative if relative < math.inf else drift
     if "q2" in columns:
         try:
             fit = fit_envelope(columns["t"], np.sqrt(np.maximum(columns["q2"], 0.0)))
@@ -547,11 +549,8 @@ def _cmd_spectrum(args) -> int:
              else moments.derive_generator(explicit))
     except OverflowError as exc:
         raise ConfigError("generator too large for a float") from exc
-    tol = _as_float(_required(args, "tol", 1e-9), "tol")
-    if tol <= 0:
-        raise ConfigError("--tol must be positive")
     try:
-        report = classify_spectrum(G, tol)
+        report = classify_spectrum(G)
     except OverflowError as exc:
         raise ConfigError("eigenvalues too large, or too far apart, for floats") from exc
     for line in report.lines:
@@ -704,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("spectrum", help="classify the dynamics generator")
     _add_expression_flags(sub)
     _add_mode_flags(sub)
-    sub.add_argument("--tol", help="imaginary-axis tolerance for secular growth (default 1e-9)")
     sub.add_argument("--json", help="also write the report as JSON to this path")
     sub.set_defaults(func=_cmd_spectrum)
 
@@ -752,7 +750,7 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            reader = configparser.ConfigParser()
+            reader = configparser.ConfigParser(interpolation=None)
             try:
                 with open(args.config) as fh:
                     reader.read_file(fh)

@@ -392,7 +392,6 @@ class SpectrumLine:
 @dataclass(frozen=True)
 class SpectrumReport:
     lines: tuple[SpectrumLine, ...]
-    tol: float
 
     def __post_init__(self):
         total = sum(line.algebraic for line in self.lines)
@@ -404,11 +403,8 @@ class SpectrumReport:
 
     @property
     def secular(self) -> bool:
-        """True when a defective eigenvalue sits on the imaginary axis."""
-        return any(
-            line.defective and abs(line.eigenvalue.real) <= 10 * self.tol
-            for line in self.lines
-        )
+        """True when a defective eigenvalue has real part exactly 0."""
+        return any(line.defective and line.eigenvalue.real == 0 for line in self.lines)
 
     @property
     def max_chain(self) -> int:
@@ -419,7 +415,6 @@ class SpectrumReport:
 
     def to_dict(self) -> dict:
         return {
-            "tolerance": self.tol,
             "eigenvalues": [line.to_dict() for line in self.lines],
             "secular_growth": self.secular,
         }
@@ -560,18 +555,18 @@ def _roots(h, d):
             for r in roots.tolist()]
 
 
-def classify_spectrum(G: GeneratorMatrix, tol: float = 1e-9) -> SpectrumReport:
+def classify_spectrum(G: GeneratorMatrix) -> SpectrumReport:
     """Exact eigenvalue multiplicities and Jordan chains of G's matrix.
 
     Splits the characteristic polynomial of the integer B = d A into the
     root 0 and squarefree factors h of multiplicity m (Musser), and reads
     each root's structure off the exact ranks of h(B)^j; only the simple
-    roots of h are found in floats.  tol only decides which defective
-    eigenvalues are on the imaginary axis.  Raises OverflowError for
-    eigenvalues too large, or too far apart, for floats.
+    roots of h are found in floats, from h's even part e = gcd(h(x), h(-x))
+    and from h / e.  e holds every imaginary root, with real part exactly
+    0, so secular growth needs no tolerance (a Hamiltonian's h is even:
+    e = h).  Raises OverflowError for eigenvalues too large, or too far
+    apart, for floats.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     d = math.lcm(*(x.denominator for row in G.exact for x in row))
     B = [[x.numerator * (d // x.denominator) for x in row] for row in G.exact]
     n, p, M = _DIM, [0] * _DIM + [1], [[0] * _DIM] * _DIM
@@ -587,11 +582,15 @@ def classify_spectrum(G: GeneratorMatrix, tol: float = 1e-9) -> SpectrumReport:
         t = _gcd(s, g)
         if len(t) < len(s):  # h = s / t has the roots of multiplicity exactly m
             h = _divmod(s, t)[0]
-            structure = _jordan(B, h, m)
-            lines += [SpectrumLine(value, m, *structure) for value in _roots(h, d)]
+            e = h if not any(h[1::2]) else _gcd(h, [(-1) ** (i + len(h) - 1) * x
+                                                     for i, x in enumerate(h)])
+            for part in (e, _divmod(h, e)[0]):
+                if len(part) > 1:
+                    structure = _jordan(B, part, m)
+                    lines += [SpectrumLine(value, m, *structure) for value in _roots(part, d)]
         g, s, m = _divmod(g, t)[0], t, m + 1
     lines.sort(key=lambda line: (line.eigenvalue.real, line.eigenvalue.imag))
-    return SpectrumReport(tuple(lines), tol)
+    return SpectrumReport(tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ recomputed bit-for-bit from the files it points to.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -73,49 +74,87 @@ def read_csv(path):
 
 
 def write_json(path, data) -> None:
-    """Write data as indented JSON with sorted keys, atomically."""
-    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write data as indented JSON with sorted keys, atomically; a number
+    that is not finite raises ValueError, since JSON has no token for it."""
+    write_atomic(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite(text: str) -> float:
+    """A JSON float, or NaN / Infinity / -Infinity, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _drift(value) -> bool:
+    """True for a JSON null or a number in the float range."""
+    try:
+        return value is None or type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _depth(data) -> int:
+    """Nesting depth of a JSON value, counted level by level, not by recursion."""
+    depth, level = 0, [data]
+    while level:
+        depth += 1
+        level = [item for node in level if isinstance(node, (dict, list))
+                 for item in (node.values() if isinstance(node, dict) else node)]
+    return depth
+
+
+# A run report nests 3 deep.  write_json's indenting encoder recurses once per
+# level, and Python 3.12's decoder reads past the depth that encoder can write.
+_MAX_DEPTH = 100
 
 
 def aggregate_reports(report_paths) -> tuple[dict, str]:
     """Combine run reports into one JSON dict and a markdown summary.
 
-    Raises ValueError for a file that is not JSON, whose report, config
-    or envelope is not a JSON object, or whose norm_drift or
-    koopmanian_drift is neither a JSON number nor null.
+    Raises ValueError for a file that is not JSON, that holds a
+    number that is not finite (NaN, Infinity, 1e999), that is nested more
+    than _MAX_DEPTH levels, whose report, config or envelope is not a JSON
+    object, whose norm_drift or koopmanian_drift is neither null nor a
+    number in the float range, or whose summary row holds a lone surrogate.
     """
-    runs = []
+    runs, rows = [], []
     for path in report_paths:
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path} is not a run report: {exc}") from None
+        if _depth(data) > _MAX_DEPTH:
+            raise ValueError(f"{path} is not a run report: nested past {_MAX_DEPTH} levels")
         if not (isinstance(data, dict) and isinstance(data.get("config", {}), dict)
                 and isinstance(data.get("envelope") or {}, dict)
-                and all(data.get(key) is None or type(data[key]) in (int, float)
-                        for key in ("norm_drift", "koopmanian_drift"))):
+                and all(_drift(data.get(key)) for key in ("norm_drift", "koopmanian_drift"))):
             raise ValueError(f"{path} is not a run report: it, its config and its "
                              "envelope must be JSON objects, its drifts numbers or null")
-        data["_source"] = str(path)
-        runs.append(data)
-    combined = {"runs": runs, "count": len(runs)}
-
-    lines = ["# Run summary", "", f"{len(runs)} run(s) aggregated.", ""]
-    lines.append("| engine | mode | k | t_final | norm drift | K drift | envelope degree |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for data in runs:
         cfg = data.get("config", {})
         env = data.get("envelope") or {}
-        lines.append(
-            "| {engine} | {mode} | {k} | {t} | {nd} | {kd} | {deg} |".format(
-                engine=data.get("engine", "?"),
-                mode=cfg.get("mode", "?"),
-                k=cfg.get("k", "?"),
-                t=cfg.get("t_final", "?"),
-                nd=_fmt_opt(data.get("norm_drift")),
-                kd=_fmt_opt(data.get("koopmanian_drift")),
-                deg=env.get("degree", "-"),
-            )
+        row = "| {engine} | {mode} | {k} | {t} | {nd} | {kd} | {deg} |".format(
+            engine=data.get("engine", "?"),
+            mode=cfg.get("mode", "?"),
+            k=cfg.get("k", "?"),
+            t=cfg.get("t_final", "?"),
+            nd=_fmt_opt(data.get("norm_drift")),
+            kd=_fmt_opt(data.get("koopmanian_drift")),
+            deg=env.get("degree", "-"),
         )
-    lines.append("")
+        try:
+            row.encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{path} is not a run report: {exc}") from None
+        data["_source"] = str(path)
+        runs.append(data)
+        rows.append(row)
+    combined = {"runs": runs, "count": len(runs)}
+    lines = ["# Run summary", "", f"{len(runs)} run(s) aggregated.", "",
+             "| engine | mode | k | t_final | norm drift | K drift | envelope degree |",
+             "|---|---|---|---|---|---|---|", *rows, ""]
     return combined, "\n".join(lines)
 
 

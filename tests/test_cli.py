@@ -148,9 +148,8 @@ def test_spectrum_at_huge_coupling_is_finite(capsys, mode):
     assert "secular growth: no" in out
 
 
-def test_spectrum_wide_tolerance_keeps_simple_lines(capsys):
-    code, out, _ = run(capsys, "spectrum", "--mode", "quantum-quantum", "--k", "0.2",
-                       "--tol", "0.5")
+def test_spectrum_quantum_pair_keeps_simple_lines(capsys):
+    code, out, _ = run(capsys, "spectrum", "--mode", "quantum-quantum", "--k", "0.2")
     assert code == 0
     assert "geometric 0" not in out
     assert out.count("algebraic 1, geometric 1, Jordan chain 1") == 4
@@ -483,6 +482,16 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_config_values_are_read_literally(capsys, tmp_path):
+    # a % starts no interpolation: the value is the text as written
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[simulate]\nt-final = %(x)s\n")
+    code, _, err = run(capsys, "--config", str(cfg), "simulate", "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "configuration error: --t-final expects a number, got '%(x)s'" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_missing_config_file(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(tmp_path / "nope.ini"), "derive")
     assert code == 2
@@ -611,10 +620,16 @@ def test_grid_n_not_power_of_two_exits_2(capsys, tmp_path):
     assert "configuration error: point count must be a power of two" in err
 
 
-def test_negative_tol_exits_2(capsys):
-    code, _, err = run(capsys, "spectrum", "--mode", "hybrid", "--tol", "-1")
+def test_tol_is_neither_a_flag_nor_a_config_key(capsys, tmp_path):
+    # secular growth is decided exactly, so there is no tolerance to set
+    code, _, err = run(capsys, "spectrum", "--mode", "hybrid", "--tol", "1e-9")
     assert code == 2
-    assert "--tol must be positive" in err
+    assert "unrecognized arguments: --tol" in err
+    cfg = tmp_path / "lab.ini"
+    cfg.write_text("[spectrum]\ntol = 1e-9\n")
+    code, _, err = run(capsys, "--config", str(cfg), "spectrum")
+    assert code == 2
+    assert "unknown config key 'tol'" in err
 
 
 def test_moment_overflow_mean_exits_2(capsys, tmp_path):
@@ -648,6 +663,9 @@ def test_moment_overflow_stderr_is_the_error_line_alone(capfd, tmp_path, flags, 
       "--t-final", "0.1"], 1, "runtime failure: the grid engine's column Z is inf at t = 0\n"),
     (["--engine", "moments", "--dt", "1e-300", "--t-final", "1e-298", "--stride", "1"], 0,
      "[moments] wrote "),
+    # K(0) = 1e-318: a relative drift past the float range, so the absolute one
+    (["--engine", "moments", "--observer", "K=q^2 - p^2 + c", "--param", "c=1e-318",
+      "--t-final", "1"], 0, "[moments] K drift 9.093e-03\n"),
 ])
 def test_extreme_inputs_end_cleanly(capfd, tmp_path, flags, code, line):
     out_dir = tmp_path / "run"
@@ -749,6 +767,88 @@ def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
             elif isinstance(item, (int, float)) and not isinstance(item, bool):
                 numbers.append(item)
         assert all(math.isfinite(x) for x in numbers), path.name
+
+
+_REPORT_KEYS = ["config", "envelope", "norm_drift", "koopmanian_drift", "engine", "mode", "k",
+                "t_final", "degree"]
+_SPLICE = "\x00splice"  # a JSON string leaf, replaced in the text by a token JSON lacks
+_SPLICED = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400, "1" + "0" * 5000,
+            "[" * 150 + "]" * 150, "[" * 100_000 + "]" * 100_000]
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+              st.sampled_from(["\ud800", _SPLICE])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_REPORT_KEYS) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+_INI_KEYS = ["k", "mode", "koopmanian", "hamiltonian", "param", "tol", "frob", "K"]
+_INI_VALUES = ["0.2", "1/5", "-1", "1e300", "1e-300", "%(x)s", "%", "100%", "%%", "hybrid",
+               "quantum-quantum", "classical-classical", "", "q*p + k*q*x",
+               "(p^2 + q^2)/2 + (y^2 + x^2)/2 + k*q*x", "q^3", "a*q*p", "a=2", "a=%(k)s"]
+
+
+@st.composite
+def _raw_input_call(draw):
+    """(command, bytes): a report-*.json for report, or an INI file for the others."""
+    command = draw(st.sampled_from(["report", "report", "nogo", "derive", "spectrum"]))
+    if command == "report":
+        value = draw(st.dictionaries(st.sampled_from(_REPORT_KEYS), _JSON, max_size=4) | _JSON)
+        *parts, last = json.dumps(value).split(json.dumps(_SPLICE))
+        tokens = draw(st.lists(st.sampled_from(_SPLICED), min_size=len(parts),
+                               max_size=len(parts)))
+        return command, ("".join(p + t for p, t in zip(parts, tokens)) + last).encode()
+    items = st.lists(st.tuples(st.sampled_from(_INI_KEYS), st.sampled_from(_INI_VALUES)),
+                     max_size=3, unique_by=lambda item: item[0])
+    sections = draw(st.lists(st.tuples(st.sampled_from([command, "nogo", "frob", "DEFAULT"]),
+                                       items), min_size=1, max_size=2, unique_by=lambda s: s[0]))
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+                   for name, pairs in sections).encode()
+    flaw = draw(st.sampled_from([None] * 6 + ["repeat", "not UTF-8"]))
+    if flaw == "repeat":  # the last line again: a duplicate key or section
+        text += text.splitlines(keepends=True)[-1]
+    elif flaw:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return command, text
+
+
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_raw_input_call())
+@example(call=("nogo", b"[nogo]\nk = %(x)s\n"))
+@example(call=("report", b'{"norm_drift": 1' + b"0" * 400 + b"}"))
+@example(call=("report", b'{"norm_drift": NaN}'))
+@example(call=("report", b'{"koopmanian_drift": Infinity}'))
+@example(call=("report", b'{"config": {"t_final": 1e999}}'))
+@example(call=("report", b"[" * 100_000 + b"]" * 100_000))
+@example(call=("report", b'{"engine": "\\ud800"}'))
+def test_every_raw_input_file_ends_cleanly(capsys, tmp_path, call):
+    # report files and INI text the flag contract never draws: exit 2 and write
+    # nothing, or exit 0 with every JSON file strict JSON; never exit 1
+    command, data = call
+    case = tmp_path / f"case{next(_contract_runs)}"
+    case.mkdir()
+    out_dir = case / "out"
+    if command == "report":
+        (case / "report-a.json").write_bytes(data)
+        argv = ["report", "--runs", str(case), "--out", str(out_dir)]
+    else:
+        (case / "lab.ini").write_bytes(data)
+        argv = ["--config", str(case / "lab.ini"), command]
+        if command == "spectrum":
+            argv += ["--json", str(out_dir / "s.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code:
+        assert not out_dir.exists()
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse)
 
 
 def test_a_run_with_no_exact_plan_stops_after_few_compiles(capsys, tmp_path, monkeypatch):
@@ -911,6 +1011,11 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("text", [
     "[]", '{"config": 5}', '{"envelope": 3}', '{"norm_drift": []}',
     '{"koopmanian_drift": {"x": 1}}',
+    pytest.param('{"norm_drift": 1' + "0" * 400 + "}", id="drift-past-the-float-range"),
+    '{"norm_drift": NaN}', '{"koopmanian_drift": Infinity}', '{"config": {"t_final": 1e999}}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    pytest.param('{"config": {"t_final": ' + "[" * 150 + "]" * 150 + "}}", id="nested-150-deep"),
+    '{"engine": "\\ud800"}',
 ])
 def test_report_refuses_json_that_is_not_a_run_report(capsys, tmp_path, text):
     run_dir = tmp_path / "r"

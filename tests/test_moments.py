@@ -417,6 +417,36 @@ def test_jordan_structure_survives_similarity(jordan, expected):
         assert [line.algebraic, line.geometric, line.chain] == structure
 
 
+def test_defective_pair_just_off_the_axis_is_not_secular():
+    # chains of 2 at 1e-9 +- 2i, which grow exponentially, and at 1
+    a = Fraction(1, 10 ** 9)
+    J = [[a, 2, 1, 0, 0, 0], [-2, a, 0, 1, 0, 0], [0, 0, a, 2, 0, 0], [0, 0, -2, a, 0, 0],
+         [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]
+    report = classify_spectrum(GeneratorMatrix(J))
+    for want in (1e-9 + 2j, 1e-9 - 2j, 1):
+        line = report.closest(want)
+        assert abs(line.eigenvalue - want) < 1e-15
+        assert (line.algebraic, line.geometric, line.chain) == (2, 1, 2)
+    assert not report.secular
+
+
+def test_imaginary_chain_beside_a_real_chain_lies_exactly_on_the_axis():
+    # the factor (x^2 + 2)(x - 3) is not even; its even part x^2 + 2 holds the pair
+    root2 = np.sqrt(2)
+    rotation = np.array([[0, 1], [-2, 0]])  # eigenvalues +-i sqrt(2)
+    jordan = _blocks(np.block([[rotation, np.eye(2)], [np.zeros((2, 2)), rotation]]),
+                     [[3, 1], [0, 3]])
+    report = classify_spectrum(_conjugated(jordan))
+    assert len(report.lines) == 3
+    for want in (1j * root2, -1j * root2):
+        line = report.closest(want)
+        assert line.eigenvalue.real == 0.0
+        assert abs(line.eigenvalue.imag - want.imag) <= 4e-16
+        assert (line.algebraic, line.geometric, line.chain) == (2, 1, 2)
+    assert (report.closest(3).eigenvalue, report.closest(3).chain) == (3, 2)
+    assert report.secular
+
+
 def test_mixed_jordan_structure_within_a_factor_is_refused():
     # 1 and 2 are both double roots, but only 1 is defective
     G = _conjugated(_blocks([[1, 1], [0, 1]], np.diag([2, 2]), np.zeros((2, 2))))
@@ -463,7 +493,7 @@ def test_spectrum_report_serializes():
     data = report.to_dict()
     assert sum(line["algebraic"] for line in data["eigenvalues"]) == 6
     assert data["secular_growth"] is True
-    assert data["tolerance"] == pytest.approx(1e-9)
+    assert "tolerance" not in data
 
 
 # -- quadratic expectations --------------------------------------------------
