@@ -359,13 +359,19 @@ def _simulation_settings(args):
 
 
 def _report_numbers(columns) -> dict:
-    """Derive the report's numeric claims from the columns the CSV holds."""
+    """Derive the report's numeric claims from the columns the CSV holds.
+
+    Raises NonFiniteOutput for a K drift past the float range.
+    """
     numbers = {"norm_drift": None, "koopmanian_drift": None, "envelope": None}
     if "norm" in columns:
         numbers["norm_drift"] = float(np.max(np.abs(columns["norm"] - columns["norm"][0])))
     if "K" in columns:
         k0 = float(columns["K"][0])
-        drift = float(np.max(np.abs(columns["K"] - k0)))
+        with np.errstate(over="ignore"):  # refused below
+            drift = float(np.max(np.abs(columns["K"] - k0)))
+        if drift == math.inf:
+            raise NonFiniteOutput(f"K drifts from K(0) = {k0:g} past the float range")
         relative = drift / abs(k0) if k0 else math.inf
         # absolute where K(0) is 0, or too close to 0 for the relative drift to be a float
         numbers["koopmanian_drift"] = relative if relative < math.inf else drift
@@ -446,7 +452,8 @@ _ENGINES = {"moments": _moment_columns, "grid": _grid_columns}
 
 
 def _run_engines(settings) -> list[tuple[dict, dict]]:
-    """Run every engine, then write <engine>.csv and report-<engine>.json.
+    """Run every engine and derive its report numbers, refusing any that are
+    not finite, then write <engine>.csv and report-<engine>.json.
 
     Returns each engine's report, as written, with its CSV's columns.  The
     CSV holds every float to 17 significant digits, which round-trips it, so
@@ -457,12 +464,14 @@ def _run_engines(settings) -> list[tuple[dict, dict]]:
     for engine in settings.engines:
         t0 = time.perf_counter()
         tables[engine] = (*_ENGINES[engine](settings), time.perf_counter() - t0)
+    numbers = {}
     for engine, (columns, *_) in tables.items():
         for label, column in columns.items():
             bad = np.flatnonzero(~np.isfinite(column))
             if bad.size:
                 raise NonFiniteOutput(f"the {engine} engine's column {label} is "
                                       f"{column[bad[0]]} at t = {settings.times[bad[0]]:g}")
+        numbers[engine] = _report_numbers({"t": settings.times, **columns})
     out_dir = settings.out_dir
     os.makedirs(out_dir, exist_ok=True)
     spectrum_path = os.path.join(out_dir, "spectrum.json")
@@ -483,7 +492,7 @@ def _run_engines(settings) -> list[tuple[dict, dict]]:
             "spectrum_path": spectrum_path,
             "spectrum_summary": spectrum_summary,
             "wall_seconds": seconds + time.perf_counter() - t0,
-            **_report_numbers(written),
+            **numbers[engine],
             **extra,
         }
         write_json(os.path.join(out_dir, f"report-{engine}.json"), report)
@@ -552,7 +561,8 @@ def _cmd_spectrum(args) -> int:
     try:
         report = classify_spectrum(G)
     except OverflowError as exc:
-        raise ConfigError("eigenvalues too large, or too far apart, for floats") from exc
+        raise ConfigError("eigenvalues too large, too far apart, or too close to the "
+                          "imaginary axis, for floats") from exc
     for line in report.lines:
         ev = line.eigenvalue
         print(
@@ -628,16 +638,16 @@ def _cmd_report(args) -> int:
         if not found:
             raise ConfigError(f"no report-*.json files in {d}")
         paths.extend(found)
-    try:
-        combined, markdown = aggregate_reports(paths)
-    except ValueError as exc:
-        raise ConfigError(f"unreadable report file: {exc}") from exc
     out_dir = _required(args, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "summary.json")
     md_path = os.path.join(out_dir, "summary.md")
-    write_json(json_path, combined)
-    write_atomic(md_path, markdown + "\n")
+    try:  # write_json encodes before it makes out_dir, so a refusal writes nothing
+        combined, markdown = aggregate_reports(paths)
+        summary = (markdown + "\n").encode()
+        write_json(json_path, combined)
+    except (ValueError, RecursionError) as exc:  # a lone surrogate, or nesting too deep
+        raise ConfigError(f"unreadable report file: {exc}") from exc
+    write_atomic(md_path, summary)
     print(markdown)
     print(f"wrote {json_path} and {md_path}")
     return 0

@@ -531,9 +531,12 @@ def _roots(h, d):
     integer coefficients; Sturm's theorem says how many are real, and those
     get imaginary part exactly 0.  An even h(x) = u(x^2) gives x = +-sqrt(mu)
     over the roots mu of u, so imaginary pairs have real part exactly 0 (+ 0.0
-    clears the -0.0 of negated roots).  The variable is scaled by a power of
-    two near the roots' geometric mean, so coefficients beyond the float
-    range still give finite roots.
+    clears the -0.0 of negated roots).  No other root may read real part 0:
+    an h with odd terms has none on the axis, and an even h as many as
+    Sturm counts negative mu; OverflowError otherwise, for a real part too
+    small for a float beside its imaginary part.  The variable is scaled by
+    a power of two near the roots' geometric mean, so coefficients beyond
+    the float range still give finite roots.
     """
     step = 1 if any(h[1::2]) else 2
     v = h[::step]
@@ -544,15 +547,19 @@ def _roots(h, d):
     roots = sorted(_polish(c, start), key=lambda z: abs(z.imag))
     sturm = _remainders(v, [i * x for i, x in enumerate(v)][1:])
     changes = lambda signs: sum(map(bool.__ne__, signs, signs[1:]))
-    real = (changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in sturm])  # at -inf
-            - changes([p[-1] > 0 for p in sturm]))  # at +inf
+    below = changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in sturm])  # at -inf
+    real = below - changes([p[-1] > 0 for p in sturm])  # at +inf
+    negative = below - changes([p[0] > 0 for p in sturm if p[0]])  # at 0, not a root
     upper = sorted(roots[real:], key=lambda z: -z.imag)[:(n - real) // 2]
     roots = np.array([complex(z.real, 0.0) for z in roots[:real]]
                      + upper + [z.conjugate() for z in upper])
     if step == 2:
         roots = np.concatenate([np.sqrt(roots), -np.sqrt(roots)])
-    return [complex(math.ldexp(r.real, t // step) + 0.0, math.ldexp(r.imag, t // step) + 0.0)
-            for r in roots.tolist()]
+    roots = [complex(math.ldexp(r.real, t // step) + 0.0, math.ldexp(r.imag, t // step) + 0.0)
+             for r in roots.tolist()]
+    if sum(r.real == 0 for r in roots) != (2 * negative if step == 2 else 0):
+        raise OverflowError("roots too close to the imaginary axis for floats")
+    return roots
 
 
 def classify_spectrum(G: GeneratorMatrix) -> SpectrumReport:
@@ -562,10 +569,10 @@ def classify_spectrum(G: GeneratorMatrix) -> SpectrumReport:
     root 0 and squarefree factors h of multiplicity m (Musser), and reads
     each root's structure off the exact ranks of h(B)^j; only the simple
     roots of h are found in floats, from h's even part e = gcd(h(x), h(-x))
-    and from h / e.  e holds every imaginary root, with real part exactly
-    0, so secular growth needs no tolerance (a Hamiltonian's h is even:
-    e = h).  Raises OverflowError for eigenvalues too large, or too far
-    apart, for floats.
+    and from h / e.  e holds every imaginary root, and _roots gives exactly
+    those real part 0, so secular growth needs no tolerance.  Raises
+    OverflowError for eigenvalues too large, too far apart, or too close
+    to the imaginary axis, for floats.
     """
     d = math.lcm(*(x.denominator for row in G.exact for x in row))
     B = [[x.numerator * (d // x.denominator) for x in row] for row in G.exact]
@@ -582,8 +589,7 @@ def classify_spectrum(G: GeneratorMatrix) -> SpectrumReport:
         t = _gcd(s, g)
         if len(t) < len(s):  # h = s / t has the roots of multiplicity exactly m
             h = _divmod(s, t)[0]
-            e = h if not any(h[1::2]) else _gcd(h, [(-1) ** (i + len(h) - 1) * x
-                                                     for i, x in enumerate(h)])
+            e = _gcd(h, [(-1) ** (i + len(h) - 1) * x for i, x in enumerate(h)])
             for part in (e, _divmod(h, e)[0]):
                 if len(part) > 1:
                     structure = _jordan(B, part, m)

@@ -95,29 +95,13 @@ def _drift(value) -> bool:
         return False
 
 
-def _depth(data) -> int:
-    """Nesting depth of a JSON value, counted level by level, not by recursion."""
-    depth, level = 0, [data]
-    while level:
-        depth += 1
-        level = [item for node in level if isinstance(node, (dict, list))
-                 for item in (node.values() if isinstance(node, dict) else node)]
-    return depth
-
-
-# A run report nests 3 deep.  write_json's indenting encoder recurses once per
-# level, and Python 3.12's decoder reads past the depth that encoder can write.
-_MAX_DEPTH = 100
-
-
 def aggregate_reports(report_paths) -> tuple[dict, str]:
     """Combine run reports into one JSON dict and a markdown summary.
 
     Raises ValueError for a file that is not JSON, that holds a
-    number that is not finite (NaN, Infinity, 1e999), that is nested more
-    than _MAX_DEPTH levels, whose report, config or envelope is not a JSON
-    object, whose norm_drift or koopmanian_drift is neither null nor a
-    number in the float range, or whose summary row holds a lone surrogate.
+    number that is not finite (NaN, Infinity, 1e999), whose report, config
+    or envelope is not a JSON object, or whose norm_drift or
+    koopmanian_drift is neither null nor a number in the float range.
     """
     runs, rows = [], []
     for path in report_paths:
@@ -126,8 +110,6 @@ def aggregate_reports(report_paths) -> tuple[dict, str]:
                 data = json.load(fh, parse_float=_finite, parse_constant=_finite)
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path} is not a run report: {exc}") from None
-        if _depth(data) > _MAX_DEPTH:
-            raise ValueError(f"{path} is not a run report: nested past {_MAX_DEPTH} levels")
         if not (isinstance(data, dict) and isinstance(data.get("config", {}), dict)
                 and isinstance(data.get("envelope") or {}, dict)
                 and all(_drift(data.get(key)) for key in ("norm_drift", "koopmanian_drift"))):
@@ -144,10 +126,6 @@ def aggregate_reports(report_paths) -> tuple[dict, str]:
             kd=_fmt_opt(data.get("koopmanian_drift")),
             deg=env.get("degree", "-"),
         )
-        try:
-            row.encode()
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"{path} is not a run report: {exc}") from None
         data["_source"] = str(path)
         runs.append(data)
         rows.append(row)

@@ -162,7 +162,7 @@ def test_spectrum_beyond_float_range_exits_2(capsys):
     code, _, err = run(capsys, "spectrum", "--koopmanian", "a*q*p + a*p^2/2 - a*q^2/2",
                        "--param", "a=1.5e308")
     assert code == 2
-    assert "configuration error: eigenvalues too large, or too far apart, for floats" in err
+    assert "configuration error: eigenvalues too large, too far apart, or too close" in err
 
 
 _TWO_SCALES = "a*(q^2 + p^2)/2 + (x^2 + p_x^2)/2"  # frequencies a and 1
@@ -666,6 +666,9 @@ def test_moment_overflow_stderr_is_the_error_line_alone(capfd, tmp_path, flags, 
     # K(0) = 1e-318: a relative drift past the float range, so the absolute one
     (["--engine", "moments", "--observer", "K=q^2 - p^2 + c", "--param", "c=1e-318",
       "--t-final", "1"], 0, "[moments] K drift 9.093e-03\n"),
+    # K swings from 1.5e308 to -1.5e308: the absolute drift is past the float range too
+    (["--engine", "moments", "--observer", "K=c*q", "--param", "c=1.5e308", "--mean", "q=1"],
+     1, "runtime failure: K drifts from K(0) = 1.5e+308 past the float range\n"),
 ])
 def test_extreme_inputs_end_cleanly(capfd, tmp_path, flags, code, line):
     out_dir = tmp_path / "run"
@@ -1014,8 +1017,6 @@ def test_unreadable_inputs_exit_2(capsys, tmp_path):
     pytest.param('{"norm_drift": 1' + "0" * 400 + "}", id="drift-past-the-float-range"),
     '{"norm_drift": NaN}', '{"koopmanian_drift": Infinity}', '{"config": {"t_final": 1e999}}',
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
-    pytest.param('{"config": {"t_final": ' + "[" * 150 + "]" * 150 + "}}", id="nested-150-deep"),
-    '{"engine": "\\ud800"}',
 ])
 def test_report_refuses_json_that_is_not_a_run_report(capsys, tmp_path, text):
     run_dir = tmp_path / "r"
@@ -1024,6 +1025,30 @@ def test_report_refuses_json_that_is_not_a_run_report(capsys, tmp_path, text):
     code, _, err = run(capsys, "report", "--runs", str(run_dir), "--out", str(tmp_path / "sum"))
     assert code == 2
     assert "unreadable report file" in err and "is not a run report" in err
+    assert not (tmp_path / "sum").exists()
+
+
+def _too_deep_to_encode(paths):
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    return {"runs": deep}, "# Run summary"
+
+
+@pytest.mark.parametrize("text, aggregate", [
+    ('{"engine": "\\ud800"}', None),  # a lone surrogate, which UTF-8 cannot hold
+    ("{}", _too_deep_to_encode),
+])
+def test_report_that_cannot_be_written_back_writes_nothing(capsys, tmp_path, monkeypatch,
+                                                            text, aggregate):
+    if aggregate:
+        monkeypatch.setattr(cli, "aggregate_reports", aggregate)
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    (run_dir / "report-a.json").write_text(text)
+    code, _, err = run(capsys, "report", "--runs", str(run_dir), "--out", str(tmp_path / "sum"))
+    assert code == 2
+    assert "unreadable report file" in err
     assert not (tmp_path / "sum").exists()
 
 

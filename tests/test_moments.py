@@ -430,6 +430,15 @@ def test_defective_pair_just_off_the_axis_is_not_secular():
     assert not report.secular
 
 
+def test_a_real_part_too_small_for_a_float_is_refused():
+    # chains of 2 at 1e-400 +- 2i: a float would read them as on the axis
+    a = Fraction(1, 10 ** 400)
+    J = [[a, 2, 1, 0, 0, 0], [-2, a, 0, 1, 0, 0], [0, 0, a, 2, 0, 0], [0, 0, -2, a, 0, 0],
+         [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]
+    with pytest.raises(OverflowError, match="imaginary axis"):
+        classify_spectrum(GeneratorMatrix(J))
+
+
 def test_imaginary_chain_beside_a_real_chain_lies_exactly_on_the_axis():
     # the factor (x^2 + 2)(x - 3) is not even; its even part x^2 + 2 holds the pair
     root2 = np.sqrt(2)
