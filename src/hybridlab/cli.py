@@ -10,13 +10,14 @@ main(argv) may be called any number of times in one process: the parser is
 built on the first call and reused, and each call parses into a fresh
 namespace, so no option carries over from one call to the next.
 
-simulate and compare share one runner.  grid.plan_run plans, or refuses, a
-grid run, and gaussian_state its initial state (over the box's edge-mass
-rule, vanishing on the grid), while the inputs are validated, before either
-engine runs.  Each engine is a table builder that returns its named sample
-columns; the runner writes nothing until every engine has finished, then
-writes spectrum.json once and per engine the CSV and a report derived from
-the engine's in-memory columns, which equal that CSV bit for bit.
+simulate and compare share one runner.  It validates the inputs and, before
+either engine runs, builds the one MomentState both start from: grid.plan_run
+plans, or refuses, a grid run from it, and gaussian_state the grid's array
+(over the box's edge-mass rule, vanishing on the grid).  Each engine is a
+table builder that returns its named sample columns; the runner writes
+nothing until every engine has finished, then writes spectrum.json once and
+per engine the CSV and a report derived from the engine's in-memory columns,
+which equal that CSV bit for bit.
 """
 
 from __future__ import annotations
@@ -215,6 +216,15 @@ def _check_float_range(numbers, message: str) -> None:
             raise ConfigError(message) from exc
 
 
+def _exact_str(value) -> str:
+    """str(value) for output of exact numbers, refused past the interpreter's digit limit."""
+    try:
+        return str(value)
+    except ValueError as exc:  # int -> str conversion refuses past sys.get_int_max_str_digits()
+        raise ConfigError(f"an exact result holds an integer past the interpreter's limit of "
+                          f"{sys.get_int_max_str_digits()} digits for printing one") from exc
+
+
 def _float_coupling(args) -> Fraction:
     k = _coupling_of(args)
     _check_float_range([k], f"--k is too large for a float: {args.k}")
@@ -316,13 +326,12 @@ def _simulation_settings(args):
     # refusal happens here, before either engine runs, and the plan's before any array.
     try:
         marks, steps = sample_steps(t_final, dt, stride)
-        moment_state = benchmark.default_moment_state(means) if "moments" in engines else None
+        moment_state = benchmark.default_moment_state(means)  # the one Gaussian of both engines
         grid_runs = grid_state = None
         if "grid" in engines:
             spec = _grid_spec_for(mode, grid_l, grid_n)
             grid_means = {lbl: means.get(lbl, 0.0) for lbl in spec.labels}
-            grid_runs = plan_run(koopmanian, spec, dt, steps, stride, grid_means,
-                                 _DEFAULT_WIDTH, observers)
+            grid_runs = plan_run(koopmanian, spec, dt, steps, stride, moment_state, observers)
             grid_state = gaussian_state(spec, grid_means, _DEFAULT_WIDTH)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -340,7 +349,7 @@ def _simulation_settings(args):
         snapshot=_parse_bool(_required(args, "snapshot", False)),
         config_echo={
             "mode": mode,
-            "k": str(k),
+            "k": _exact_str(k),
             "engine": engine,
             "dt": dt,
             "t_final": t_final,
@@ -530,23 +539,16 @@ def _cmd_derive(args) -> int:
                 "classical-classical has none here (pass --koopmanian explicitly)"
             )
         generator_poly = benchmark.mode_koopmanian(mode, k)
-    print(f"K = {generator_poly}")
-    for name in GENERATOR_NAMES:
-        rhs = heisenberg_rhs(generator(name), generator_poly)
-        print(f"d{name}/dt = {rhs}")
+    rhs = [f"d{name}/dt = {_exact_str(heisenberg_rhs(generator(name), generator_poly))}"
+           for name in GENERATOR_NAMES]
+    print("\n".join([f"K = {_exact_str(generator_poly)}", *rhs]))  # once every line is made
     return 0
 
 
 def _cmd_nogo(args) -> int:
-    k = _coupling_of(args)
-    witness = nogo_witness(k)
-    if witness.is_zero:
-        print("witness = 0: OK")
-    else:
-        print(
-            f"witness = {witness}: FAIL "
-            "(-i*k != 0: no Koopmanian yields both target commutators)"
-        )
+    witness = nogo_witness(_coupling_of(args))
+    fail = "FAIL (-i*k != 0: no Koopmanian yields both target commutators)"
+    print(f"witness = {_exact_str(witness)}: {'OK' if witness.is_zero else fail}")
     return 0
 
 

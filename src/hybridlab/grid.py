@@ -535,11 +535,11 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
     Without a packet the plan has one offset.  With one it is stacked over
     tau, 2 tau, ..., K tau: row k - 1 of each factor is compile_exact(k * tau)'s
     one row, bit for bit.  A longer step chirps the state further between its
-    factors, so a stack is compiled for the run it steps: packet = (means,
-    widths, steps), the state gaussian_state(spec, means, widths) and the
-    count of steps of tau.  K is the longest prefix of the offsets one block
-    of evolve's ring holds (_block_states) that compiles and keeps every
-    chirped state of that run in the box to _TAILS standard deviations.
+    factors, so a stack is compiled for the run it steps: packet = (state,
+    steps), the run's initial MomentState and its count of steps of tau.  K
+    is the longest prefix of the offsets one block of evolve's ring holds
+    (_block_states) that compiles and keeps every chirped state of that run,
+    a Gaussian of the state's moments, in the box to _TAILS deviations.
     """
     tau, n = float(tau), len(spec.axes)
     entries = []
@@ -553,18 +553,16 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
             break
     else:
         raise NonSplittableTerm("no frame makes every term diagonal in it or in its flip")
-    # generator -> (index in z, sign); on a momentum axis u = p_y, v = -y
-    slot = {}
+    # z = to_z @ (q, p, x, y, p_x, p_y), signed: on a momentum axis u = p_y, v = -y
+    to_z = np.zeros((2 * n, len(GENERATOR_NAMES)))
     for i, (ax, r) in enumerate(zip(spec.axes, frame)):
-        pos, mom = ((i, 1.0), (n + i, 1.0)) if r == "pos" else ((n + i, -1.0), (i, 1.0))
-        slot[ax.label], slot[MOMENTUM_OF[ax.label]] = pos, mom
+        pos, mom = (GENERATOR_NAMES.index(g) for g in (ax.label, MOMENTUM_OF[ax.label]))
+        to_z[i, pos if r == "pos" else mom] = 1.0
+        to_z[n + i, mom if r == "pos" else pos] = 1.0 if r == "pos" else -1.0
     H = np.zeros((2 * n, 2 * n))
     for mono, coeff, _ in entries:
-        (a, sa), (b, sb) = [
-            slot[GENERATOR_NAMES[g]] for g, e in enumerate(mono) for _ in range(e)
-        ]
-        H[a, b] += coeff * sa * sb
-        H[b, a] += coeff * sa * sb
+        a, b = [to_z[:, g] for g, e in enumerate(mono) for _ in range(e)]
+        H += coeff * (np.outer(a, b) + np.outer(b, a))
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     u = [spec._axis_values(i, r) for i, r in enumerate(frame)]
     v = [spec._axis_values(i, r) * (-1.0 if r == "pos" else 1.0) for i, r in enumerate(flip)]
@@ -579,14 +577,10 @@ def compile_exact(k_op: OperatorPolynomial, spec: GridSpec, tau: float,
                 raise
             break
     if len(chirps) > 1:
-        means, widths, steps = packet
-        mean, var = np.zeros(2 * n), np.zeros(2 * n)
-        for ax, mu, w in zip(spec.axes, _per_axis(spec, means, "means"),
-                             _per_axis(spec, widths, "widths")):
-            (a, sign), (b, _) = slot[ax.label], slot[MOMENTUM_OF[ax.label]]
-            mean[a], var[a], var[b] = sign * mu, w * w, 0.25 / (w * w)
+        state, steps = packet
         box = np.array([np.max(np.abs(x)) for x in (*u, *v)])
-        del chirps[_packet_offsets(chirps, flows[0], mean, np.diag(var), steps, box):]
+        mean, cov = to_z @ state.mean, to_z @ state.covariance() @ to_z.T
+        del chirps[_packet_offsets(chirps, flows[0], mean, cov, steps, box):]
 
     def chirp(c: int, w: list, sign: complex, rep: tuple) -> tuple:
         # per axis pair its quadratic at each offset; a pair no chirp couples gets no factor
@@ -893,17 +887,17 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 
 
 def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, stride: int,
-             means, width, observers) -> list[tuple]:
+             state, observers) -> list[tuple]:
     """One exact plan per sample-interval length of a run, or its refusal before any array.
 
-    The run is sample_steps's `steps` steps of dt from gaussian_state(spec, means,
-    width).  RunTooLarge refuses it, before any compile, when its arrays (_run_bytes)
-    exceed physical memory, then past _MAX_GRID_STEPS exact steps.  An interval of
-    g * dt (stride, and steps mod stride for a last one off the stride) takes j steps
-    of g * dt / j, j the first split that compiles: 1 to _MAX_SPLIT, then multiples of
-    g down to dt / _MAX_SPLIT, else NonSplittableTerm.  The first plan is stacked for
-    the packet.  Returns (plan, stride, exact steps) per run: evolve each in turn for
-    its exact steps times plan.dt.
+    The run is sample_steps's `steps` steps of dt from `state`, its initial MomentState.
+    RunTooLarge refuses it, before any compile, when its arrays (_run_bytes) exceed
+    physical memory, then past _MAX_GRID_STEPS exact steps.  An interval of g * dt
+    (stride, and steps mod stride for a last one off the stride) takes j steps of
+    g * dt / j, j the first split that compiles: 1 to _MAX_SPLIT, then multiples of g
+    down to dt / _MAX_SPLIT, else NonSplittableTerm.  The first plan is stacked for the
+    packet (state, its exact steps).  Returns (plan, stride, exact steps) per run:
+    evolve each in turn for its exact steps times plan.dt.
     """
     need = _run_bytes(spec, observers)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -924,7 +918,7 @@ def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, st
                     f"{dt * g / j:g}, more than the cap of {_MAX_GRID_STEPS}"
                 )
             try:
-                plan = compile_exact(k_op, spec, dt * g / j, None if runs else (means, width, exact))
+                plan = compile_exact(k_op, spec, dt * g / j, None if runs else (state, exact))
                 break
             except NonSplittableTerm:
                 if j == splits[-1]:

@@ -690,8 +690,10 @@ def fit_envelope(times, values) -> EnvelopeFit:
     themselves serve as the envelope.  The leading 20% of the time span
     is dropped as transient before fitting polynomials of degree 0, 1, 2
     by least squares; the lowest degree with relative L2 residual below
-    1% wins.  Raises InsufficientData for fewer than 32 samples, fewer
-    than 10 oscillation periods, or when no degree fits.
+    1% wins, on the samples scaled exactly by the power of two that puts
+    their largest magnitude in [1/2, 1): the fit does not depend on their
+    scale, and no sum of squares overflows.  Raises InsufficientData for
+    fewer than 32 samples, 10 oscillation periods, or when no degree fits.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -699,6 +701,8 @@ def fit_envelope(times, values) -> EnvelopeFit:
         raise ValueError("times and values must be 1-D arrays of equal length")
     if t.size < _MIN_SAMPLES:
         raise InsufficientData(f"need at least {_MIN_SAMPLES} samples, got {t.size}")
+    scale = int(np.frexp(np.max(np.abs(v)))[1])
+    v = np.ldexp(v, -scale)
     periods = _count_periods(t, v)
     if periods < _MIN_PERIODS:
         raise InsufficientData(
@@ -725,7 +729,7 @@ def fit_envelope(times, values) -> EnvelopeFit:
         coeffs = np.polyfit(et, ev, degree)
         residual = float(np.linalg.norm(ev - np.polyval(coeffs, et))) / norm
         if residual < _RESIDUAL_GATE:
-            return EnvelopeFit(degree, tuple(float(c) for c in coeffs), residual)
+            return EnvelopeFit(degree, tuple(float(c) for c in np.ldexp(coeffs, scale)), residual)
     raise InsufficientData(
         "no polynomial envelope of degree <= 2 fits within the 1% residual gate"
     )

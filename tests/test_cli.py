@@ -104,6 +104,18 @@ def test_nogo_coupled(capsys):
     assert "no Koopmanian yields both target commutators" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--k", "1e4300"], ["nogo", "--k", "1e-5000"],
+    ["derive", "--mode", "hybrid", "--k", "1e5000"],
+    ["derive", "--hamiltonian", "a*a*q^2 + p^2", "--param", "a=1e2200"],  # a^2: 4 401 digits
+])
+def test_an_exact_result_past_the_digit_limit_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "digits" in err
+
+
 # -- spectrum ----------------------------------------------------------------
 
 
@@ -431,10 +443,10 @@ def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, po
     t_final, stride = (2.1, 2) if stacked else (0.5, 1)
     tracemalloc.start()
     try:
-        packet = ({}, 1.0 / math.sqrt(2.0), round(t_final / 0.1))
+        packet = (default_moment_state(), round(t_final / 0.1))
         plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1,
                              packet if stacked else None)
-        state = gaussian_state(spec, *packet[:2])
+        state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
         evolve(state, plan, t_final, observers=observers, stride=stride)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -669,6 +681,9 @@ def test_moment_overflow_stderr_is_the_error_line_alone(capfd, tmp_path, flags, 
     # K swings from 1.5e308 to -1.5e308: the absolute drift is past the float range too
     (["--engine", "moments", "--observer", "K=c*q", "--param", "c=1.5e308", "--mean", "q=1"],
      1, "runtime failure: K drifts from K(0) = 1.5e+308 past the float range\n"),
+    # an envelope of 5e153, whose sum of squares is past the float range
+    (["--k", "0", "--t-final", "100", "--mean", "q=5e153", "--observer", "q2=q^2"], 0,
+     "sqrt(q2) envelope degree 0 (residual 3.72e-04)\n"),
 ])
 def test_extreme_inputs_end_cleanly(capfd, tmp_path, flags, code, line):
     out_dir = tmp_path / "run"
@@ -692,13 +707,14 @@ _TIME_GRIDS = st.one_of(
 @st.composite
 def _cli_argv(draw):
     """A CLI call: a subcommand, mode and --k, and for a run its time grid, engine,
-    grid, means and observers, drawn from ranges that reach the float limits."""
+    grid, means and observers, drawn from ranges that reach the float limits (and, for
+    --k, the interpreter's digit limit for printing an integer)."""
     command = draw(st.sampled_from(["derive", "nogo", "spectrum", "simulate", "compare",
                                     "report"]))
     if command == "report":  # the runs directory holds run directories, not reports
         return [command, "--runs", "."]
     k = draw(st.one_of(st.sampled_from(["0", "1", "-1"]),
-                       st.sampled_from(["1e-300", "1e150", "1e300"])))
+                       st.sampled_from(["1e-300", "1e150", "1e300", "1e5000", "1e-5000"])))
     argv = [command, f"--k={k}"]
     if command == "nogo":
         return argv
@@ -725,7 +741,7 @@ _RUN = ["simulate", "--mode", "hybrid"]
 _contract_runs = itertools.count()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@settings(max_examples=250, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_cli_argv())
 @example(argv=[*_RUN, "--engine=grid", "--grid-n=8", "--k=1e150", "--t-final=0.1"])
@@ -736,6 +752,7 @@ _contract_runs = itertools.count()
 @example(argv=["simulate", "--k=1e300", "--mode", "quantum-quantum", "--engine=grid", "--dt=0.01",
                "--t-final=1", "--stride=1000"])  # a stride past the end: no plan at any split
 @example(argv=["compare", "--dt=1e-300", "--t-final=1"])  # some 1e300 steps
+@example(argv=["nogo", "--k=1e-5000"])  # a witness past the interpreter's digit limit
 def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
     # exit 0 with finite output, or a clean exit 1 or 2 that writes no run directory;
     # capfd reads fd 2, where LAPACK writes from C

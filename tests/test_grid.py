@@ -19,6 +19,7 @@ from hybridlab import (
     GENERATOR_NAMES,
     GridSpec,
     GridState,
+    MomentState,
     NonSplittableTerm,
     OutOfBox,
     UnknownAxis,
@@ -273,7 +274,7 @@ def test_each_factor_is_laid_out_as_evolve_multiplies_by_it(kind, mode, spec, of
     if kind == "strang":
         plan = compile_splitting(K, spec, 0.01)
     else:
-        plan = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 100)
+        plan = compile_exact(K, spec, 0.1, (default_moment_state({"x": 0.3, "q": -0.2}), 100)
                              if kind == "stacked" else None)
     assert plan.offsets == offsets
     n = spec.shape[-1]
@@ -319,7 +320,7 @@ def test_each_offset_of_a_stacked_plan_is_the_plan_at_that_step(mode, spec, offs
                                                                  monkeypatch):
     monkeypatch.setattr(grid, "_block_states", lambda spec: 32)  # a block of 32 states
     K = mode_koopmanian(mode, K_COUPLING)
-    stacked = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 0))
+    stacked = compile_exact(K, spec, 0.1, (default_moment_state({"x": 0.3, "q": -0.2}), 0))
     assert stacked.offsets == offsets and stacked.dt == 0.1
     for k in range(1, offsets + 1):
         plan = compile_exact(K, spec, k * 0.1)
@@ -336,7 +337,7 @@ def test_a_stacked_plan_stops_at_the_first_offset_that_fails(monkeypatch):
     # at 0.7; a block of evolve's ring holds 8 states
     spec = _qq_spec()
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
-    packet = ({"x": 0.3, "q": -0.2}, WIDTH, 100)
+    packet = (default_moment_state({"x": 0.3, "q": -0.2}), 100)
     with pytest.raises(NonSplittableTerm, match=r"tau = 0.7: a chirp's phase steps 3.23 > pi"):
         compile_exact(K, spec, 0.7)
     compile_exact(K, spec, 0.6)
@@ -359,13 +360,23 @@ def test_a_stacked_plan_keeps_the_chirped_packet_in_the_box():
     # Steps up to 1.1 wrapped the tails: 600 times the deviation
     spec = _qq_spec(32)
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
-    means = {"x": 0.3, "q": -0.2}
-    assert compile_exact(K, spec, 0.1, (means, WIDTH, 0)).offsets == 5
-    assert compile_exact(K, spec, 0.1, (means, WIDTH, 100)).offsets == 1
+    state = default_moment_state({"x": 0.3, "q": -0.2})
+    assert compile_exact(K, spec, 0.1, (state, 0)).offsets == 5
+    assert compile_exact(K, spec, 0.1, (state, 100)).offsets == 1
     # at 64^2 a packet at q = 2.5 comes within 8.49 standard deviations of the
     # edge in position, which a longer step's U chirp moves it along
-    assert compile_exact(K, _qq_spec(), 0.1, ({"q": 1.0}, WIDTH, 100)).offsets == 6
-    assert compile_exact(K, _qq_spec(), 0.1, ({"q": 2.5}, WIDTH, 100)).offsets == 1
+    assert compile_exact(K, _qq_spec(), 0.1, (default_moment_state({"q": 1.0}), 100)).offsets == 6
+    assert compile_exact(K, _qq_spec(), 0.1, (default_moment_state({"q": 2.5}), 100)).offsets == 1
+
+
+@pytest.mark.parametrize("momentum, offsets", [(1.0, 6), (2.0, 1)])
+def test_a_stacked_plan_reads_the_packets_momentum(momentum, offsets):
+    # a mean momentum moves the packet along q, which a longer step's U chirp
+    # moves it further along: at 64^2 over 1 000 steps <p> = 1 keeps the whole
+    # stack of 6 in the box, and <p> = 2 no offset past the first
+    state = MomentState.vacuum_like([0.0, momentum, 0.0, 0.0, 0.0, 0.0])
+    K = mode_koopmanian("quantum-quantum", K_COUPLING)
+    assert compile_exact(K, _qq_spec(), 0.1, (state, 1000)).offsets == offsets
 
 
 @pytest.mark.parametrize("mode, spec, t_final", [
@@ -627,7 +638,7 @@ def test_a_stacked_run_matches_the_one_offset_run_and_the_moment_engine(t_final,
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers("quantum-quantum", K_COUPLING)
     one = evolve(state, compile_exact(K, spec, 0.1), t_final, observers=observers, stride=stride)
-    plan = compile_exact(K, spec, 0.1, (means, WIDTH, round(t_final / 0.1)))
+    plan = compile_exact(K, spec, 0.1, (default_moment_state(means), round(t_final / 0.1)))
     assert plan.offsets == 6
     stacked = evolve(state, plan, t_final, observers=observers, stride=stride)
     assert np.array_equal(stacked.times, one.times)
@@ -649,11 +660,11 @@ def test_a_stacked_run_samples_marks_at_two_spacings_where_a_one_offset_run_does
     means = {"q": 0.3}
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers("quantum-quantum", K_COUPLING)
-    plan = compile_exact(K, spec, 0.05, (means, WIDTH, 21))
+    plan = compile_exact(K, spec, 0.05, (default_moment_state(means), 21))
     assert plan.offsets == 8
     stacked = evolve(state, plan, 1.05, observers=observers, stride=2)
     monkeypatch.setattr(grid, "_block_states", lambda spec: 1)
-    plan = compile_exact(K, spec, 0.05, (means, WIDTH, 21))
+    plan = compile_exact(K, spec, 0.05, (default_moment_state(means), 21))
     assert plan.offsets == 1
     one = evolve(state, plan, 1.05, observers=observers, stride=2)
     assert np.array_equal(stacked.times, 0.05 * np.array([*range(0, 21, 2), 21]))
@@ -681,7 +692,7 @@ def test_a_stacked_run_transforms_each_stack_at_once(monkeypatch):
     evolve(state, compile_exact(K, spec, 0.1), 10.0)
     assert len(calls) == 4 * 100 and set(calls) == {(1, *spec.shape)}
     calls.clear()
-    plan = compile_exact(K, spec, 0.1, ({"x": 0.3, "q": -0.2}, WIDTH, 100))
+    plan = compile_exact(K, spec, 0.1, (default_moment_state({"x": 0.3, "q": -0.2}), 100))
     evolve(state, plan, 10.0)
     assert len(calls) == 4 * 17
     assert collections.Counter(shape[0] for shape in calls) == {6: 4 * 16, 4: 4}
@@ -702,7 +713,7 @@ def test_stacked_samples_match_a_serial_reference(spec, t_final, stride, slow, o
     means = {} if mode == "hybrid" else {"x": 0.3, "q": -0.2}  # a centred hybrid packet fits
     if mode == "hybrid":
         monkeypatch.setattr(grid, "_block_states", lambda spec: 4)
-    packet = (means, WIDTH, round(t_final / 0.1))
+    packet = (default_moment_state(means), round(t_final / 0.1))
     plan = compile_exact(mode_koopmanian(mode, K_COUPLING), spec, 0.1, packet)
     assert plan.offsets == offsets
     state = gaussian_state(spec, means, WIDTH)
@@ -742,7 +753,7 @@ def test_a_stacked_run_raises_a_worker_failure_and_joins_its_thread(monkeypatch)
     monkeypatch.setattr(grid._Sampler, "measure_block", failing)
     spec = _qq_spec()
     plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1,
-                         ({}, WIDTH, 100))
+                         (default_moment_state(), 100))
     state = gaussian_state(spec, {}, WIDTH)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="measuring failed"):
@@ -755,7 +766,10 @@ def test_a_stacked_run_overflows_where_the_serial_reference_does():
     # a plan stacked for the first state only: 2 offsets keep its chirps in this
     # box, and the overflow is the first row of the third stack
     spec = _qq_spec(L=6.0)
-    packet = ({"q": 2.0}, {"x": 0.5, "q": 0.3}, 0)
+    # the moments of the state below: widths 0.3 in q and 0.5 in x, the pure state's momenta
+    mean = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    var = np.array([0.3**2, 0.25 / 0.3**2, 0.5**2, 0.5, 0.25 / 0.5**2, 0.5])
+    packet = (MomentState(mean, np.diag(var) + np.outer(mean, mean)), 0)
     plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1, packet)
     assert plan.offsets == 2
     state = gaussian_state(spec, {"q": 2.0}, {"x": 0.5, "q": 0.3})
@@ -911,7 +925,7 @@ def test_a_stacked_run_copies_no_factor_of_its_plan():
     spec = _qq_spec()
     K = mode_koopmanian("quantum-quantum", K_COUPLING)
     means = {"x": 0.05, "q": -0.05}
-    plan = compile_exact(K, spec, 0.1, (means, WIDTH, 1000))
+    plan = compile_exact(K, spec, 0.1, (default_moment_state(means), 1000))
     assert plan.offsets == 6
     state = gaussian_state(spec, means, WIDTH)
     observers = default_observers("quantum-quantum", K_COUPLING)

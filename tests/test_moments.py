@@ -586,6 +586,17 @@ def test_envelope_of_resonant_benchmark_is_linear():
     assert fit.residual < 1e-2
 
 
+@pytest.mark.parametrize("series", [lambda t: np.abs(t * np.sin(t)),
+                                    lambda t: np.abs(t * t * np.sin(t))],
+                         ids=["linear", "quadratic"])
+def test_envelope_fit_does_not_depend_on_the_scale_of_the_samples(series):
+    # at 2^510 the envelope's sum of squares is past the float range
+    t = np.linspace(0.0, 100.0, 2001)
+    base, scaled = fit_envelope(t, series(t)), fit_envelope(t, np.ldexp(series(t), 510))
+    assert scaled.degree == base.degree and scaled.residual == base.residual
+    assert scaled.coefficients == tuple(np.ldexp(base.coefficients, 510))
+
+
 def test_envelope_insufficient_data():
     with pytest.raises(InsufficientData):
         fit_envelope(np.linspace(0, 100, 20), np.ones(20))
