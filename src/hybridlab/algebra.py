@@ -73,8 +73,6 @@ def _fraction_from_real(value) -> Fraction:
         # Floats are read at their shortest round-tripping decimal, so 0.2
         # becomes 1/5 rather than the underlying binary fraction.
         return Fraction(repr(value))
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 

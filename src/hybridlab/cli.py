@@ -176,14 +176,19 @@ def _as_int(value, name) -> int:
 
 
 def _parse_pairs(items, what) -> dict[str, str]:
+    """NAME=VALUE items in order; each name nonempty, given once, and free of a comma
+    or line break, since an observer's name heads a CSV column."""
     out: dict[str, str] = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ConfigError(f"{what} must look like name=value, got {item!r}")
-        name, value = item.split("=", 1)
+    for item in items:
+        name, eq, value = item.partition("=")
         name = name.strip()
-        if not name:
-            raise ConfigError(f"{what} has an empty name in {item!r}")
+        if not eq:
+            raise ConfigError(f"{what} must look like name=value, got {item!r}")
+        if not name or {",", "\n", "\r"} & set(name):
+            raise ConfigError(f"{what} needs a nonempty name without a comma or line break, "
+                              f"got {item!r}")
+        if name in out:
+            raise ConfigError(f"{what} gives the name {name!r} twice")
         out[name] = value.strip()
     return out
 
@@ -216,6 +221,13 @@ def _check_float_range(numbers, message: str) -> None:
             raise ConfigError(message) from exc
 
 
+def _check_float_nonzero(numbers, message: str) -> None:
+    """For simulate and compare, which run in floats: no nonzero part may round to 0."""
+    for number in numbers:
+        if any(part and not float(part) for part in (number.real, number.imag)):
+            raise ConfigError(message)
+
+
 def _exact_str(value) -> str:
     """str(value) for output of exact numbers, refused past the interpreter's digit limit."""
     try:
@@ -233,7 +245,7 @@ def _float_coupling(args) -> Fraction:
 
 def _binding(args, k: Fraction, numeric: bool = True) -> ParameterBinding:
     params = {"k": k}
-    for name, value in _parse_pairs(getattr(args, "param", None), "--param").items():
+    for name, value in _parse_pairs(args.param, "--param").items():
         params[name] = _parse_fraction(value)
         if numeric:
             _check_float_range([params[name]], f"--param {name} is too large for a float: {value}")
@@ -244,10 +256,13 @@ def _binding(args, k: Fraction, numeric: bool = True) -> ParameterBinding:
 
 
 def _explicit_generator(args, binding: ParameterBinding) -> OperatorPolynomial | None:
-    koop = getattr(args, "koopmanian", None)
-    ham = getattr(args, "hamiltonian", None)
-    if koop is not None and ham is not None:
-        raise ConfigError("give --koopmanian or --hamiltonian, not both")
+    """The generator --koopmanian or --hamiltonian gives, or None; either one excludes --mode."""
+    koop, ham = args.koopmanian, args.hamiltonian
+    given = [f"--{name}" for name in ("mode", "koopmanian", "hamiltonian")
+             if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise ConfigError(f"give one of --mode, --koopmanian or --hamiltonian, "
+                          f"not both {given[0]} and {given[1]}")
     if koop is not None:
         return parse_polynomial(koop, binding)
     if ham is not None:
@@ -268,21 +283,18 @@ def _spectrum_summary(report) -> str:
 
 
 def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding, koopmanian):
-    raw = getattr(args, "observer", None) or []
-    if not raw:
+    pairs = _parse_pairs(args.observer, "--observer")
+    if not pairs:
         return benchmark.default_observers(mode, k, koopmanian)
+    if {"t", "norm"} & set(pairs):
+        raise ConfigError(f"observer labels must not be t or norm, got {list(pairs)}")
     observers = []
-    for item in raw:
-        label, _, expr = item.partition("=")
-        if not expr:
-            label, expr = item, item
-        poly = parse_polynomial(expr.strip(), binding)
-        _check_float_range((c for _, c in poly.monomials()),
-                           f"--observer {item}: too large for a float")
-        observers.append((label.strip(), poly))
-    labels = [label for label, _ in observers]
-    if len(set(labels)) < len(labels) or {"t", "norm"} & set(labels):
-        raise ConfigError(f"observer labels must be unique and not t or norm, got {labels}")
+    for label, expr in pairs.items():
+        poly = parse_polynomial(expr, binding)
+        coefficients = [c for _, c in poly.monomials()]
+        _check_float_range(coefficients, f"--observer {label}={expr}: too large for a float")
+        _check_float_nonzero(coefficients, f"--observer {label}={expr}: too small for a float")
+        observers.append((label, poly))
     return observers
 
 
@@ -299,6 +311,7 @@ def _simulation_settings(args):
     """Validate the simulate/compare inputs and build the engines' inputs."""
     mode = _mode_of(args)
     k = _float_coupling(args)
+    _check_float_nonzero([k], f"--k is too small for a float: {args.k}")
     engine = _required(args, "engine", "moments")
     if engine not in ("moments", "grid", "both"):
         raise ConfigError(f"unknown engine {engine!r}; choose moments, grid, or both")
@@ -310,16 +323,13 @@ def _simulation_settings(args):
     stride = _as_int(_required(args, "stride", 10), "stride")
     grid_n = _as_int(_required(args, "grid-n", 64), "grid-n")
     grid_l = _as_float(_required(args, "grid-l", 8.0), "grid-l")
-    means = {
-        name: _as_float(value, "mean")
-        for name, value in _parse_pairs(getattr(args, "mean", None), "--mean").items()
-    }
-    for name in means:
-        if name not in ("q", "x", "y"):
-            raise ConfigError(f"--mean supports q, x, y; got {name!r}")
+    means = {name: _as_float(value, "mean")
+             for name, value in _parse_pairs(args.mean, "--mean").items()}
     out_dir = _required(args, "out", "hybridlab-run")
     _parse_bool(_required(args, "deterministic", False))  # validated; runs are always reproducible
     binding = _binding(args, k)
+    for name, value in binding.items():
+        _check_float_nonzero([value], f"--param {name} is too small for a float")
     koopmanian = None if mode == "classical-classical" else benchmark.mode_koopmanian(mode, k)
     observers = _observer_list(args, mode, k, binding, koopmanian)
     # The engines' own constructors validate these inputs with ValueError.  Every grid
@@ -597,9 +607,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.engine not in (None, "both"):
-        raise ConfigError(f"compare runs both engines; engine must be both, got {args.engine!r}")
-    args.engine = "both"
+    args.engine = "both"  # compare has no --engine: it always runs both
     settings = _simulation_settings(args)
     (moments_report, mcols), (grid_report, gcols) = _run_engines(settings)
     shared = [name for name in mcols if name != "t" and name in gcols]
@@ -672,9 +680,7 @@ def _add_mode_flags(sub):
     sub.add_argument("--k", help="coupling constant (exact: 0.2 or 1/5)")
 
 
-def _add_sim_flags(sub):
-    _add_mode_flags(sub)
-    sub.add_argument("--engine", help="moments | grid | both")
+def _add_run_flags(sub):
     sub.add_argument("--dt", help="time step (default 0.01)")
     sub.add_argument("--t-final", help="total time (default 10)")
     sub.add_argument("--stride", help="sample every N steps (default 10)")
@@ -719,11 +725,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_spectrum)
 
     sub = commands.add_parser("simulate", help="run the moment and/or grid engine")
-    _add_sim_flags(sub)
+    _add_mode_flags(sub)
+    sub.add_argument("--engine", help="moments | grid | both")
+    _add_run_flags(sub)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("compare", help="run both engines and tabulate deviations")
-    _add_sim_flags(sub)
+    _add_mode_flags(sub)
+    _add_run_flags(sub)
     sub.set_defaults(func=_cmd_compare)
 
     sub = commands.add_parser("report", help="aggregate run directories into a summary")

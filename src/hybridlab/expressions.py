@@ -118,19 +118,16 @@ def _tokenize(source: str) -> list[_Token]:
 class ParameterBinding(Mapping):
     """Immutable map from parameter names to exact scalar values.
 
-    Values are coerced to ComplexRational; floats are read at their repr,
-    so ParameterBinding(k=0.2) binds k to exactly 1/5.
+    Built from one mapping; values are coerced to ComplexRational, and
+    floats are read at their repr, so ParameterBinding({"k": 0.2}) binds k
+    to exactly 1/5.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping | None = None, **extra):
-        merged: dict = {}
-        if values:
-            merged.update(values)
-        merged.update(extra)
+    def __init__(self, values: Mapping):
         out: dict[str, ComplexRational] = {}
-        for name, value in merged.items():
+        for name, value in values.items():
             if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
                 raise ValueError(f"parameter name {name!r} is not a valid identifier")
             if name in _RESERVED:
@@ -309,7 +306,7 @@ def parse_polynomial(
     if not isinstance(source, str):
         raise TypeError("expression source must be a string")
     if not isinstance(parameters, ParameterBinding):
-        parameters = ParameterBinding(parameters)
+        parameters = ParameterBinding(parameters or {})
     parser = _Parser(source, parameters)
     if parser.peek().kind == "end":
         raise ParseError("empty input", source=source, pos=0)

@@ -244,8 +244,9 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
 
     On a classical axis this is the square root of a Gaussian density of
     standard deviation s; on the quantum axis it is the usual wave packet
-    with position spread s (momentum spread 1/(2s)).  means/widths map
-    axis labels to numbers (sequences aligned with the axes also work).
+    with position spread s (momentum spread 1/(2s)).  means and widths each
+    map axis labels to numbers, or give one number for every axis; a mean
+    left out of its map is 0.
     Raises ValueError when an axis's Gaussian underflows to 0 at every grid
     point, and OutOfBox when more than _BOUNDARY_MASS_LIMIT of its mass lies
     within _BOUNDARY_CELLS of the axis's position edges: evolve's box rule,
@@ -291,12 +292,7 @@ def _per_axis(spec: GridSpec, values, what: str) -> list[float]:
         if unknown:
             raise UnknownAxis(f"{what} given for missing axes {sorted(unknown)}")
         return [float(values.get(label, 0.0)) for label in spec.labels]
-    if isinstance(values, (int, float)):
-        return [float(values)] * len(spec.axes)
-    out = [float(v) for v in values]
-    if len(out) != len(spec.axes):
-        raise ValueError(f"{what} must give one value per axis ({len(spec.axes)})")
-    return out
+    return [float(values)] * len(spec.axes)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1060,8 @@ def evolve(
     *,
     stride: int = 1,
 ) -> EvolutionResult:
-    """Propagate for t_final, sampling observers every `stride` steps.
+    """Propagate for t_final, sampling observers, a sequence of (label,
+    polynomial) pairs, every `stride` steps.
 
     The steps and sample points are those of `sample_steps(t_final,
     plan.dt, stride)`, which validates them: t_final must be a whole
@@ -1085,9 +1082,7 @@ def evolve(
     dt = plan.dt
     marks, _ = sample_steps(t_final, dt, stride)
 
-    labeled = [(str(obs[0]), obs[1]) if isinstance(obs, tuple) else (f"obs{idx}", obs)
-               for idx, obs in enumerate(observers)]
-    polys = [poly for _, poly in labeled]
+    polys = [poly for _, poly in observers]
 
     spec = plan.spec
     first = 1 + len(spec.axes)  # column of the first observer
@@ -1163,7 +1158,7 @@ def evolve(
     resid = first + len(polys)
     return EvolutionResult(
         times=marks * dt,
-        labels=tuple(lbl for lbl, _ in labeled),
+        labels=tuple(label for label, _ in observers),
         values=out[:, first:resid].copy(),
         imag_residuals=np.abs(out[:, resid:]).max(axis=0),
         norms=np.sqrt(out[:, 0]),

@@ -244,6 +244,8 @@ def test_nogo_witness_nonzero_iff_coupled(k):
 def test_float_coefficients_read_as_decimals():
     assert ComplexRational.coerce(0.2).real == Fraction(1, 5)
     assert constant(0.2) * Q == constant(Fraction(1, 5)) * Q
+    with pytest.raises(TypeError):  # text is the parser's to read
+        ComplexRational.coerce("1/5")
 
 
 def test_rendering_examples():

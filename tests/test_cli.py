@@ -595,7 +595,7 @@ def test_box_overflow_exits_1(capsys, tmp_path):
 def test_bad_mean_name_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--mean", "p=1.0")
     assert code == 2
-    assert "--mean supports" in err
+    assert "initial mean for 'p' is not supported; displace q, x, or y" in err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -753,6 +753,11 @@ _contract_runs = itertools.count()
                "--t-final=1", "--stride=1000"])  # a stride past the end: no plan at any split
 @example(argv=["compare", "--dt=1e-300", "--t-final=1"])  # some 1e300 steps
 @example(argv=["nogo", "--k=1e-5000"])  # a witness past the interpreter's digit limit
+@example(argv=[*_RUN, "--observer", "q,x=q", "--t-final=0.1"])  # a label holding the separator
+@example(argv=["compare", "--mode", "quantum-quantum", "--grid-n=16", "--t-final=0.1",
+               "--observer", "a,b=q"])  # ... which compare.csv's rows would hold too
+@example(argv=["spectrum", "--koopmanian", "q^2/2 + p^2/2", "--mode", "nonsense"])
+@example(argv=[*_RUN, "--k=1e-4000", "--t-final=0.1"])  # a nonzero k whose float is 0
 def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
     # exit 0 with finite output, or a clean exit 1 or 2 that writes no run directory;
     # capfd reads fd 2, where LAPACK writes from C
@@ -768,14 +773,16 @@ def test_every_cli_call_ends_cleanly(capfd, tmp_path, argv):
     if code:
         assert not out_dir.exists()
         return
-    for path in out_dir.glob("*.csv"):
-        for line in path.read_text().splitlines()[1:]:
-            for cell in line.split(","):
-                try:
-                    value = float(cell)
-                except ValueError:  # an observable's name in compare.csv
-                    continue
-                assert math.isfinite(value), (path.name, line)
+    for path in out_dir.glob("*.csv"):  # one name per column, each column finite
+        lines = path.read_text().splitlines()
+        if path.name == "compare.csv":  # an observable's name and its deviation per row
+            rows = [line.split(",") for line in lines[1:]]
+            assert all(len(row) == 2 and math.isfinite(float(row[1])) for row in rows), lines
+            continue
+        header, columns = read_csv(path)
+        assert all(header) and len(columns) == len(header), header
+        assert all(len(line.split(",")) == len(header) for line in lines), path.name
+        assert all(np.isfinite(column).all() for column in columns.values()), path.name
     for path in out_dir.glob("*.json"):
         numbers, stack = [], [json.loads(path.read_text())]
         while stack:
@@ -916,9 +923,10 @@ def test_compare_records_that_it_ran_both_engines(capsys, tmp_path):
         assert report["config"]["engine"] == "both"
 
 
-@pytest.mark.parametrize("engine", ["grid", "moments"])
+@pytest.mark.parametrize("engine", ["grid", "moments", "both"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_compare_refuses_an_engine_other_than_both(capsys, tmp_path, engine, source):
+    # compare always runs both engines and has no engine option at all, so both is refused too
     out_dir = tmp_path / "none"
     argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "32", "--t-final", "0.2",
             "--out", str(out_dir)]
@@ -930,8 +938,8 @@ def test_compare_refuses_an_engine_other_than_both(capsys, tmp_path, engine, sou
         argv = ["--config", str(cfg), *argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == ("configuration error: compare runs both engines; engine must be both, "
-                   f"got '{engine}'\n")
+    assert err.endswith(f"unrecognized arguments: --engine {engine}\n" if source == "flag" else
+                        "configuration error: unknown config key 'engine' in section [compare]\n")
     assert not out_dir.exists()
 
 
@@ -954,11 +962,22 @@ def test_k_beyond_float_range_exits_2(capsys, tmp_path, command):
     (["simulate", "--engine", "moments", "--observer", "c=a*b*q^2", "--param", "a=1e200",
       "--param", "b=1e200"], "--observer c=a*b*q^2: too large for a float"),
     (["spectrum", "--koopmanian", "10^400*q*p_y+p^2"], "generator too large for a float"),
+    # simulate and compare compute in floats: a nonzero input whose float is 0 is refused too
+    (["simulate", "--k", "1e-4000"], "--k is too small for a float: 1e-4000"),
+    (["compare", "--mode", "quantum-quantum", "--grid-n", "16", "--k=-1e-400"],
+     "--k is too small for a float: -1e-400"),
+    (["simulate", "--observer", "K2=a*q^2", "--param", "a=1e-400"],
+     "--param a is too small for a float"),
+    (["simulate", "--param", "a=1e-400"], "--param a is too small for a float"),
+    (["simulate", "--observer", "c=a*b*q^2", "--param", "a=1e-200", "--param", "b=1e-200"],
+     "--observer c=a*b*q^2: too small for a float"),
+    (["simulate", "--observer", "c=q^2 + a*b*i*q^2", "--param", "a=1e-200", "--param",
+      "b=1e-200"], "--observer c=q^2 + a*b*i*q^2: too small for a float"),  # its imaginary part
 ])
 def test_coefficient_beyond_float_range_exits_2(capsys, tmp_path, argv, message):
-    extra = ["--t-final", "0.1", "--out", str(tmp_path / "c")] if argv[0] == "simulate" else []
-    code, _, err = run(capsys, *argv, *extra)
-    assert code == 2
+    extra = [] if argv[0] == "spectrum" else ["--t-final", "0.1", "--out", str(tmp_path / "c")]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2 and out == ""
     assert f"configuration error: {message}" in err
     assert not (tmp_path / "c").exists()
 
@@ -970,6 +989,11 @@ def test_exact_commands_accept_k_beyond_float_range(capsys):
     code, out, _ = run(capsys, "nogo", "--k", "1e400")
     assert code == 0
     assert f"witness = -{10**400}*i: FAIL" in out
+    # and k whose float is 0: the spectrum decides secular growth exactly
+    code, out, _ = run(capsys, "spectrum", "--k", "1e-4000")
+    assert code == 0 and "secular growth: yes" in out
+    code, out, _ = run(capsys, "derive", "--mode", "hybrid", "--k", "1e-400")
+    assert code == 0 and f"dp/dt = -q + 1/{10**400}*p_y" in out
 
 
 def test_moment_flow_overflow_is_runtime_failure(capsys, tmp_path):
@@ -1011,7 +1035,48 @@ def test_clashing_observer_labels_exit_2(capsys, tmp_path, observers):
         "--t-final", "1", "--out", str(tmp_path / "o"), *flags,
     )
     assert code == 2
-    assert "observer labels" in err
+    assert ("--observer gives the name 'a' twice" if observers[0] == "a=q" else
+            "observer labels must not be t or norm") in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--observer", "q,x=q"], None),
+    (["simulate", "--observer", "a\nb=q"], None),
+    (["simulate", "--observer", "a\rb=q"], None),
+    (["simulate", "--observer", "=q"], None),
+    (["simulate", "--observer", "q^2"], None),  # no label: LABEL=EXPR is the one form
+    (["compare", "--mode", "quantum-quantum", "--grid-n", "16", "--observer", "a,b=q"], None),
+    (["simulate"], "observer = q,x=q"),
+    (["simulate"], "observer = x=q; q,p=p"),
+    (["simulate", "--mean", "q=1", "--mean", "q=2"], None),
+    (["simulate", "--observer", "c=a*q", "--param", "a=1", "--param", "a=2"], None),
+])
+def test_each_run_pair_needs_one_csv_safe_name(capsys, tmp_path, argv, config):
+    # a name heads a CSV column: it is refused empty, repeated, or holding a comma or line break
+    out_dir = tmp_path / "none"
+    if config:
+        (tmp_path / "run.ini").write_text(f"[{argv[0]}]\n{config}\n")
+        argv = ["--config", str(tmp_path / "run.ini"), *argv]
+    code, out, err = run(capsys, *argv, "--t-final", "0.1", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: --"), err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["spectrum", "--koopmanian", "q^2/2 + p^2/2", "--mode", "nonsense"], None),
+    (["derive", "--hamiltonian", "q^2", "--mode", "nonsense"], None),
+    (["derive", "--koopmanian", "k*q*p_y + p^2", "--mode", "hybrid", "--k", "0.5"], None),
+    (["spectrum", "--hamiltonian", "q^2 + p^2"], "mode = quantum-quantum"),
+])
+def test_mode_is_refused_beside_an_explicit_generator(capsys, tmp_path, argv, config):
+    if config:
+        (tmp_path / "run.ini").write_text(f"[{argv[0]}]\n{config}\n")
+        argv = ["--config", str(tmp_path / "run.ini"), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: give one of --mode, --koopmanian or "
+                          "--hamiltonian, not both --mode and --"), err
 
 
 def test_unreadable_inputs_exit_2(capsys, tmp_path):

@@ -113,6 +113,8 @@ def test_parameter_binding_validation():
         ParameterBinding({"2bad": 1})
     with pytest.raises(ValueError, match="identifier"):
         ParameterBinding({"": 1})
+    with pytest.raises(TypeError):  # one mapping, not keywords
+        ParameterBinding(k=1)
 
 
 def test_parameter_values_coerce_exactly():

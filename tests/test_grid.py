@@ -186,10 +186,13 @@ def test_gaussian_state_weighs_positions_past_the_float_range_as_zero():
 
 
 def test_gaussian_state_sequence_arguments():
+    # means map axis labels to numbers; widths do too, or give one number for every axis
     spec = _spec2(32)
-    a = gaussian_state(spec, {"x": 0.5, "y": -0.25}, {"x": 0.6, "y": 0.9})
-    b = gaussian_state(spec, [0.5, -0.25], [0.6, 0.9])
-    assert np.array_equal(a.array, b.array)
+    a = gaussian_state(spec, {"x": 0.5, "y": -0.25}, {"x": 0.6, "y": 0.6})
+    assert np.array_equal(a.array, gaussian_state(spec, {"x": 0.5, "y": -0.25}, 0.6).array)
+    for means, widths in (([0.5, -0.25], [0.6, 0.9]), ({"x": 0.5}, (0.6, 0.9))):
+        with pytest.raises(TypeError):
+            gaussian_state(spec, means, widths)
 
 
 def test_density_is_square_magnitude():
@@ -466,6 +469,8 @@ def test_evolution_validates_inputs():
         evolve(state, plan, 1.0, stride=0)
     with pytest.raises(ValueError):
         evolve(state, plan, -1.0)
+    with pytest.raises(TypeError):  # an observer is a (label, polynomial) pair
+        evolve(state, plan, 1.0, [parse_polynomial("q^2")])
 
 
 def test_grid_matches_moment_engine():
