@@ -48,23 +48,6 @@ from .expressions import (
     ParameterBinding,
     parse_polynomial,
 )
-from .grid import (
-    AxisSpec,
-    BoxOverflow,
-    GridSpec,
-    NonSplittableTerm,
-    OutOfBox,
-    RunTooLarge,
-    UnknownAxis,
-    compile_splitting,  # not called here: perfbench's tracer wraps cli.compile_splitting
-    evolve,
-    gaussian_state,
-    marginal_density,
-    plan_run,
-    sample_steps,
-    save_snapshot,
-    set_workers,  # not called here: a no-op that perfbench's tracer still wraps
-)
 from .moments import (
     DegreeTooHigh,
     InsufficientData,
@@ -76,6 +59,7 @@ from .moments import (
     fit_envelope,
     propagate_moments,
     quadratic_expectation,
+    sample_steps,
 )
 from .reporting import (
     aggregate_reports,
@@ -97,6 +81,12 @@ class NonFiniteOutput(Exception):
     """An engine computed a column value that is not a finite float."""
 
 
+# The grid's names this module uses, bound by _load_grid on a grid run's first need, so a
+# derive, nogo, spectrum, report or moment-only run never imports the grid.  perfbench's
+# tracer reads and wraps them as cli attributes (module __getattr__ below), compile_splitting
+# and set_workers included, which are not called here.
+_GRID_NAMES = ("AxisSpec", "BoxOverflow", "GridSpec", "compile_splitting", "evolve",
+               "gaussian_state", "marginal_density", "plan_run", "save_snapshot", "set_workers")
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
@@ -246,6 +236,8 @@ def _float_coupling(args) -> Fraction:
 def _binding(args, k: Fraction, numeric: bool = True) -> ParameterBinding:
     params = {"k": k}
     for name, value in _parse_pairs(args.param, "--param").items():
+        if name == "k":
+            raise ConfigError(f"--param {name}={value}: k is the coupling, give it with --k")
         params[name] = _parse_fraction(value)
         if numeric:
             _check_float_range([params[name]], f"--param {name} is too large for a float: {value}")
@@ -298,11 +290,12 @@ def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding, koop
     return observers
 
 
-def _grid_spec_for(mode: str, half_extent: float, points: int) -> GridSpec:
+def _grid_spec_for(command: str, mode: str, half_extent: float, points: int) -> GridSpec:
     if mode not in _GRID_AXES:
+        advice = "run simulate instead" if command == "compare" else "use --engine moments"
         raise ConfigError(
             "the grid engine supports hybrid and quantum-quantum runs; "
-            "classical-classical moments close exactly, use --engine moments"
+            f"classical-classical moments close exactly, {advice}"
         )
     return GridSpec(tuple(AxisSpec(lbl, half_extent, points) for lbl in _GRID_AXES[mode]))
 
@@ -339,7 +332,8 @@ def _simulation_settings(args):
         moment_state = benchmark.default_moment_state(means)  # the one Gaussian of both engines
         grid_runs = grid_state = None
         if "grid" in engines:
-            spec = _grid_spec_for(mode, grid_l, grid_n)
+            _load_grid()
+            spec = _grid_spec_for(args.command, mode, grid_l, grid_n)
             grid_means = {lbl: means.get(lbl, 0.0) for lbl in spec.labels}
             grid_runs = plan_run(koopmanian, spec, dt, steps, stride, moment_state, observers)
             grid_state = gaussian_state(spec, grid_means, _DEFAULT_WIDTH)
@@ -743,6 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's exit-1 and exit-2 exception classes; _load_grid adds the grid's, which no run
+# can raise before it has loaded the grid.
+_RUNTIME_EXIT_1 = (MomentOverflow, NonFiniteOutput)
 _CONFIG_EXIT_2 = (
     ConfigError,
     ExpressionError,
@@ -750,11 +747,28 @@ _CONFIG_EXIT_2 = (
     ShiftOperatorPresent,
     NonlinearDynamics,
     DegreeTooHigh,
-    NonSplittableTerm,
-    RunTooLarge,
-    UnknownAxis,
-    OutOfBox,
 )
+
+
+def _load_grid() -> None:
+    """Import the grid and bind _GRID_NAMES here, keeping a name a caller has already set."""
+    global _RUNTIME_EXIT_1, _CONFIG_EXIT_2
+    from . import grid
+
+    for name in _GRID_NAMES:
+        globals().setdefault(name, getattr(grid, name))
+    if grid.BoxOverflow not in _RUNTIME_EXIT_1:
+        _RUNTIME_EXIT_1 += (grid.BoxOverflow,)
+        _CONFIG_EXIT_2 += (grid.NonSplittableTerm, grid.RunTooLarge, grid.UnknownAxis,
+                           grid.OutOfBox)
+
+
+def __getattr__(name: str):
+    """cli.evolve and the rest of _GRID_NAMES, read before any grid run has bound them."""
+    if name not in _GRID_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_grid()
+    return globals()[name]
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first main() call
@@ -782,7 +796,7 @@ def main(argv=None) -> int:
             section = reader[args.command] if reader.has_section(args.command) else None
             _merge(args, section)
         return args.func(args)
-    except (BoxOverflow, MomentOverflow, NonFiniteOutput) as exc:
+    except _RUNTIME_EXIT_1 as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     except _CONFIG_EXIT_2 as exc:

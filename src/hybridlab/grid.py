@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GENERATOR_NAMES, OperatorPolynomial
-from .moments import expm
+from .moments import _count_text, expm, sample_steps
 from .observables import Expectation, FiniteDensity
 from .reporting import write_atomic
 
@@ -87,7 +87,7 @@ __all__ = [
     "gaussian_state",
     "compile_splitting",
     "compile_exact",
-    "sample_steps",
+    "sample_steps",  # moments' own, exported here as the grid run's step rule
     "plan_run",
     "evolve",
     "grid_expectation",
@@ -786,46 +786,8 @@ class EvolutionResult:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
-_MAX_SAMPLES = 10**7
 _MAX_SPLIT = 16  # an exact plan's tau may go down to dt / _MAX_SPLIT
 _MAX_GRID_STEPS = 10**7  # exact steps a run may take; more is refused up front
-
-
-def _count_text(count: int) -> str:
-    """A count in full up to 10**15, and to 6 significant digits beyond."""
-    return str(count) if count <= 10**15 else f"{count:.6g}"
-
-
-def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, int]:
-    """Sampled step indices and step count of a run of t_final in steps of dt.
-
-    t_final must be a whole number of |dt| steps (the sign of dt is the
-    direction of time), to 1e-9 steps or 1e-14 of the count if more (its
-    rounding grows with it).  Every `stride`-th step is sampled, and so are
-    step 0 and the last step.  More than 10**7 samples is refused up front.
-    """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    steps_float = t_final / abs(dt)
-    steps = int(round(steps_float)) if math.isfinite(steps_float) else 0
-    if steps < 1 or abs(steps_float - steps) > max(1e-9, 1e-14 * steps):
-        raise ValueError(
-            f"t_final = {t_final} is not a positive whole number of dt = {dt} steps"
-        )
-    samples = steps // stride + 1 + (steps % stride != 0)
-    if samples > _MAX_SAMPLES:
-        raise ValueError(
-            f"{_count_text(steps)} steps at stride {stride} make "
-            f"{_count_text(samples)} samples, more than the cap of {_MAX_SAMPLES}"
-        )
-    marks = np.arange(0, steps + 1, stride)
-    if marks[-1] != steps:
-        marks = np.append(marks, steps)
-    return marks, steps
-
-
 _BLOCK_BYTES = 512 * 1024  # bytes of states in one sample block
 
 

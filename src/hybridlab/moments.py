@@ -363,6 +363,44 @@ def propagate_trajectory(
     return [MomentState(m, S) for m, S in zip(batch.mean, batch.second)]
 
 
+_MAX_SAMPLES = 10**7
+
+
+def _count_text(count: int) -> str:
+    """A count in full up to 10**15, and to 6 significant digits beyond."""
+    return str(count) if count <= 10**15 else f"{count:.6g}"
+
+
+def sample_steps(t_final: float, dt: float, stride: int) -> tuple[np.ndarray, int]:
+    """Sampled step indices and step count of a run of t_final in steps of dt.
+
+    t_final must be a whole number of |dt| steps (the sign of dt is the
+    direction of time), to 1e-9 steps or 1e-14 of the count if more (its
+    rounding grows with it).  Every `stride`-th step is sampled, and so are
+    step 0 and the last step.  More than 10**7 samples is refused up front.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    steps_float = t_final / abs(dt)
+    steps = int(round(steps_float)) if math.isfinite(steps_float) else 0
+    if steps < 1 or abs(steps_float - steps) > max(1e-9, 1e-14 * steps):
+        raise ValueError(
+            f"t_final = {t_final} is not a positive whole number of dt = {dt} steps"
+        )
+    samples = steps // stride + 1 + (steps % stride != 0)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(
+            f"{_count_text(steps)} steps at stride {stride} make "
+            f"{_count_text(samples)} samples, more than the cap of {_MAX_SAMPLES}"
+        )
+    marks = np.arange(0, steps + 1, stride)
+    if marks[-1] != steps:
+        marks = np.append(marks, steps)
+    return marks, steps
+
+
 # ---------------------------------------------------------------------------
 # Spectrum classification.
 # ---------------------------------------------------------------------------

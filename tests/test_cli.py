@@ -1079,6 +1079,49 @@ def test_mode_is_refused_beside_an_explicit_generator(capsys, tmp_path, argv, co
                           "--hamiltonian, not both --mode and --"), err
 
 
+
+@pytest.mark.parametrize("argv, config", [
+    (["derive", "--koopmanian", "k*q*p_y + p^2", "--param", "k=3", "--k", "0.5"], None),
+    (["derive", "--hamiltonian", "k*q^2", "--param", "k=3"], None),
+    (["spectrum", "--koopmanian", "k*q*p_y + p^2", "--param", "k=3"], None),
+    (["simulate", "--k", "0.2", "--param", "k=0.5", "--observer", "c=k*q^2"], None),
+    (["compare", "--mode", "quantum-quantum", "--grid-n", "16", "--param", "k=0.5"], None),
+    (["simulate", "--observer", "c=k*q^2"], "param = k=0.5"),
+])
+def test_param_k_is_refused_since_k_is_the_coupling(capsys, tmp_path, argv, config):
+    # a --param k would bind k in expressions alone, apart from the generator and the report
+    out_dir = tmp_path / "none"
+    if config:
+        (tmp_path / "run.ini").write_text(f"[{argv[0]}]\n{config}\n")
+        argv = ["--config", str(tmp_path / "run.ini"), *argv]
+    if "spectrum" in argv:
+        argv = [*argv, "--json", str(out_dir)]
+    elif "derive" not in argv:
+        argv = [*argv, "--t-final", "0.1", "--out", str(out_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: --param k="), err
+    assert "give it with --k" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, advice", [
+    (["compare"], "run simulate instead"),
+    (["simulate", "--engine", "grid"], "use --engine moments"),
+    (["simulate", "--engine", "both"], "use --engine moments"),
+])
+def test_a_classical_grid_run_is_refused_with_advice_its_command_takes(capsys, tmp_path, argv,
+                                                                        advice):
+    # compare has no --engine, so it cannot take the advice simulate's refusal gives
+    out_dir = tmp_path / "none"
+    code, out, err = run(capsys, *argv, "--mode", "classical-classical", "--t-final", "0.1",
+                         "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err == ("configuration error: the grid engine supports hybrid and quantum-quantum "
+                   f"runs; classical-classical moments close exactly, {advice}\n")
+    assert not out_dir.exists()
+
+
 def test_unreadable_inputs_exit_2(capsys, tmp_path):
     cfg = tmp_path / "lab.ini"
     cfg.write_bytes(b"\xff\xfe[derive]\n")

@@ -30,9 +30,11 @@ def test_all_is_version_plus_each_modules_all():
 
 def test_sample_steps_is_exported():
     from hybridlab import sample_steps
-    from hybridlab.grid import sample_steps as grid_sample_steps
 
-    assert sample_steps is grid_sample_steps
+    marks, steps = sample_steps(0.25, 0.01, 10)
+    assert steps == 25 and marks.tolist() == [0, 10, 20, 25]
+    with pytest.raises(ValueError, match="not a positive whole number"):
+        sample_steps(0.255, 0.01, 10)
 
 
 def _loaded_by_cli_import(module: str, then: str = "") -> bool:
@@ -59,17 +61,22 @@ def test_cli_import_loads_no_scipy():
     assert not _loaded_by_cli_import("scipy")
 
 
-def test_commands_off_the_grid_load_no_scipy(tmp_path):
-    # derive, nogo, spectrum and moment runs need numpy alone; any scipy
-    # submodule would load the scipy package itself
-    then = f"""
+def _off_the_grid(run_dir) -> str:
+    """Code that runs derive, nogo, spectrum, a moment-only simulate into run_dir, and report."""
+    return f"""
 import contextlib, io
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (["derive"], ["nogo"], ["spectrum"],
-                 ["simulate", "--engine", "moments", "--out", {str(tmp_path)!r}]):
+                 ["simulate", "--engine", "moments", "--out", {str(run_dir)!r}],
+                 ["report", "--runs", {str(run_dir)!r}, "--out", {str(run_dir)!r}]):
         assert hybridlab.cli.main(argv) == 0, argv
 """
-    assert not _loaded_by_cli_import("scipy", then)
+
+
+def test_commands_off_the_grid_load_no_scipy(tmp_path):
+    # derive, nogo, spectrum and moment runs need numpy alone; any scipy
+    # submodule would load the scipy package itself
+    assert not _loaded_by_cli_import("scipy", _off_the_grid(tmp_path))
 
 
 def test_grid_compare_loads_no_scipy(tmp_path):
@@ -80,9 +87,53 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     argv = ["compare", "--mode", "hybrid", "--grid-n", "16", "--t-final", "0.1",
             "--out", {str(tmp_path)!r}]
     assert hybridlab.cli.main(argv) == 0, argv
+assert "hybridlab.grid" in sys.modules  # loaded by the grid run itself
 """
     assert not _loaded_by_cli_import("scipy", then)
     assert (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["hybridlab.grid", "hybridlab.observables"])
+def test_cli_import_and_commands_off_the_grid_leave_the_grid_out(tmp_path, module):
+    # the grid is the package's largest module, and only the grid uses observables
+    assert not _loaded_by_cli_import(module)
+    assert not _loaded_by_cli_import(module, _off_the_grid(tmp_path))
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_wrappers_set_on_cli_before_a_grid_run_are_the_ones_it_calls(tmp_path):
+    # perfbench's tracer reads cli.evolve and cli.gaussian_state, sets wrappers on
+    # cli in their place before any grid run, and puts the originals back after
+    then = f"""
+import contextlib, io
+cli, calls = hybridlab.cli, []
+originals = {{name: getattr(cli, name) for name in ("evolve", "gaussian_state")}}
+
+def wrapped(name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+def compare(out):
+    argv = ["compare", "--mode", "quantum-quantum", "--grid-n", "16", "--t-final", "0.1",
+            "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+for name, fn in originals.items():
+    setattr(cli, name, wrapped(name, fn))
+compare({str(tmp_path / "wrapped")!r})
+assert sorted(set(calls)) == ["evolve", "gaussian_state"], calls
+for name, fn in originals.items():
+    setattr(cli, name, fn)
+calls.clear()
+compare({str(tmp_path / "restored")!r})
+assert calls == [], calls
+assert cli.evolve is originals["evolve"] is hybridlab.grid.evolve
+"""
+    assert _loaded_by_cli_import("hybridlab.grid", then)
+    assert (tmp_path / "restored" / "compare.csv").exists()
 
 
 def _imported_modules(path: Path) -> list[tuple[str, int]]:
@@ -97,15 +148,14 @@ def _imported_modules(path: Path) -> list[tuple[str, int]]:
 
 
 def test_cli_imports_only_public_grid_names():
-    path = Path(hybridlab.__file__).resolve().parent / "cli.py"
-    private = [
-        alias.name
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "grid"
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert private == []
+    from hybridlab import cli, grid
+
+    path = Path(cli.__file__)
+    from_grid = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "grid"]
+    assert from_grid == []  # cli binds the grid's names through _GRID_NAMES alone
+    assert [name for name in cli._GRID_NAMES if name.startswith("_")] == []
+    assert all(getattr(cli, name) is getattr(grid, name) for name in cli._GRID_NAMES)
 
 
 def test_runtime_imports_only_stdlib_and_numpy():
