@@ -12,12 +12,13 @@ namespace, so no option carries over from one call to the next.
 
 simulate and compare share one runner.  It validates the inputs and, before
 either engine runs, builds the one MomentState both start from: grid.plan_run
-plans, or refuses, a grid run from it, and gaussian_state the grid's array
-(over the box's edge-mass rule, vanishing on the grid).  Each engine is a
-table builder that returns its named sample columns; the runner writes
-nothing until every engine has finished, then writes spectrum.json once and
-per engine the CSV and a report derived from the engine's in-memory columns,
-which equal that CSV bit for bit.
+plans, or refuses, a grid run from it, and gaussian_state builds and checks
+the per-axis factors of the grid's initial state (over the box's edge-mass
+rule, vanishing on the grid), whose product evolve writes into its own
+ring.  Each engine is a table builder that returns its named sample
+columns; the runner writes nothing until every engine has finished, then
+writes spectrum.json once and per engine the CSV and a report derived from
+the engine's in-memory columns, which equal that CSV bit for bit.
 """
 
 from __future__ import annotations
@@ -83,10 +84,11 @@ class NonFiniteOutput(Exception):
 
 # The grid's names this module uses, bound by _load_grid on a grid run's first need, so a
 # derive, nogo, spectrum, report or moment-only run never imports the grid.  perfbench's
-# tracer reads and wraps them as cli attributes (module __getattr__ below), compile_splitting
-# and set_workers included, which are not called here.
+# tracer reads and wraps them as cli attributes (module __getattr__ below), compile_splitting,
+# marginal_density and set_workers included, which are not called here.
 _GRID_NAMES = ("AxisSpec", "BoxOverflow", "GridSpec", "compile_splitting", "evolve",
-               "gaussian_state", "marginal_density", "plan_run", "save_snapshot", "set_workers")
+               "gaussian_state", "marginal_densities", "marginal_density", "plan_run",
+               "save_snapshot", "set_workers")
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
@@ -517,12 +519,11 @@ def _write_snapshots(final_state, out_dir: str) -> None:
     """marginal-<axis>.bin for each axis, and marginal-xy.bin when both exist."""
     labels = final_state.spec.labels
     keeps = [(label,) for label in labels] + [("x", "y")] * ({"x", "y"} <= set(labels))
-    for keep in keeps:
+    for keep, marginal in zip(keeps, marginal_densities(final_state, keeps)):
         axes = [final_state.spec.axis(label) for label in keep]
         save_snapshot(
             os.path.join(out_dir, f"marginal-{''.join(keep)}.bin"), list(keep),
-            [a.points for a in axes], [a.half_extent for a in axes],
-            marginal_density(final_state, keep),
+            [a.points for a in axes], [a.half_extent for a in axes], marginal,
         )
 
 

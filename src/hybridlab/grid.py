@@ -16,7 +16,11 @@ axes, with the diagonal terms folded in, so no phase array spans the grid;
 a pair the chirp leaves uncoupled gets no factor.
 
 Stepping works in place on buffers the engine owns (phases multiplied in
-place, FFTs allowed to overwrite them).  Each buffer is one element longer
+place, FFTs allowed to overwrite them).  A run holds a ring of two blocks
+of them (one state each from _BLOCK_BYTES up; a stacked plan's run has a
+third) and one block's |psi|^2, and no copy of its initial state:
+gaussian_state's per-axis factors are multiplied straight into the ring.
+Each buffer is one element longer
 than the grid on the last axis, and that pad is zero: a 64^3 state's
 leading strides are then 66 560 and 1 040 bytes, not 64 KiB and 1 KiB, so
 the elements of one FFT line along a leading axis no longer share a cache
@@ -92,6 +96,7 @@ __all__ = [
     "evolve",
     "grid_expectation",
     "marginal_density",
+    "marginal_densities",
     "reduced_quantum_density",
     "operator_matrix_1d",
     "save_snapshot",
@@ -218,25 +223,64 @@ class GridSpec:
         return vals.reshape(shape)
 
 
-@dataclass(frozen=True)
 class GridState:
-    spec: GridSpec
-    array: np.ndarray  # complex; may be a strided view, such as evolve's final state
+    """psi on the grid: complex amplitudes over spec.shape.
 
-    def __post_init__(self):
-        arr = np.asarray(self.array, dtype=complex)
-        if arr.shape != self.spec.shape:
+    Built from an array (complex; it may be a strided view, such as evolve's
+    final state), or, by gaussian_state, from per-axis real factors whose
+    outer product is psi.  A state of factors builds its array the first
+    time `array` is read and keeps it from then on, so a change made in
+    place to that array is the state's.  evolve takes the state into its
+    ring by write_to, which multiplies factors never built into an array
+    straight into the ring's slot: a run holds no copy of its initial state.
+    """
+
+    def __init__(self, spec: GridSpec, array=None, *, factors=None):
+        if (array is None) == (factors is None):
+            raise ValueError("a grid state takes either an array or its factors")
+        self.spec = spec
+        if factors is not None:
+            factors = tuple(np.asarray(g, dtype=float) for g in factors)
+            shape = tuple(g.shape for g in factors)
+            if shape != tuple((n,) for n in spec.shape):
+                raise ValueError(f"factor shapes {shape} do not match grid shape {spec.shape}")
+            self._factors, self._array = factors, None
+            return
+        arr = np.asarray(array, dtype=complex)
+        if arr.shape != spec.shape:
             raise ValueError(
-                f"array shape {arr.shape} does not match grid shape {self.spec.shape}"
+                f"array shape {arr.shape} does not match grid shape {spec.shape}"
             )
-        object.__setattr__(self, "array", arr)
+        self._factors, self._array = None, arr
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = self._product(np.empty(self.spec.shape, dtype=complex))
+            self._factors = None
+        return self._array
+
+    def write_to(self, out: np.ndarray) -> None:
+        """out[...] = psi, out of the state's shape: its factors' product
+        written into out when its array was never built, else its array."""
+        if self._array is None:
+            self._product(out)
+        else:
+            out[...] = self._array
+
+    def _product(self, out: np.ndarray) -> np.ndarray:
+        head = np.ones(())  # the product over every axis but the last
+        for g in self._factors[:-1]:
+            head = np.multiply.outer(head, g)
+        return np.multiply(head[..., None], self._factors[-1], out=out)
 
     def norm(self) -> float:
         return math.sqrt(float(np.sum(np.abs(self.array) ** 2)) * self.spec.cell_volume)
 
     def density(self) -> np.ndarray:
         """f = |psi|^2, pointwise nonnegative by construction."""
-        return np.abs(self.array) ** 2
+        density = np.abs(self.array)
+        return np.square(density, out=density)
 
 
 def gaussian_state(spec: GridSpec, means, widths) -> GridState:
@@ -246,7 +290,9 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     standard deviation s; on the quantum axis it is the usual wave packet
     with position spread s (momentum spread 1/(2s)).  means and widths each
     map axis labels to numbers, or give one number for every axis; a mean
-    left out of its map is 0.
+    left out of its map is 0.  The state holds the per-axis factors, each
+    checked here, and no array of the grid's size: evolve writes their
+    product into its own ring, and reading `array` builds it.
     Raises ValueError when an axis's Gaussian underflows to 0 at every grid
     point, and OutOfBox when more than _BOUNDARY_MASS_LIMIT of its mass lies
     within _BOUNDARY_CELLS of the axis's position edges: evolve's box rule,
@@ -254,7 +300,7 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
     """
     means = _per_axis(spec, means, "means")
     widths = _per_axis(spec, widths, "widths")
-    head = np.ones(())  # the product over every axis but the last
+    factors = []
     for i, ax in enumerate(spec.axes):
         mu, sigma = means[i], widths[i]
         if not (math.isfinite(mu) and math.isfinite(sigma)):
@@ -274,10 +320,8 @@ def gaussian_state(spec: GridSpec, means, widths) -> GridState:
                 f"axis {ax.label!r} holds {mass:.3e} probability mass within "
                 f"{_BOUNDARY_CELLS} cells of the half extent {ax.half_extent}"
             )
-        if i < len(spec.axes) - 1:
-            head = np.multiply.outer(head, g)
-    psi = np.multiply(head[..., None], g, out=np.empty(spec.shape, dtype=complex))
-    return GridState(spec, psi)
+        factors.append(g)
+    return GridState(spec, factors=factors)
 
 
 def _edge_cells(points: int) -> np.ndarray:
@@ -817,21 +861,23 @@ def _ring(spec: GridSpec, offsets: int, samples: int | None = None) -> tuple[int
 def _run_bytes(spec: GridSpec, observers) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
-    States: the caller's and the blocks of evolve's ring for a plan stacked
-    over a block's states (_ring), each ring state at (n + 1) / n of the
-    caller's for its pad, one block's |psi|^2, held for the whole run, and a
-    marginal of it over every proper subset of the axes.  Per axis pair and
-    offset: an edge and a middle chirp factor, a stack's opening and a
-    squared edge.  A ufunc buffer per thread.  The sampler's stacked
-    weights, a row per monomial part on its marginal plus edge and norm
-    rows, and two rows in flight while they are built.
+    What the run holds: the blocks of evolve's ring for a plan stacked over
+    a block's states (_ring), each ring state at (n + 1) / n of the grid's
+    complex state for its pad, one block's |psi|^2, held for the whole run,
+    and a marginal of it over every proper subset of the axes; no copy of
+    the initial state, whose factors and their product over every axis but
+    the last are counted instead.  Per axis pair and offset: an edge and a
+    middle chirp factor, a stack's opening and a squared edge.  A ufunc
+    buffer per thread.  The sampler's stacked weights, a row per monomial
+    part on its marginal plus edge and norm rows, and two rows in flight
+    while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
     marginals = sum(math.prod(c) for r in range(len(spec.shape))
                     for c in itertools.combinations(spec.shape, r))
-    need = 16 * (size + blocks * per_block * size // last * (last + 1))
-    need += 8 * per_block * (size + marginals)
+    need = 16 * blocks * per_block * size // last * (last + 1)
+    need += 8 * (per_block * (size + marginals) + size // last + sum(spec.shape))
     big = max(spec.shape)
     chirps = 4 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
@@ -1030,7 +1076,9 @@ def evolve(
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
-    point.  state.array is left untouched.  plan.dt is the step tau; a plan
+    point.  The state goes into the ring by state.write_to, so the run holds
+    its ring and one block's |psi|^2 and no copy of the state; an array the
+    state has is left untouched.  plan.dt is the step tau; a plan
     stacked over K offsets (compile_exact, for this state's run) steps up to
     K marks at once.  The steps run through a ring of blocks (_ring), each
     state padded by one zero on the last axis, and a helper thread measures
@@ -1095,8 +1143,9 @@ def evolve(
             collect()
         return at(slot)[:count]
 
-    at(slot)[0, ..., :n] = state.array
-    run = helper.split if state.array.nbytes > _BLOCK_BYTES and len(spec.axes) > 1 else _whole
+    state.write_to(at(slot)[0, ..., :n])
+    large = 16 * math.prod(spec.shape) > _BLOCK_BYTES  # a complex state's bytes
+    run = helper.split if large and len(spec.axes) > 1 else _whole
     try:
         for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
@@ -1139,23 +1188,27 @@ def marginal_density(state: GridState, keep) -> np.ndarray:
     Returns a density over the kept axes (in grid order): it sums to 1
     after multiplying by the kept cell volume, and is pointwise >= 0.
     """
-    if isinstance(keep, str):
-        keep = (keep,)
-    keep = tuple(keep)
-    for label in keep:
-        state.spec.index(label)  # raises UnknownAxis
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate axis in keep list")
-    drop = tuple(
-        i for i, label in enumerate(state.spec.labels) if label not in keep
-    )
+    return marginal_densities(state, [keep])[0]
+
+
+def marginal_densities(state: GridState, keeps) -> list[np.ndarray]:
+    """marginal_density for each keep in keeps, every one summed from one |psi|^2."""
+    keeps = [(keep,) if isinstance(keep, str) else tuple(keep) for keep in keeps]
+    for keep in keeps:
+        for label in keep:
+            state.spec.index(label)  # raises UnknownAxis
+        if len(set(keep)) != len(keep):
+            raise ValueError("duplicate axis in keep list")
     density = state.density()
-    if drop:
-        dropped_volume = float(
-            np.prod([state.spec.axes[i].spacing for i in drop])
-        )
-        density = np.sum(density, axis=drop) * dropped_volume
-    return density
+    marginals = []
+    for keep in keeps:
+        drop = tuple(i for i, label in enumerate(state.spec.labels) if label not in keep)
+        if not drop:
+            marginals.append(density)
+            continue
+        dropped_volume = float(np.prod([state.spec.axes[i].spacing for i in drop]))
+        marginals.append(np.sum(density, axis=drop) * dropped_volume)
+    return marginals
 
 
 def reduced_quantum_density(state: GridState) -> FiniteDensity:

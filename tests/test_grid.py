@@ -200,6 +200,17 @@ def test_density_is_square_magnitude():
     assert np.allclose(state.density(), np.abs(state.array) ** 2)
 
 
+def test_grid_state_takes_an_array_or_factors_of_the_grids_shape():
+    spec = _spec2(16)
+    ones = [np.ones(16), np.ones(16)]
+    for array, factors in ((None, None), (np.ones(spec.shape), ones),
+                           (np.ones((16, 8)), None), (None, ones[:1]),
+                           (None, [np.ones(16), np.ones(8)])):
+        with pytest.raises(ValueError):
+            GridState(spec, array, factors=factors)
+    assert np.array_equal(GridState(spec, factors=ones).array, np.ones(spec.shape))
+
+
 # -- splitting plans ---------------------------------------------------------
 
 
@@ -517,6 +528,48 @@ def test_evolution_and_sampling_leave_the_input_state_alone():
     for label, poly in default_observers("hybrid", K_COUPLING):
         grid_expectation(result.final_state, poly)
     assert np.array_equal(result.final_state.array, final)
+
+
+@pytest.mark.parametrize("mode, spec, t_final, stride", [
+    ("quantum-quantum", _qq_spec(), 2.1, 2),  # stacked over 6 offsets, a one-step tail
+    ("hybrid", _spec3(32), 0.5, 1),
+], ids=["qq-64-stacked", "hybrid-32"])
+def test_a_run_from_gaussian_states_factors_equals_one_from_its_array(mode, spec, t_final,
+                                                                       stride):
+    # evolve multiplies the factors straight into its ring: the array's bits
+    K = mode_koopmanian(mode, K_COUPLING)
+    means = {"x": 0.3, "q": -0.2}
+    stacked = mode == "quantum-quantum"
+    plan = compile_exact(K, spec, 0.1,
+                         (default_moment_state(means), round(t_final / 0.1)) if stacked else None)
+    assert plan.offsets == (6 if stacked else 1)
+    observers = default_observers(mode, K_COUPLING)
+    state = gaussian_state(spec, means, WIDTH)
+    factored = evolve(state, plan, t_final, observers=observers, stride=stride)
+    copied = evolve(GridState(spec, state.array.copy()), plan, t_final, observers=observers,
+                    stride=stride)
+    assert np.array_equal(factored.values, copied.values)
+    assert np.array_equal(factored.norms, copied.norms)
+    assert np.array_equal(factored.final_state.array, copied.final_state.array)
+
+
+def test_an_array_read_and_changed_in_place_is_evolved_as_changed():
+    # once built, the array is the state: a momentum kick of 0.5 on q wins
+    # over the factors it was built from
+    spec = _qq_spec()
+    plan = compile_exact(mode_koopmanian("quantum-quantum", K_COUPLING), spec, 0.1)
+    observers = default_observers("quantum-quantum", K_COUPLING)
+    state = gaussian_state(spec, {"q": -0.2}, WIDTH)
+    kicked = state.array
+    kicked *= np.exp(0.5j * spec._axis_values(spec.index("q"), "pos"))
+    result = evolve(state, plan, 1.0, observers=observers)
+    reference = evolve(GridState(spec, kicked.copy()), plan, 1.0, observers=observers)
+    assert np.array_equal(result.values, reference.values)
+    assert np.array_equal(result.final_state.array, reference.final_state.array)
+    unkicked = evolve(gaussian_state(spec, {"q": -0.2}, WIDTH), plan, 1.0, observers=observers)
+    p = result.labels.index("p")
+    assert result.values[0, p] == pytest.approx(0.5, abs=1e-12)
+    assert unkicked.values[0, p] == pytest.approx(0.0, abs=1e-12)
 
 
 def _serial_samples(state, plan, t_final, observers, stride=1):
@@ -882,20 +935,21 @@ def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatc
 
 @pytest.mark.parametrize("spec", [_spec3(32), _spec3(64)], ids=["32^3", "64^3"])
 def test_a_large_state_run_holds_two_states_and_one_density(spec):
-    # the two one-state blocks of the ring, each sample measured where it was
-    # stepped, and the sample's |psi|^2; squared edge factors, sampler
-    # weights, marginals and ufunc buffers stay under 1 MiB.  A third state
-    # does not fit.
+    # from gaussian_state on: the two one-state blocks of the ring, each sample
+    # measured where it was stepped, and the sample's |psi|^2; the state's
+    # factors, squared edge factors, sampler weights, marginals and ufunc
+    # buffers stay under 1 MiB.  A third state, such as a copy of the
+    # initial state outside the ring, does not fit.
     plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
-    state = gaussian_state(spec, {}, WIDTH)
     observers = default_observers("hybrid", K_COUPLING)
     tracemalloc.start()
     try:
+        state = gaussian_state(spec, {}, WIDTH)
         evolve(state, plan, 0.5, observers=observers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * state.array.nbytes + 2**20
+    assert peak <= 2.5 * 16 * math.prod(spec.shape) + 2**20
 
 
 def test_a_sample_batch_allocates_no_density():
