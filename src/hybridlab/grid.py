@@ -18,8 +18,9 @@ a pair the chirp leaves uncoupled gets no factor.
 Stepping works in place on buffers the engine owns (phases multiplied in
 place, FFTs allowed to overwrite them).  A run holds a ring of two blocks
 of them (one state each from _BLOCK_BYTES up; a stacked plan's run has a
-third) and one block's |psi|^2, and no copy of its initial state:
-gaussian_state's per-axis factors are multiplied straight into the ring.
+third), one block's |psi|^2 only if an observer's marginal keeps every
+axis, and no copy of its initial state: gaussian_state's per-axis factors
+are multiplied straight into the ring.
 Each buffer is one element longer
 than the grid on the last axis, and that pad is zero: a 64^3 state's
 leading strides are then 66 560 and 1 040 bytes, not 64 KiB and 1 KiB, so
@@ -48,16 +49,17 @@ touches few axes, so it is evaluated on the marginal of |psi|^2 over just
 those axes, in their required representations.  By Parseval the 1-D FFT
 along a summed-out axis preserves the sum, so the marginal does not depend
 on the representation of the axes it drops.  Sampling walks the fewest
-one-axis transforms that reach every needed marginal and computes |psi|^2
+one-axis transforms that reach every needed marginal and takes marginals
 in the fewest representations on that walk; a marginal whose axes lie
-within another's taken there is summed out of that one, and the norm and
-the boundary edge masses come from the same marginals.  No step depends on
-a sample, so one helper thread measures the samples, in place in the ring
-of states the caller steps through, while the caller keeps stepping:
-numpy's FFTs and large ufuncs release the GIL, so the two overlap.  For a state too large to
-share a block, the helper also takes the second half of each step transform
-and multiply when it is free; a half is the same operations on the same
-elements on either thread.
+within another's taken there is summed out of that one, any other is
+contracted from the state's (re, im) pairs without forming |psi|^2, and
+the norm and the boundary edge masses come from the same marginals.  No
+step depends on a sample, so one helper thread measures the samples, in
+place in the ring of states the caller steps through, while the caller
+keeps stepping: numpy's FFTs, large ufuncs and einsum release the GIL, so
+the two overlap.  For a state too large to share a block, the helper also
+takes the second half of each step transform and multiply when it is free;
+a half is the same operations on the same elements on either thread.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import itertools
 import json
 import math
 import os
+import string
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -700,20 +703,25 @@ class _Sampler:
     touches, each in the representation the monomial is diagonal in;
     summed-out axes may be in either representation (Parseval).  The plan
     walks the fewest one-axis transforms from the base that meet every
-    marginal and takes |psi|^2 in the fewest representations on the walk
-    that meet them all.  Every output is a weighted sum of one marginal, so
-    each marginal (a key) holds the stacked weights that read it, with
-    coefficient and cell volume folded in: a block of samples makes one
-    reduction and one matrix product per key.  Each reduction sums the
-    smallest wider marginal owed at the same stop, when there is one,
-    rather than |psi|^2.  |psi|^2 goes into density, float grids on axis 0:
-    evolve shares one block's worth among a run's samplers, so no batch
-    allocates one; without it the sampler holds one state's, for measure.
+    marginal and takes the marginals in the fewest representations on the
+    walk that meet them all.  Every output is a weighted sum of one
+    marginal, so each marginal (a key) holds the stacked weights that read
+    it, with coefficient and cell volume folded in: a block of samples makes
+    one reduction and one matrix product per key.  Each reduction sums the
+    smallest wider marginal owed at the same stop, when there is one; else
+    it contracts the state's (re, im) pairs with themselves over the axes it
+    drops, so no |psi|^2 is formed.  Only a marginal over every axis is
+    |psi|^2 itself, and it goes into density, float grids on axis 0: evolve
+    shares one block's worth among a run's samplers when its observers need
+    it (_keeps_every_axis); without it the sampler holds one state's, for
+    measure.
     """
 
     def __init__(self, spec: GridSpec, base: tuple, observers, *, density=None):
         ndim, volume = len(spec.axes), spec.cell_volume
-        self.density = np.empty((1, *spec.shape)) if density is None else density
+        if density is None and _keeps_every_axis(spec, observers):
+            density = np.empty((1, *spec.shape))
+        self.density = density
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_outputs = 1 + ndim + 2 * len(observers)
         # A part (key, slot, row) adds row() to an output slot's weights on the
@@ -748,11 +756,11 @@ class _Sampler:
         cover = next(c for size in range(1, len(path) + 1)
                      for c in itertools.combinations(path, size)
                      if all(any(_meets(reps, k) for reps in c) for k in keys))
-        # (axis, target) transform into the stop, [(source, drop, slots, weights)]
+        # (axis, target) transform into the stop, [(source, how, slots, weights)]
         self.stops = []
         for n, reps in enumerate(path):
             # widest marginal first: each is summed out of the smallest wider one
-            # owed at the stop whose axes hold its own, else out of |psi|^2
+            # owed at the stop whose axes hold its own, else out of the state
             owed = sorted((k for k in keys if reps in cover and _meets(reps, k)),
                           key=len, reverse=True)
             keys = [k for k in keys if k not in owed]
@@ -766,36 +774,64 @@ class _Sampler:
                 wider = [s for s in range(r) if kept < {i for i, _ in owed[s]}]
                 source = min(wider, default=None,
                              key=lambda s: math.prod(spec.shape[i] for i, _ in owed[s]))
-                axes = range(ndim) if source is None else [i for i, _ in owed[source]]
-                drop = tuple(a + 1 for a, j in enumerate(axes) if j not in kept)  # 0: the block
-                reductions.append((source, drop, np.array(list(index[key])), weights[key]))
+                if source is not None:  # the axes of owed[source] it drops; 0 is the block
+                    axes = [i for i, _ in owed[source]]
+                    how = tuple(a + 1 for a, j in enumerate(axes) if j not in kept)
+                elif len(kept) == ndim:  # |psi|^2 itself
+                    how = None
+                else:  # einsum's subscripts; a kept last axis holds re^2 and im^2 apart
+                    how = (_contraction(ndim, kept), ndim - 1 in kept)
+                reductions.append((source, how, np.array(list(index[key])), weights[key]))
             self.stops.append((move, reductions))
 
     def measure_block(self, block: np.ndarray) -> np.ndarray:
         """One row per state of block (states on axis 0): the squared norm, the
         edge mass per axis, each observer's value, then each observer's
         imaginary residual.  block is scratch: it is transformed in place.  It
-        may be padded past the grid on the last axis; the pad is not read."""
+        may be padded past the grid on the last axis; the pad is not read.
+        Only a marginal over every axis writes |psi|^2, into density; every
+        other one is a contraction of the block's (re, im) pairs or a sum of
+        a wider marginal, and allocates only itself."""
         out = np.zeros((len(block), self.n_outputs))
         block = block[..., :self.n_last]
+        pairs = block.view(float)  # each element's (re, im), the last axis twice as long
         with np.errstate(over="ignore", invalid="ignore"):  # inf weights: see __init__
             for move, reductions in self.stops:
                 if move is not None:
                     _transform_axis(block, move[0] + 1, move[1])
-                if reductions:
-                    density = np.abs(block, out=self.density[:len(block)])  # the run's one density
-                    np.square(density, out=density)
-                    marginals = []
-                    for source, drop, slots, weights in reductions:
-                        whole = density if source is None else marginals[source]
-                        marginals.append(np.sum(whole, axis=drop) if drop else whole)
-                        out[:, slots] += marginals[-1].reshape(len(block), -1) @ weights.T
-                    del marginals
+                marginals = []
+                for source, how, slots, weights in reductions:
+                    if source is not None:
+                        marginal = np.sum(marginals[source], axis=how)
+                    elif how is None:  # every axis: |psi|^2, into the run's one buffer
+                        marginal = np.abs(block, out=self.density[:len(block)])
+                        np.square(marginal, out=marginal)
+                    else:
+                        marginal = np.einsum(how[0], pairs, pairs)
+                        if how[1]:
+                            marginal = marginal[..., 0::2] + marginal[..., 1::2]
+                    marginals.append(marginal)
+                    out[:, slots] += marginal.reshape(len(block), -1) @ weights.T
+                del marginals
         return out
 
     def measure(self, arr: np.ndarray) -> np.ndarray:
         """measure_block's row for the one state arr, which is left as is."""
         return self.measure_block(arr[np.newaxis].copy())[0]
+
+
+def _contraction(ndim: int, kept) -> str:
+    """einsum's subscripts for a block's (re, im) pairs times themselves, summed over
+    every grid axis not in kept: the block's marginal over kept, per state."""
+    letters = string.ascii_lowercase[:ndim + 1]  # the block's axis 0, then the grid's
+    return f"{letters},{letters}->a" + "".join(letters[i + 1] for i in sorted(kept))
+
+
+def _keeps_every_axis(spec: GridSpec, observers) -> bool:
+    """Whether a sample of observers (polynomials) reads |psi|^2 itself: an observer's
+    monomial, or in one dimension an edge mass, keeps every axis of spec."""
+    return len(spec.axes) == 1 or any(None not in _term_representation(spec, mono)
+                                      for poly in observers for mono, _ in poly.monomials())
 
 
 def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
@@ -863,21 +899,24 @@ def _run_bytes(spec: GridSpec, observers) -> int:
 
     What the run holds: the blocks of evolve's ring for a plan stacked over
     a block's states (_ring), each ring state at (n + 1) / n of the grid's
-    complex state for its pad, one block's |psi|^2, held for the whole run,
-    and a marginal of it over every proper subset of the axes; no copy of
-    the initial state, whose factors and their product over every axis but
-    the last are counted instead.  Per axis pair and offset: an edge and a
-    middle chirp factor, a stack's opening and a squared edge.  A ufunc
-    buffer per thread.  The sampler's stacked weights, a row per monomial
-    part on its marginal plus edge and norm rows, and two rows in flight
-    while they are built.
+    complex state for its pad; one block's |psi|^2, held for the whole run,
+    only if a marginal keeps every axis (_keeps_every_axis); a marginal over
+    every proper subset of the axes, and the largest one twice more, as
+    einsum's (re, im) output; no copy of the initial state, whose factors
+    and their product over every axis but the last are counted instead.
+    Per axis pair and offset: an edge and a middle chirp factor, a stack's
+    opening and a squared edge.  A ufunc buffer per thread.  The sampler's
+    stacked weights, a row per monomial part on its marginal plus edge and
+    norm rows, and two rows in flight while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
     marginals = sum(math.prod(c) for r in range(len(spec.shape))
                     for c in itertools.combinations(spec.shape, r))
+    whole = _keeps_every_axis(spec, [poly for _, poly in observers])
     need = 16 * blocks * per_block * size // last * (last + 1)
-    need += 8 * (per_block * (size + marginals) + size // last + sum(spec.shape))
+    need += 8 * (per_block * (size * whole + marginals + 2 * size // min(spec.shape))
+                 + size // last + sum(spec.shape))
     big = max(spec.shape)
     chirps = 4 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
@@ -1077,8 +1116,9 @@ def evolve(
     time), and samples always include t = 0 and the final step.  Raises
     BoxOverflow if probability mass reaches the box edge at a sample
     point.  The state goes into the ring by state.write_to, so the run holds
-    its ring and one block's |psi|^2 and no copy of the state; an array the
-    state has is left untouched.  plan.dt is the step tau; a plan
+    its ring, one block's |psi|^2 only if an observer's marginal keeps every
+    axis (_keeps_every_axis), and no copy of the state; an array the state
+    has is left untouched.  plan.dt is the step tau; a plan
     stacked over K offsets (compile_exact, for this state's run) steps up to
     K marks at once.  The steps run through a ring of blocks (_ring), each
     state padded by one zero on the last axis, and a helper thread measures
@@ -1103,7 +1143,8 @@ def evolve(
     ring, per_block, slot = _ring(spec, plan.offsets, len(marks))
     blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex)
               for _ in range(ring)]
-    density = np.empty((per_block, *spec.shape))  # |psi|^2 of a batch, for every sampler
+    # |psi|^2 of a batch, for every sampler, if a sample reads a marginal over every axis
+    density = np.empty((per_block, *spec.shape)) if _keeps_every_axis(spec, polys) else None
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
     posted = [0] * len(blocks)  # per block, the batches posted up to its last one

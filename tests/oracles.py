@@ -4,6 +4,8 @@ characteristics_reference transports a classical density along Hamilton's
 flow with RK4 and spline interpolation (scipy.ndimage), independent of the
 spectral engine.  period_residual measures how far one full turn of the
 harmonic phase-space rotation lands from its start under Strang splitting.
+sample_rows measures states as the grid's sampler does, from the full
+|psi|^2 of each monomial's representation, with no marginal and no reuse.
 Only tests and acceptance criterion 8 call them, so scipy is a test
 dependency, not a runtime one.
 """
@@ -14,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from hybridlab import (
+    GENERATOR_NAMES,
     GridSpec,
     OperatorPolynomial,
     UnknownAxis,
@@ -118,3 +121,60 @@ def period_residual(spec: GridSpec, dt: float) -> float:
     result = evolve(psi0, plan, steps * dt, stride=steps)
     diff = result.final_state.array - psi0.array
     return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * spec.cell_volume)
+
+
+_AXIS_OF = {"q": "q", "p": "q", "x": "x", "y": "y", "p_x": "x", "p_y": "y"}  # generator -> axis
+
+
+def sample_rows(spec: GridSpec, block: np.ndarray, observers) -> tuple[np.ndarray, np.ndarray]:
+    """The grid sampler's rows for a block of states (axis 0), the plain way,
+    and the scale of each entry's roundoff.
+
+    block may carry a pad past the grid on its last axis; it is cut off.
+    Per state: the squared norm, the mass within two cells of either edge of
+    each axis, then each observer's (a polynomial's) sum over monomials of
+    Re(coeff) * <monomial>, then the same with Im(coeff).  <monomial> is
+    sum(values * |psi|^2) * cell volume, where psi is the state transformed
+    (orthonormal FFT) to momentum on every axis the monomial takes a
+    momentum of, |psi|^2 is np.abs(psi) ** 2 over the whole grid, and values
+    is the product of the axis coordinates to their exponents.  An entry's
+    scale is the same sum over the absolute value of each term.
+    """
+    ndim, volume = len(spec.axes), spec.cell_volume
+    rows, scales = [], []
+    for psi in block[..., :spec.shape[-1]]:
+        density = np.abs(psi) ** 2
+        row = [np.sum(density) * volume]
+        for i, axis in enumerate(spec.axes):
+            cells = np.arange(axis.points)
+            near = (cells < 2) | (cells >= axis.points - 2)
+            row.append(np.sum(np.compress(near, density, axis=i)) * volume)
+        values, residuals, sizes = [], [], []
+        for poly in observers:
+            value = residual = size = 0.0
+            for mono, coeff in poly.monomials():
+                moved, coords = psi, np.ones((1,) * ndim)
+                for name, exp in zip(GENERATOR_NAMES, mono):
+                    if not exp:
+                        continue
+                    i = spec.labels.index(_AXIS_OF[name])
+                    axis = spec.axes[i]
+                    if name in ("p", "p_x", "p_y"):
+                        moved = np.fft.fft(moved, axis=i, norm="ortho")
+                        line = axis.momenta()
+                    else:
+                        line = axis.positions()
+                    shape = [1] * ndim
+                    shape[i] = axis.points
+                    coords = coords * line.reshape(shape) ** exp
+                moved = np.abs(moved) ** 2
+                term = np.sum(coords * moved) * volume
+                value += float(coeff.real) * term
+                residual += float(coeff.imag) * term
+                size += math.hypot(coeff.real, coeff.imag) * np.sum(np.abs(coords) * moved) * volume
+            values.append(value)
+            residuals.append(residual)
+            sizes.append(size)
+        rows.append(row + values + residuals)
+        scales.append(row + sizes + sizes)
+    return np.array(rows), np.array(scales)

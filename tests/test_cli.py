@@ -423,22 +423,26 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("mode, axes, points, stacked", [
-    ("quantum-quantum", "xq", 64, False), ("hybrid", "xyq", 64, False),
-    ("quantum-quantum", "xq", 256, False), ("hybrid", "xyq", 32, False),
-    ("quantum-quantum", "xq", 64, True),
+@pytest.mark.parametrize("mode, axes, points, stacked, extra", [
+    ("quantum-quantum", "xq", 64, False, ()), ("hybrid", "xyq", 64, False, ()),
+    ("quantum-quantum", "xq", 256, False, ()), ("hybrid", "xyq", 32, False, ()),
+    ("quantum-quantum", "xq", 64, True, ()), ("hybrid", "xyq", 64, False, ("x*y*q",)),
 ], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32",
-        "quantum-quantum-xq-stacked"])
-def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points, stacked):
+        "quantum-quantum-xq-stacked", "hybrid-xyq-full-marginal"])
+def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points, stacked,
+                                                                  extra):
     # a 64^2 (x, q) state is 64 KiB, 8 to each of the ring's two blocks; the
     # 32^3 (512 KiB), 64^3 and 256^2 states go one to a block, and at 256^2 a
     # chirp factor and the sampler's full-grid weight row are as large as the
     # state.  The stacked plan holds 6 offsets at 64^2; its run of 10 samples
     # two steps apart and a one-step tail takes squared edges, whole and
-    # partial stacks, and an opening after a partial stack
+    # partial stacks, and an opening after a partial stack.  K's q*x keeps
+    # both axes of (x, q), so a qq sample takes |psi|^2; no default hybrid
+    # observer keeps every axis, and x*y*q does, with a full-grid weight row
     k = Fraction(1, 5)
     spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
     observers = benchmark.default_observers(mode, k)
+    observers += [(text, parse_polynomial(text)) for text in extra]
     need = grid._run_bytes(spec, observers)
     t_final, stride = (2.1, 2) if stacked else (0.5, 1)
     tracemalloc.start()

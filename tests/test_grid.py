@@ -47,7 +47,7 @@ from hybridlab import (
 )
 from hybridlab import grid
 from hybridlab.grid import _march, _Sampler, _transform_axis
-from oracles import characteristics_reference, period_residual
+from oracles import characteristics_reference, period_residual, sample_rows
 
 
 K_COUPLING = Fraction(1, 5)
@@ -934,12 +934,13 @@ def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatc
 
 
 @pytest.mark.parametrize("spec", [_spec3(32), _spec3(64)], ids=["32^3", "64^3"])
-def test_a_large_state_run_holds_two_states_and_one_density(spec):
+def test_a_large_state_run_holds_two_states(spec):
     # from gaussian_state on: the two one-state blocks of the ring, each sample
-    # measured where it was stepped, and the sample's |psi|^2; the state's
-    # factors, squared edge factors, sampler weights, marginals and ufunc
-    # buffers stay under 1 MiB.  A third state, such as a copy of the
-    # initial state outside the ring, does not fit.
+    # measured where it was stepped; the state's factors, squared edge
+    # factors, sampler weights, marginals and ufunc buffers stay under 1 MiB.
+    # No default hybrid observer keeps every axis, so no sample forms |psi|^2:
+    # at 64^3 that half state does not fit, nor does a copy of the initial
+    # state outside the ring.
     plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
     observers = default_observers("hybrid", K_COUPLING)
     tracemalloc.start()
@@ -949,16 +950,75 @@ def test_a_large_state_run_holds_two_states_and_one_density(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 16 * math.prod(spec.shape) + 2**20
+    assert peak <= 2 * 16 * math.prod(spec.shape) + 2**20
+
+
+def _random_block(spec, states, seed):
+    # states that are no Gaussian: noise under a displaced, boosted envelope,
+    # padded by one zero past the grid on the last axis as evolve's ring is
+    rng = np.random.default_rng(seed)
+    envelope = 1.0
+    for i, axis in enumerate(spec.axes):
+        shape = [1] * len(spec.axes)
+        shape[i] = axis.points
+        x = axis.positions()
+        envelope = envelope * np.exp(-((x - 0.7) / 2.5) ** 2 + 1.3j * x).reshape(shape)
+    noise = rng.normal(size=(2, states, *spec.shape))
+    n = spec.shape[-1]
+    block = np.zeros((states, *spec.shape[:-1], n + 1), dtype=complex)
+    block[..., :n] = envelope * (noise[0] + 1j * noise[1] + 0.5)
+    return block
+
+
+# every marginal the sampler takes, beside one over every axis: x*y*q on the
+# hybrid grid; on (x, q) K's q*x keeps both axes, and p*p_x both in momentum
+_SAMPLED_BLOCKS = pytest.mark.parametrize("mode, spec, states, extra", [
+    ("hybrid", _spec3(32), 2, "x*y*q"),
+    ("hybrid", _spec3(64), 1, "x*y*q"),
+    ("quantum-quantum", _qq_spec(), 6, "p*p_x"),
+], ids=["hybrid-32^3", "hybrid-64^3", "quantum-quantum-64^2"])
+
+
+def _block_sampler(mode, spec, states, extra):
+    polys = [poly for _, poly in default_observers(mode, K_COUPLING)] + [parse_polynomial(extra)]
+    sampler = _Sampler(spec, ("pos",) * len(spec.axes), polys,
+                       density=np.empty((states, *spec.shape)))
+    return polys, sampler
+
+
+@_SAMPLED_BLOCKS
+def test_a_sample_block_matches_the_plain_sums_of_its_density(mode, spec, states, extra):
+    # marginals contracted from the state's (re, im) pairs, summed from wider
+    # ones and from |psi|^2 agree with full-grid sums of np.abs(psi) ** 2,
+    # relative to the sum of each entry's absolute terms
+    polys, sampler = _block_sampler(mode, spec, states, extra)
+    block = _random_block(spec, states, 3601)
+    want, scale = sample_rows(spec, block, polys)
+    rows = sampler.measure_block(block.copy())
+    assert np.all(np.abs(rows - want) <= 1e-13 * scale)
+    assert np.all(scale[:, 1 + len(spec.axes):1 + len(spec.axes) + len(polys)] > 0)
+
+
+@_SAMPLED_BLOCKS
+def test_a_sample_block_never_reads_its_pad(mode, spec, states, extra):
+    _, sampler = _block_sampler(mode, spec, states, extra)
+    zero = _random_block(spec, states, 3602)
+    nan = zero.copy()
+    nan[..., -1] = np.nan
+    rows = sampler.measure_block(zero)
+    assert np.all(np.isfinite(rows))
+    np.testing.assert_array_equal(sampler.measure_block(nan), rows)
 
 
 def test_a_sample_batch_allocates_no_density():
     # a run's sampler writes |psi|^2 into the one buffer evolve gives it, so a
     # batch after the first allocates only ufunc buffers and marginals, well
-    # under a quarter of the 2 MiB density of one 64^3 state
+    # under a quarter of the 2 MiB density of one 64^3 state; x*y*q keeps
+    # every axis, so the sample takes |psi|^2
     spec = _spec3(64)
     n = spec.shape[-1]
     polys = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
+    polys.append(parse_polynomial("x*y*q"))
     sampler = _Sampler(spec, ("pos",) * 3, polys,
                        density=np.empty((1, *spec.shape)))
     blocks = [np.zeros((1, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
