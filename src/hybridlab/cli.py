@@ -86,9 +86,9 @@ class NonFiniteOutput(Exception):
 # derive, nogo, spectrum, report or moment-only run never imports the grid.  perfbench's
 # tracer reads and wraps them as cli attributes (module __getattr__ below), compile_splitting,
 # marginal_density and set_workers included, which are not called here.
-_GRID_NAMES = ("AxisSpec", "BoxOverflow", "GridSpec", "compile_splitting", "evolve",
-               "gaussian_state", "marginal_densities", "marginal_density", "plan_run",
-               "save_snapshot", "set_workers")
+_GRID_NAMES = ("AxisSpec", "GridSpec", "compile_splitting", "evolve", "gaussian_state",
+               "marginal_densities", "marginal_density", "plan_run", "save_snapshot",
+               "set_workers")
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
 _MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
@@ -440,25 +440,15 @@ def _moment_columns(settings):
 
 
 def _grid_columns(settings):
-    runs, state = settings.grid_runs, settings.grid_state
-    parts = []  # per run: norms, observer values and imaginary residuals
-    for plan, stride, steps in runs:
-        try:
-            result = evolve(state, plan, steps * plan.dt, settings.observers, stride=stride)
-        except BoxOverflow as exc:  # a last interval's evolve counts t from its own start
-            if not parts:
-                raise
-            head = str(exc).rpartition(" at t = ")[0]
-            raise BoxOverflow(f"{head} at t = {settings.times[-1]:g}") from None
-        skip = int(bool(parts))  # a later run starts at the sample the one before ended on
-        parts.append((result.norms[skip:], result.values[skip:], result.imag_residuals))
-        state = result.final_state
-    norms, values, resid = (np.concatenate(part) for part in zip(*parts))
-    columns = {"norm": norms, **dict(zip(result.labels, values.T))}
-    extra = {"max_imag_residual": float(np.max(resid)) if resid.size else 0.0,
-             "plan_tau": runs[0][0].dt, "plan_steps": sum(steps for *_, steps in runs),
-             "plan_offsets": runs[0][0].offsets}
-    return columns, extra, state if settings.snapshot else None
+    (plan, stride, steps), *rest = settings.grid_runs
+    tail = (rest[0][0], rest[0][2]) if rest else None
+    result = evolve(settings.grid_state, plan, steps * plan.dt, settings.observers,
+                    stride=stride, tail=tail)
+    columns = {"norm": result.norms, **dict(zip(result.labels, result.values.T))}
+    extra = {"max_imag_residual": float(np.max(result.imag_residuals, initial=0.0)),
+             "plan_tau": plan.dt, "plan_steps": sum(n for *_, n in settings.grid_runs),
+             "plan_offsets": plan.offsets}
+    return columns, extra, result.final_state if settings.snapshot else None
 
 
 # Engine name -> table builder: (named sample columns at settings.times,

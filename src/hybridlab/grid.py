@@ -894,7 +894,7 @@ def _ring(spec: GridSpec, offsets: int, samples: int | None = None) -> tuple[int
     return 2 + stacked, per_block, -stacked
 
 
-def _run_bytes(spec: GridSpec, observers) -> int:
+def _run_bytes(spec: GridSpec, observers, tail: bool = False) -> int:
     """Upper bound on the peak bytes of an exact-plan evolve, plan and state included.
 
     What the run holds: the blocks of evolve's ring for a plan stacked over
@@ -904,10 +904,11 @@ def _run_bytes(spec: GridSpec, observers) -> int:
     every proper subset of the axes, and the largest one twice more, as
     einsum's (re, im) output; no copy of the initial state, whose factors
     and their product over every axis but the last are counted instead.
-    Per axis pair and offset: an edge and a middle chirp factor, a stack's
-    opening and a squared edge.  A ufunc buffer per thread.  The sampler's
-    stacked weights, a row per monomial part on its marginal plus edge and
-    norm rows, and two rows in flight while they are built.
+    Per axis pair and offset, and once more for a tail plan: an edge and a
+    middle chirp factor, a stack's opening and a squared edge.  A ufunc
+    buffer per thread.  The sampler's stacked weights, a row per monomial
+    part on its marginal plus edge and norm rows, and two rows in flight
+    while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
@@ -918,7 +919,7 @@ def _run_bytes(spec: GridSpec, observers) -> int:
     need += 8 * (per_block * (size * whole + marginals + 2 * size // min(spec.shape))
                  + size // last + sum(spec.shape))
     big = max(spec.shape)
-    chirps = 4 * per_block * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
+    chirps = 4 * (per_block + tail) * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
     rows = [max(spec.shape)] * (len(spec.axes) + 1)
     for _, poly in observers:
@@ -940,15 +941,15 @@ def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, st
     g * dt / j, j the first split that compiles: 1 to _MAX_SPLIT, then multiples of g
     down to dt / _MAX_SPLIT, else NonSplittableTerm.  The first plan is stacked for the
     packet (state, its exact steps).  Returns (plan, stride, exact steps) per run:
-    evolve each in turn for its exact steps times plan.dt.
+    evolve the first for its exact steps times plan.dt, with a second as its tail.
     """
-    need = _run_bytes(spec, observers)
+    whole, rest = divmod(steps, stride)
+    need = _run_bytes(spec, observers, bool(whole and rest))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         points = "/".join(map(str, sorted(set(spec.shape))))
         raise RunTooLarge(f"a {len(spec.axes)}-axis grid of {points} points per axis needs "
                           f"about {need} bytes, more than the {have} bytes of physical memory")
-    whole, rest = divmod(steps, stride)
     lengths = [(stride, whole)] * bool(whole) + [(rest, 1)] * bool(rest)
     runs, total = [], 0
     for g, count in lengths:
@@ -971,18 +972,20 @@ def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, st
     return runs
 
 
-def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole):
+def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run=_whole,
+           tail: PropagatorPlan | None = None):
     """Step work, yielding (its representation, owed, count) at each stack of marks.
 
     work is a stack of one state on axis 0.  The marks after mark 0 go in
     stacks of up to plan.offsets (K) marks m steps apart, the first m steps
     after the mark before them: state j of a stack is that mark's state
-    stepped m times by the plan at offset j, all j at once.  spare(count)
-    hands out a stack's buffers on axis 0 and its first multiply writes into
-    them, so at each yield the count states handed out before (work, at
-    mark 0) hold chi: the states at their marks but for the edge factors
-    owed, a row per state (none at mark 0), which a sample applies itself.
-    After the last mark, spare(1) holds the final state.  run applies each
+    stepped m times by the plan at offset j, all j at once.  With a tail
+    plan, the last mark is a stack of its own that the tail plan steps to.
+    spare(count) hands out a stack's buffers on axis 0 and its first
+    multiply writes into them, so at each yield the count states handed out
+    before (work, at mark 0) hold chi: the states at their marks but for the
+    edge factors owed, a row per state (none at mark 0), which a sample
+    applies itself.  After the last mark, spare(1) holds the final state.  run applies each
     transform and multiply (_bring_to).  The buffers carry one zero past the
     grid on the last axis, as the plan's factors along it do: transforms run
     on the grid view, multiplies on the whole buffer.
@@ -992,27 +995,30 @@ def _march(work: np.ndarray, plan: PropagatorPlan, marks: np.ndarray, spare, run
     reps = ["pos"] * len(plan.spec.axes)
     chi, owed, count = work, (), 1  # the latest marks' states, the edge they owe, how many
     marks, s = marks.tolist(), 0
+    last = len(marks) - 1 - bool(tail)  # the last mark plan steps to
     while True:
         src = chi[-1:]  # the state the next steps start from
         if s == len(marks) - 1:  # the final state: the last with the edge it owes applied
             c, sweeps = 1, [tuple(_PhaseGroup(g.rep, g.phase[-1:]) for g in owed)]
         else:
             m, c = marks[s + 1] - marks[s], 1
-            while c < K and s + c + 1 < len(marks) and marks[s + c + 1] - marks[s] == (c + 1) * m:
+            while c < K and s + c < last and marks[s + c + 1] - marks[s] == (c + 1) * m:
                 c += 1
-            if c not in cuts:
-                cuts[c] = tuple(tuple(_PhaseGroup(g.rep, g.phase[:c]) for g in groups)
-                                for groups in (plan.edge, plan.middle))
-            e, u = cuts[c]
+            # the tail's factors are cut and multiplied under a key of their own
+            key, stepper = (c, plan) if s < last else ("tail", tail)
+            if key not in cuts:
+                cuts[key] = tuple(tuple(_PhaseGroup(g.rep, g.phase[:c]) for g in groups)
+                                  for groups in (stepper.edge, stepper.middle))
+            e, u = cuts[key]
             # a step's closing edge and the next one's opening meet as one factor: the
             # row L_count src owes times each L_j, or L_j^2 within a sample interval
-            if owed and (count, c) not in products:
-                products[count, c] = tuple(_PhaseGroup(g.rep, o.phase[-1:] * g.phase)
-                                           for o, g in zip(owed, e))
-            if m > 1 and c not in products:
-                products[c] = tuple(_PhaseGroup(g.rep, g.phase * g.phase) for g in e)
-            sweeps = [(*(products[count, c] if owed else e), *u)]
-            sweeps += [(*products.get(c, ()), *u)] * (m - 1)
+            if owed and (count, key) not in products:
+                products[count, key] = tuple(_PhaseGroup(g.rep, o.phase[-1:] * g.phase)
+                                             for o, g in zip(owed, e, strict=True))
+            if m > 1 and key not in products:
+                products[key] = tuple(_PhaseGroup(g.rep, g.phase * g.phase) for g in e)
+            sweeps = [(*(products[count, key] if owed else e), *u)]
+            sweeps += [(*products.get(key, ()), *u)] * (m - 1)
         if not sweeps[0]:  # a plan with no edge: the final state is a copy
             np.copyto(spare(1), src)
             yield tuple(reps), owed, count
@@ -1106,6 +1112,7 @@ def evolve(
     observers=(),
     *,
     stride: int = 1,
+    tail: tuple | None = None,
 ) -> EvolutionResult:
     """Propagate for t_final, sampling observers, a sequence of (label,
     polynomial) pairs, every `stride` steps.
@@ -1113,12 +1120,15 @@ def evolve(
     The steps and sample points are those of `sample_steps(t_final,
     plan.dt, stride)`, which validates them: t_final must be a whole
     number of |dt| steps (the sign of the plan's dt sets the direction of
-    time), and samples always include t = 0 and the final step.  Raises
-    BoxOverflow if probability mass reaches the box edge at a sample
-    point.  The state goes into the ring by state.write_to, so the run holds
-    its ring, one block's |psi|^2 only if an observer's marginal keeps every
-    axis (_keeps_every_axis), and no copy of the state; an array the state
-    has is left untouched.  plan.dt is the step tau; a plan
+    time), and samples always include t = 0 and the final step.  tail =
+    (plan, exact steps), a run's last interval off the stride as plan_run
+    returns it, steps on from there in the same ring by that plan, sampled
+    once more at its end; times, and a BoxOverflow's t, count from the run's
+    start.  Raises BoxOverflow if probability mass reaches the box edge at a
+    sample point.  The state goes into the ring by state.write_to, so the
+    run holds its ring, one block's |psi|^2 only if an observer's marginal
+    keeps every axis (_keeps_every_axis), and no copy of the state; an array
+    the state has is left untouched.  plan.dt is the step tau; a plan
     stacked over K offsets (compile_exact, for this state's run) steps up to
     K marks at once.  The steps run through a ring of blocks (_ring), each
     state padded by one zero on the last axis, and a helper thread measures
@@ -1129,8 +1139,12 @@ def evolve(
     """
     if state.spec is not plan.spec and state.spec != plan.spec:
         raise ValueError("state and plan use different grids")
-    dt = plan.dt
-    marks, _ = sample_steps(t_final, dt, stride)
+    marks, _ = sample_steps(t_final, plan.dt, stride)
+    times, tail_plan = marks * plan.dt, None
+    if tail is not None:  # one more mark, the tail's steps on
+        tail_plan, steps = tail
+        marks = np.append(marks, marks[-1] + steps)
+        times = np.append(times, times[-1] + steps * tail_plan.dt)
 
     polys = [poly for _, poly in observers]
 
@@ -1157,7 +1171,7 @@ def evolve(
         hit = np.argwhere(rows[:, 1:first] > _BOUNDARY_MASS_LIMIT)
         if len(hit):
             row, axis = hit[0]
-            t = int(marks[sum(map(len, measured)) + row]) * dt
+            t = times[sum(map(len, measured)) + row]
             raise BoxOverflow(
                 f"axis {spec.axes[axis].label!r} holds {rows[row, 1 + axis]:.3e} probability "
                 f"mass within {_BOUNDARY_CELLS} cells of the boundary at t = {t:g}"
@@ -1188,7 +1202,7 @@ def evolve(
     large = 16 * math.prod(spec.shape) > _BLOCK_BYTES  # a complex state's bytes
     run = helper.split if large and len(spec.axes) > 1 else _whole
     try:
-        for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run):
+        for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run, tail_plan):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
                 samplers[reps] = _Sampler(spec, reps, polys, density=density)
             # a stack's owed factors have a row per state: it is a batch of its own
@@ -1209,7 +1223,7 @@ def evolve(
     out = np.concatenate(measured)
     resid = first + len(polys)
     return EvolutionResult(
-        times=marks * dt,
+        times=times,
         labels=tuple(label for label, _ in observers),
         values=out[:, first:resid].copy(),
         imag_residuals=np.abs(out[:, resid:]).max(axis=0),

@@ -423,14 +423,15 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert not (tmp_path / "big").exists()
 
 
-@pytest.mark.parametrize("mode, axes, points, stacked, extra", [
-    ("quantum-quantum", "xq", 64, False, ()), ("hybrid", "xyq", 64, False, ()),
-    ("quantum-quantum", "xq", 256, False, ()), ("hybrid", "xyq", 32, False, ()),
-    ("quantum-quantum", "xq", 64, True, ()), ("hybrid", "xyq", 64, False, ("x*y*q",)),
+@pytest.mark.parametrize("mode, axes, points, stacked, extra, tail", [
+    ("quantum-quantum", "xq", 64, False, (), False), ("hybrid", "xyq", 64, False, (), False),
+    ("quantum-quantum", "xq", 256, False, (), False), ("hybrid", "xyq", 32, False, (), False),
+    ("quantum-quantum", "xq", 64, True, (), False),
+    ("hybrid", "xyq", 64, False, ("x*y*q",), False), ("hybrid", "xyq", 64, False, (), True),
 ], ids=["quantum-quantum-xq", "hybrid-xyq", "quantum-quantum-xq-256", "hybrid-xyq-32",
-        "quantum-quantum-xq-stacked", "hybrid-xyq-full-marginal"])
+        "quantum-quantum-xq-stacked", "hybrid-xyq-full-marginal", "hybrid-xyq-tail"])
 def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, points, stacked,
-                                                                  extra):
+                                                                  extra, tail):
     # a 64^2 (x, q) state is 64 KiB, 8 to each of the ring's two blocks; the
     # 32^3 (512 KiB), 64^3 and 256^2 states go one to a block, and at 256^2 a
     # chirp factor and the sampler's full-grid weight row are as large as the
@@ -438,25 +439,53 @@ def test_grid_memory_estimate_covers_a_run_with_its_sample_blocks(mode, axes, po
     # two steps apart and a one-step tail takes squared edges, whole and
     # partial stacks, and an opening after a partial stack.  K's q*x keeps
     # both axes of (x, q), so a qq sample takes |psi|^2; no default hybrid
-    # observer keeps every axis, and x*y*q does, with a full-grid weight row
+    # observer keeps every axis, and x*y*q does, with a full-grid weight row.
+    # A tail run steps two intervals of 0.2, then its one step of 0.1 by a plan
+    # of its own, whose chirp factors the estimate counts as one more offset
     k = Fraction(1, 5)
+    k_op = benchmark.mode_koopmanian(mode, k)
     spec = GridSpec(tuple(AxisSpec(label, 8.0, points) for label in axes))
     observers = benchmark.default_observers(mode, k)
     observers += [(text, parse_polynomial(text)) for text in extra]
-    need = grid._run_bytes(spec, observers)
+    need = grid._run_bytes(spec, observers, tail)
     t_final, stride = (2.1, 2) if stacked else (0.5, 1)
     tracemalloc.start()
     try:
         packet = (default_moment_state(), round(t_final / 0.1))
-        plan = compile_exact(benchmark.mode_koopmanian(mode, k), spec, 0.1,
-                             packet if stacked else None)
+        plan = compile_exact(k_op, spec, 0.1, packet if stacked else None)
         state = gaussian_state(spec, {}, 1.0 / math.sqrt(2.0))
-        evolve(state, plan, t_final, observers=observers, stride=stride)
+        last = None
+        if tail:
+            last, plan, t_final = (plan, 1), compile_exact(k_op, spec, 0.2), 0.4
+        evolve(state, plan, t_final, observers=observers, stride=stride, tail=last)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert plan.offsets == (6 if stacked else 1)
     assert peak <= need
+
+
+def test_a_run_with_a_tail_interval_peaks_within_its_memory_estimate(capsys, tmp_path,
+                                                                     monkeypatch):
+    # 5 steps of 0.1 at stride 2 on the default 64^3 hybrid grid: two intervals
+    # and a one-step tail, all in one ring, under the estimate plan_run refuses by
+    estimates = []
+    original = grid._run_bytes
+
+    def recording(*args):
+        estimates.append(original(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(grid, "_run_bytes", recording)
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "simulate", "--mode", "hybrid", "--engine", "grid", "--dt", "0.1",
+                         "--stride", "2", "--t-final", "0.5", "--out", str(tmp_path / "tail"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(estimates) == 1
+    assert peak <= estimates[0]
 
 
 def test_classical_mode_via_moments(capsys, tmp_path):
@@ -1421,13 +1450,14 @@ def test_exact_plan_keeps_the_sample_times(capsys, tmp_path, monkeypatch, grid_n
 
 def test_an_off_stride_run_steps_each_interval_length_by_its_own_plan(capsys, tmp_path,
                                                                       monkeypatch):
-    # 25 steps with stride 10: two intervals of tau = 10 dt, one evolve from the
-    # packet; then the last interval of 5 dt, one step from where that run ended
+    # 25 steps with stride 10: one evolve of two intervals of tau = 10 dt from
+    # the packet, whose tail is the last interval of 5 dt, one step in the same ring
     seen = []
     original = cli.evolve
 
     def recording(*args, **kwargs):
-        seen.append((args[1].dt, kwargs["stride"], args[2]))
+        tail_plan, tail_steps = kwargs["tail"]
+        seen.append((args[1].dt, kwargs["stride"], args[2], tail_plan.dt, tail_steps))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "evolve", recording)
@@ -1435,7 +1465,7 @@ def test_an_off_stride_run_steps_each_interval_length_by_its_own_plan(capsys, tm
     code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", "--mean", "q=0.3",
                      "--grid-n", "32", "--dt", "0.01", "--t-final", "0.25", "--out", str(out_dir))
     assert code == 0
-    assert seen == [(0.1, 1, 0.2), (0.05, 1, 0.05)]
+    assert seen == [(0.1, 1, 0.2, 0.05, 1)]
     _, mcols = read_csv(out_dir / "moments.csv")
     _, gcols = read_csv(out_dir / "grid.csv")
     marks, _ = sample_steps(0.25, 0.01, 10)

@@ -933,24 +933,53 @@ def test_a_failing_half_on_the_helper_is_raised_and_the_thread_joined(monkeypatc
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("spec", [_spec3(32), _spec3(64)], ids=["32^3", "64^3"])
-def test_a_large_state_run_holds_two_states(spec):
+@pytest.mark.parametrize("spec, tail", [(_spec3(32), False), (_spec3(64), False),
+                                        (_spec3(64), True)], ids=["32^3", "64^3", "64^3-tail"])
+def test_a_large_state_run_holds_two_states(spec, tail):
     # from gaussian_state on: the two one-state blocks of the ring, each sample
     # measured where it was stepped; the state's factors, squared edge
     # factors, sampler weights, marginals and ufunc buffers stay under 1 MiB.
     # No default hybrid observer keeps every axis, so no sample forms |psi|^2:
     # at 64^3 that half state does not fit, nor does a copy of the initial
-    # state outside the ring.
-    plan = compile_exact(hybrid_koopmanian(K_COUPLING), spec, 0.1)
-    observers = default_observers("hybrid", K_COUPLING)
+    # state outside the ring.  With a tail, plan_run's 5 steps of 0.1 at
+    # stride 2 step their last interval, off the stride, in the same ring.
+    k_op, observers = hybrid_koopmanian(K_COUPLING), default_observers("hybrid", K_COUPLING)
+    args, kwargs = (compile_exact(k_op, spec, 0.1), 0.5), {}
+    if tail:
+        (plan, stride, steps), (last, _, count) = grid.plan_run(
+            k_op, spec, 0.1, 5, 2, default_moment_state(), observers)
+        args, kwargs = (plan, steps * plan.dt), {"stride": stride, "tail": (last, count)}
     tracemalloc.start()
     try:
         state = gaussian_state(spec, {}, WIDTH)
-        evolve(state, plan, 0.5, observers=observers)
+        evolve(state, *args, observers=observers, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 16 * math.prod(spec.shape) + 2**20
+
+
+@pytest.mark.parametrize("mode, spec, packet, count", [
+    ("hybrid", _spec3(32), False, 1), ("quantum-quantum", _qq_spec(32), True, 3),
+], ids=["hybrid-32^3", "quantum-quantum-32^2-stacked"])
+def test_a_tail_steps_on_as_a_second_evolve_from_the_final_state(mode, spec, packet, count):
+    # five intervals of 0.2 by a plan of one offset, or stacked for the packet;
+    # then count steps of 0.05 by the tail plan, sampled once at the end.  The
+    # tail's opening edge fuses with the last interval's closing one, so the
+    # two runs agree to roundoff
+    k_op, observers = mode_koopmanian(mode, K_COUPLING), default_observers(mode, K_COUPLING)
+    plan = compile_exact(k_op, spec, 0.2, (default_moment_state(), 5) if packet else None)
+    tail = (compile_exact(k_op, spec, 0.05), count)
+    state = gaussian_state(spec, {}, WIDTH)
+    one = evolve(state, plan, 1.0, observers, tail=tail)
+    head = evolve(state, plan, 1.0, observers)
+    rest = evolve(head.final_state, tail[0], count * 0.05, observers, stride=count)
+    assert (plan.offsets > 1) == packet
+    assert np.array_equal(one.times, np.append(head.times, head.times[-1] + count * 0.05))
+    for got, first, last in ((one.values, head.values, rest.values),
+                             (one.norms, head.norms, rest.norms)):
+        assert np.max(np.abs(got - np.concatenate([first, last[1:]]))) <= 1e-13
+    assert np.max(np.abs(one.final_state.array - rest.final_state.array)) <= 1e-13
 
 
 def _random_block(spec, states, seed):
