@@ -1121,9 +1121,9 @@ def evolve(
     plan.dt, stride)`, which validates them: t_final must be a whole
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  tail =
-    (plan, exact steps), a run's last interval off the stride as plan_run
-    returns it, steps on from there in the same ring by that plan, sampled
-    once more at its end; times, and a BoxOverflow's t, count from the run's
+    (plan, exact steps), a run's last interval off the stride with plan_run's
+    plan and exact steps for it, steps on from there in the same ring by that
+    plan, sampled once more at its end; times, and a BoxOverflow's t, count from the run's
     start.  Raises BoxOverflow if probability mass reaches the box edge at a
     sample point.  The state goes into the ring by state.write_to, so the
     run holds its ring, one block's |psi|^2 only if an observer's marginal
