@@ -91,7 +91,8 @@ _GRID_NAMES = ("AxisSpec", "GridSpec", "compile_splitting", "evolve", "gaussian_
                "set_workers")
 _GRID_AXES = {"hybrid": ("x", "y", "q"), "quantum-quantum": ("x", "q")}
 _DEFAULT_WIDTH = 1.0 / math.sqrt(2.0)
-_MOMENT_BLOCK = 128  # sample times per moment block, block starts per stacked flow; bounds temporaries
+# sample times per moment block, block starts per stacked flow; bounds temporaries
+_MOMENT_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +142,10 @@ def _merge(args: argparse.Namespace, section: configparser.SectionProxy | None):
             args.__setattr__(dest, _split_config_list(section[key]))
 
 
-def _required(args, name, fallback=None):
+def _required(args, name, fallback):
+    """The option's value, from the command line or the config file, else fallback."""
     value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        if fallback is None:
-            raise ConfigError(f"missing required option --{name}")
-        return fallback
-    return value
+    return fallback if value is None else value
 
 
 def _as_float(value, name) -> float:

@@ -18,15 +18,14 @@ a pair the chirp leaves uncoupled gets no factor.
 Stepping works in place on buffers the engine owns (phases multiplied in
 place, FFTs allowed to overwrite them).  A run holds a ring of two blocks
 of them (one state each from _BLOCK_BYTES up; a stacked plan's run has a
-third), one block's |psi|^2 only if an observer's marginal keeps every
-axis, and no copy of its initial state: gaussian_state's per-axis factors
-are multiplied straight into the ring.
-Each buffer is one element longer
-than the grid on the last axis, and that pad is zero: a 64^3 state's
-leading strides are then 66 560 and 1 040 bytes, not 64 KiB and 1 KiB, so
-the elements of one FFT line along a leading axis no longer share a cache
-set.  Transforms run on the grid view, multiplies on the whole buffer by
-factors compiled padded the same way.  A step applies the plan's edge
+third) and no copy of its initial state: gaussian_state's per-axis factors
+are multiplied straight into the ring.  Its sampler holds a block's |psi|^2
+only if an observer's marginal keeps every axis.  Each buffer is one
+element longer than the grid on the last axis, and that pad is zero: a 64^3
+state's leading strides are then 66 560 and 1 040 bytes, not 64 KiB and
+1 KiB, so the elements of one FFT line along a leading axis no longer share
+a cache set.  Transforms run on the grid view, multiplies on the whole buffer
+by factors compiled padded the same way.  A step applies the plan's edge
 factors, its middle factors, then the edge again.  The edge factors are
 diagonal in one representation, so the closing edge of one step and the
 opening edge of the next are applied as one phase, each edge factor squared
@@ -64,6 +63,7 @@ a half is the same operations on the same elements on either thread.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -695,6 +695,38 @@ def _walk(base: tuple, keys) -> list[tuple]:
                 queue.append(new)
 
 
+def _sample_parts(spec: GridSpec, observers) -> list[tuple]:
+    """What a sample of observers (polynomials) reads: a (key, slot, row) per weight term.
+
+    row(volume), given the cell volume, is the term's weights on the marginal
+    over key ((axis, rep), ...), which add to the output slot's weights there:
+    a fresh array, or for the norm the volume itself.  Slots: the squared norm, the edge mass per axis, each
+    observer's value, then each observer's imaginary residual.  An observer's
+    row is scaled in place, by the volume and then its coefficient.  The list
+    itself allocates nothing and takes no volume, which may overflow.
+    """
+    ndim = len(spec.axes)
+    parts = [(((i, "pos"),), 1 + i, lambda volume, i=i: volume * _edge_cells(spec.shape[i]))
+             for i in range(ndim)]
+    first = 1 + ndim
+
+    def scaled(c, mono, rep, volume):  # c * (values * volume), in the values' own array
+        values = _monomial_values(spec, mono, rep)
+        values *= volume
+        values *= float(c)
+        return values.ravel()
+
+    for o, poly in enumerate(observers):
+        for mono, coeff in poly.monomials():
+            rep = _term_representation(spec, mono)
+            key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
+            for slot, c in ((first + o, coeff.real), (first + len(observers) + o, coeff.imag)):
+                if c:
+                    parts.append((key, slot, functools.partial(scaled, c, mono, rep)))
+    parts.append((parts[0][0], 0, lambda volume: volume))  # the squared norm, off axis 0's marginal
+    return parts
+
+
 class _Sampler:
     """Norm, edge masses and observer expectations from |psi|^2 marginals.
 
@@ -711,47 +743,29 @@ class _Sampler:
     smallest wider marginal owed at the same stop, when there is one; else
     it contracts the state's (re, im) pairs with themselves over the axes it
     drops, so no |psi|^2 is formed.  Only a marginal over every axis is
-    |psi|^2 itself, and it goes into density, float grids on axis 0: evolve
-    shares one block's worth among a run's samplers when its observers need
-    it (_keeps_every_axis); without it the sampler holds one state's, for
-    measure.
+    |psi|^2 itself, and it goes into density, float grids of `states` states
+    (evolve's sampler takes a block's), which the sampler allocates only
+    when one of its keys keeps every axis.
     """
 
-    def __init__(self, spec: GridSpec, base: tuple, observers, *, density=None):
-        ndim, volume = len(spec.axes), spec.cell_volume
-        if density is None and _keeps_every_axis(spec, observers):
-            density = np.empty((1, *spec.shape))
-        self.density = density
+    def __init__(self, spec: GridSpec, base: tuple, observers, *, states: int = 1):
+        ndim = len(spec.axes)
         self.n_last = spec.shape[-1]  # a block padded past it on the last axis is cut to it
         self.n_outputs = 1 + ndim + 2 * len(observers)
-        # A part (key, slot, row) adds row() to an output slot's weights on the
-        # marginal over key ((axis, rep), ...).  Slots: the squared norm, the
-        # edge mass per axis, each observer's value, then each observer's
-        # imaginary residual.
-        parts = []
-        for i in range(ndim):
-            near = _edge_cells(spec.shape[i])
-            parts.append((((i, "pos"),), 1 + i, lambda near=near: volume * near))
-        first = 1 + ndim
-        for o, poly in enumerate(observers):
-            for mono, coeff in poly.monomials():
-                rep = _term_representation(spec, mono)
-                key = tuple((i, r) for i, r in enumerate(rep) if r is not None)
-                for slot, c in ((first + o, coeff.real), (first + len(observers) + o, coeff.imag)):
-                    if c:
-                        parts.append((key, slot, lambda c=float(c), mono=mono, rep=rep:
-                                      c * (_monomial_values(spec, mono, rep) * volume).ravel()))
-        parts.append((parts[0][0], 0, lambda: volume))  # the squared norm, off axis 0's marginal
+        parts = _sample_parts(spec, observers)
         index: dict[tuple, dict[int, int]] = {}  # key -> slot -> its row in the key's weights
         for key, slot, _ in parts:
             index.setdefault(key, {}).setdefault(slot, len(index[key]))
         weights = {key: np.zeros((len(rows), math.prod(spec.shape[i] for i, _ in key)))
                    for key, rows in index.items()}
-        with np.errstate(over="ignore", invalid="ignore"):  # a weight beyond the float
-            for key, slot, row in parts:  # range shows as a non-finite output
-                weights[key][index[key][slot]] += row()
-
+        with np.errstate(over="ignore", invalid="ignore"):  # a volume or weight beyond the
+            volume = spec.cell_volume  # float range shows as a non-finite output
+            for key, slot, row in parts:
+                weights[key][index[key][slot]] += row(volume)
         keys = list(index)
+        # |psi|^2 of `states` states, allocated after the rows: one over every axis is as large
+        self.density = (np.empty((states, *spec.shape))
+                        if any(len(key) == ndim for key in keys) else None)
         path = _walk(tuple(base), keys)
         cover = next(c for size in range(1, len(path) + 1)
                      for c in itertools.combinations(path, size)
@@ -803,7 +817,7 @@ class _Sampler:
                 for source, how, slots, weights in reductions:
                     if source is not None:
                         marginal = np.sum(marginals[source], axis=how)
-                    elif how is None:  # every axis: |psi|^2, into the run's one buffer
+                    elif how is None:  # every axis: |psi|^2, into the sampler's buffer
                         marginal = np.abs(block, out=self.density[:len(block)])
                         np.square(marginal, out=marginal)
                     else:
@@ -825,13 +839,6 @@ def _contraction(ndim: int, kept) -> str:
     every grid axis not in kept: the block's marginal over kept, per state."""
     letters = string.ascii_lowercase[:ndim + 1]  # the block's axis 0, then the grid's
     return f"{letters},{letters}->a" + "".join(letters[i + 1] for i in sorted(kept))
-
-
-def _keeps_every_axis(spec: GridSpec, observers) -> bool:
-    """Whether a sample of observers (polynomials) reads |psi|^2 itself: an observer's
-    monomial, or in one dimension an edge mass, keeps every axis of spec."""
-    return len(spec.axes) == 1 or any(None not in _term_representation(spec, mono)
-                                      for poly in observers for mono, _ in poly.monomials())
 
 
 def grid_expectation(state: GridState, a: OperatorPolynomial) -> Expectation:
@@ -899,35 +906,30 @@ def _run_bytes(spec: GridSpec, observers, tail: bool = False) -> int:
 
     What the run holds: the blocks of evolve's ring for a plan stacked over
     a block's states (_ring), each ring state at (n + 1) / n of the grid's
-    complex state for its pad; one block's |psi|^2, held for the whole run,
-    only if a marginal keeps every axis (_keeps_every_axis); a marginal over
-    every proper subset of the axes, and the largest one twice more, as
-    einsum's (re, im) output; no copy of the initial state, whose factors
-    and their product over every axis but the last are counted instead.
-    Per axis pair and offset, and once more for a tail plan: an edge and a
-    middle chirp factor, a stack's opening and a squared edge.  A ufunc
-    buffer per thread.  The sampler's stacked weights, a row per monomial
-    part on its marginal plus edge and norm rows, and two rows in flight
-    while they are built.
+    complex state for its pad; the sampler's block of |psi|^2, held for the
+    whole run, only if a part of the sample (_sample_parts) keeps every axis;
+    a marginal over every proper subset of the axes, and the largest one
+    twice more, as einsum's (re, im) output; no copy of the initial state,
+    whose factors and their product over every axis but the last are counted
+    instead.  Per axis pair and offset, and once more for a tail plan: an
+    edge and a middle chirp factor, a stack's opening and a squared edge.  A
+    ufunc buffer per thread.  The sampler's weights, a row on its marginal
+    per part of the sample, and one row in flight while they are built.
     """
     size, last = math.prod(spec.shape), spec.shape[-1]
     blocks, per_block, _ = _ring(spec, _block_states(spec))
     marginals = sum(math.prod(c) for r in range(len(spec.shape))
                     for c in itertools.combinations(spec.shape, r))
-    whole = _keeps_every_axis(spec, [poly for _, poly in observers])
+    keys = [key for key, _, _ in _sample_parts(spec, [poly for _, poly in observers])]
+    rows = [math.prod(spec.shape[i] for i, _ in key) for key in keys]
+    whole = any(len(key) == len(spec.axes) for key in keys)
     need = 16 * blocks * per_block * size // last * (last + 1)
     need += 8 * (per_block * (size * whole + marginals + 2 * size // min(spec.shape))
                  + size // last + sum(spec.shape))
     big = max(spec.shape)
     chirps = 4 * (per_block + tail) * max(1, math.comb(len(spec.axes), 2)) * big * (big + 1)
     need += 16 * (chirps + 2 * np.getbufsize())
-    rows = [max(spec.shape)] * (len(spec.axes) + 1)
-    for _, poly in observers:
-        for mono, coeff in poly.monomials():
-            rep = _term_representation(spec, mono)
-            marginal = math.prod(n for n, r in zip(spec.shape, rep) if r is not None)
-            rows += [marginal] * ((coeff.real != 0) + (coeff.imag != 0))
-    return need + 8 * (sum(rows) + 2 * max(rows))
+    return need + 8 * (sum(rows) + max(rows))
 
 
 def plan_run(k_op: OperatorPolynomial, spec: GridSpec, dt: float, steps: int, stride: int,
@@ -1121,14 +1123,15 @@ def evolve(
     plan.dt, stride)`, which validates them: t_final must be a whole
     number of |dt| steps (the sign of the plan's dt sets the direction of
     time), and samples always include t = 0 and the final step.  tail =
-    (plan, exact steps), a run's last interval off the stride with plan_run's
-    plan and exact steps for it, steps on from there in the same ring by that
-    plan, sampled once more at its end; times, and a BoxOverflow's t, count from the run's
-    start.  Raises BoxOverflow if probability mass reaches the box edge at a
-    sample point.  The state goes into the ring by state.write_to, so the
-    run holds its ring, one block's |psi|^2 only if an observer's marginal
-    keeps every axis (_keeps_every_axis), and no copy of the state; an array
-    the state has is left untouched.  plan.dt is the step tau; a plan
+    (plan, exact steps), a run's last interval off the stride with
+    plan_run's plan and exact steps for it, steps on from there in the same
+    ring by that plan, sampled once more at its end; times, and a
+    BoxOverflow's t, count from the run's start.  Raises BoxOverflow if
+    probability mass reaches the box edge at a sample point.  The state goes
+    into the ring by state.write_to, so the run holds its ring, a sampler
+    per representation it samples in (each with a block's |psi|^2 only if
+    an observer's marginal keeps every axis), and no copy of the state; an
+    array the state has is left untouched.  plan.dt is the step tau; a plan
     stacked over K offsets (compile_exact, for this state's run) steps up to
     K marks at once.  The steps run through a ring of blocks (_ring), each
     state padded by one zero on the last axis, and a helper thread measures
@@ -1157,8 +1160,6 @@ def evolve(
     ring, per_block, slot = _ring(spec, plan.offsets, len(marks))
     blocks = [np.zeros((per_block, *spec.shape[:-1], n + 1), dtype=complex)
               for _ in range(ring)]
-    # |psi|^2 of a batch, for every sampler, if a sample reads a marginal over every axis
-    density = np.empty((per_block, *spec.shape)) if _keeps_every_axis(spec, polys) else None
     samplers: dict[tuple, _Sampler] = {}
     measured: list = []  # each checked batch's rows
     posted = [0] * len(blocks)  # per block, the batches posted up to its last one
@@ -1204,7 +1205,7 @@ def evolve(
     try:
         for reps, owed, count in _march(at(slot)[:1], plan, marks, spare, run, tail_plan):
             if reps not in samplers:  # an observer the grid cannot sample fails here, at once
-                samplers[reps] = _Sampler(spec, reps, polys, density=density)
+                samplers[reps] = _Sampler(spec, reps, polys, states=per_block)
             # a stack's owed factors have a row per state: it is a batch of its own
             if filled and (reps != base[0] or owed is not base[1] or count > 1):
                 submit(slot - count)

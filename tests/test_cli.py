@@ -244,6 +244,15 @@ def test_simulate_grid_engine(capsys, tmp_path):
     assert np.max(np.abs(snapshots["xy"].sum(axis=1) * dy - snapshots["x"])) <= 1e-12
 
 
+def test_a_false_snapshot_writes_no_marginal(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "simulate", "--engine", "grid", "--t-final", "0.1",
+                     "--snapshot", "false", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "grid.csv").exists()
+    assert not list(out_dir.glob("marginal-*.bin"))
+
+
 def test_snapshots_of_the_strided_final_state_match_a_contiguous_copy(capsys, tmp_path,
                                                                      monkeypatch):
     # evolve's final state is a strided view into its padded ring, not a copy
@@ -946,6 +955,20 @@ def test_engine_config_error_writes_nothing(capsys, tmp_path, flags, message):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--stride", "abc"], "--stride expects an integer"),
+    (["simulate", "--engine", "nonsense"], "unknown engine"),
+    (["simulate", "--snapshot", "maybe"], "not a boolean"),
+    (["report"], "report needs at least one run directory"),
+], ids=["stride-not-an-integer", "unknown-engine", "snapshot-not-a-boolean", "report-no-runs"])
+def test_a_malformed_option_exits_2_and_writes_nothing(capsys, tmp_path, argv, message):
+    out_dir = tmp_path / "none"
+    code, _, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("configuration error: ") and message in err
+    assert not out_dir.exists()
+
+
 def test_compare_records_that_it_ran_both_engines(capsys, tmp_path):
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", "--grid-n", "32",
@@ -1280,6 +1303,29 @@ def test_compare_classifies_once_and_reads_no_csv(capsys, tmp_path, monkeypatch)
     assert summary["observables"]
     for name, deviation in summary["observables"].items():
         assert deviation == float(np.max(np.abs(mcols[name] - gcols[name])))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: no rule refuses a grid too coarse for its state "
+                   "(the momentum box), so such a compare exits 0 with a wrong grid")
+@pytest.mark.parametrize("flags", [
+    # its largest deviation is q2's, 5.07e-2
+    ["--k", "0.2", "--dt", "0.01", "--t-final", "100", "--stride", "10", "--grid-n", "16",
+     "--grid-l", "8", "--mean", "x=0.05", "--mean", "q=0.02"],
+    # CI's own command: its largest deviation is q2's, 1.04e-3, already at t = 0
+    ["--grid-n", "16", "--t-final", "0.1"],
+], ids=["qq-16-t100", "qq-16-ci"])
+def test_a_compare_that_exits_0_agrees_to_each_columns_scale(capsys, tmp_path, flags):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "compare", "--mode", "quantum-quantum", *flags,
+                     "--out", str(out_dir))
+    assert code in (0, 2)
+    if code == 0:  # a refused run is no silent wrong answer
+        _, mcols = read_csv(out_dir / "moments.csv")
+        _, gcols = read_csv(out_dir / "grid.csv")
+        for name in sorted(set(mcols) & set(gcols) - {"t"}):
+            scale = max(1.0, float(np.max(np.abs(mcols[name]))))
+            assert np.max(np.abs(mcols[name] - gcols[name])) <= 1e-6 * scale, name
 
 
 @pytest.mark.parametrize("argv, claims", [

@@ -1010,8 +1010,7 @@ _SAMPLED_BLOCKS = pytest.mark.parametrize("mode, spec, states, extra", [
 
 def _block_sampler(mode, spec, states, extra):
     polys = [poly for _, poly in default_observers(mode, K_COUPLING)] + [parse_polynomial(extra)]
-    sampler = _Sampler(spec, ("pos",) * len(spec.axes), polys,
-                       density=np.empty((states, *spec.shape)))
+    sampler = _Sampler(spec, ("pos",) * len(spec.axes), polys, states=states)
     return polys, sampler
 
 
@@ -1040,7 +1039,7 @@ def test_a_sample_block_never_reads_its_pad(mode, spec, states, extra):
 
 
 def test_a_sample_batch_allocates_no_density():
-    # a run's sampler writes |psi|^2 into the one buffer evolve gives it, so a
+    # a sampler writes |psi|^2 into the one buffer it holds, so a
     # batch after the first allocates only ufunc buffers and marginals, well
     # under a quarter of the 2 MiB density of one 64^3 state; x*y*q keeps
     # every axis, so the sample takes |psi|^2
@@ -1048,8 +1047,7 @@ def test_a_sample_batch_allocates_no_density():
     n = spec.shape[-1]
     polys = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
     polys.append(parse_polynomial("x*y*q"))
-    sampler = _Sampler(spec, ("pos",) * 3, polys,
-                       density=np.empty((1, *spec.shape)))
+    sampler = _Sampler(spec, ("pos",) * 3, polys)
     blocks = [np.zeros((1, *spec.shape[:-1], n + 1), dtype=complex) for _ in range(2)]
     for block in blocks:
         block[0, ..., :n] = gaussian_state(spec, {"x": 0.3}, WIDTH).array
@@ -1062,6 +1060,25 @@ def test_a_sample_batch_allocates_no_density():
         tracemalloc.stop()
     np.testing.assert_array_equal(second, first)
     assert peak < 512 * 1024
+
+
+def test_a_sampler_builds_its_weights_without_full_grid_copies():
+    # x*y*q's weight row spans the 64^3 grid (2 MiB), as does the |psi|^2
+    # buffer it makes the sampler hold: each row is scaled in the array it
+    # was computed in, and the buffer comes after the rows are freed, so the
+    # peak is what the sampler holds plus small per-axis factors
+    spec = _spec3(64)
+    polys = [poly for _, poly in default_observers("hybrid", K_COUPLING)]
+    polys.append(parse_polynomial("x*y*q"))
+    tracemalloc.start()
+    try:
+        sampler = _Sampler(spec, ("pos",) * 3, polys)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler.density.shape == (1, *spec.shape)
+    assert held > 2 * 8 * math.prod(spec.shape)
+    assert peak - held <= 512 * 1024
 
 
 def test_a_stacked_run_copies_no_factor_of_its_plan():
