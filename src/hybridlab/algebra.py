@@ -22,6 +22,8 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 __all__ = [
+    "InputRefused",
+    "RunFailed",
     "AlgebraError",
     "ShiftOperatorPresent",
     "UnsupportedMixing",
@@ -43,7 +45,15 @@ __all__ = [
 ]
 
 
-class AlgebraError(Exception):
+class InputRefused(ValueError):
+    """An input hybridlab refuses; the CLI prints it and exits 2."""
+
+
+class RunFailed(Exception):
+    """A run whose numbers left the range where they hold; the CLI prints it and exits 1."""
+
+
+class AlgebraError(InputRefused):
     """Base class for algebra-level failures."""
 
 

@@ -3,8 +3,9 @@
 Subcommands: derive, nogo, spectrum, simulate, compare, report.  Options
 may come from a config file (INI-style, one section per subcommand, keys
 named like the long flags); explicit flags win over the file.  Exit codes:
-0 success, 1 runtime failure (for example a BoxOverflow mid-run) or
-internal error, 2 configuration error.
+0 success; 1 runtime failure (a RunFailed, for example a BoxOverflow
+mid-run), i/o failure or internal error; 2 configuration error (an
+InputRefused).
 
 main(argv) may be called any number of times in one process: the parser is
 built on the first call and reused, and each call parses into a fresh
@@ -36,24 +37,17 @@ import numpy as np
 from . import benchmark, moments
 from .algebra import (
     GENERATOR_NAMES,
+    InputRefused,
     OperatorPolynomial,
-    ShiftOperatorPresent,
-    UnsupportedMixing,
+    RunFailed,
     generator,
     heisenberg_rhs,
     hybridize,
     nogo_witness,
 )
-from .expressions import (
-    ExpressionError,
-    ParameterBinding,
-    parse_polynomial,
-)
+from .expressions import ParameterBinding, parse_polynomial
 from .moments import (
-    DegreeTooHigh,
     InsufficientData,
-    MomentOverflow,
-    NonlinearDynamics,
     _apply_flow,
     _flow_with_drift,
     classify_spectrum,
@@ -74,18 +68,19 @@ from .reporting import (
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(InputRefused):
+    """An option or config value the CLI refuses."""
 
 
-class NonFiniteOutput(Exception):
+class NonFiniteOutput(RunFailed):
     """An engine computed a column value that is not a finite float."""
 
 
 # The grid's names this module uses, bound by _load_grid on a grid run's first need, so a
-# derive, nogo, spectrum, report or moment-only run never imports the grid.  perfbench's
-# tracer reads and wraps them as cli attributes (module __getattr__ below), compile_splitting,
-# marginal_density and set_workers included, which are not called here.
+# derive, nogo, spectrum, report or moment-only run never imports the grid.  No exception
+# class is among them: main catches the grid's by their families, RunFailed and InputRefused.
+# perfbench's tracer reads and wraps them as cli attributes (module __getattr__ below),
+# compile_splitting, marginal_density and set_workers included, which are not called here.
 _GRID_NAMES = ("AxisSpec", "GridSpec", "compile_splitting", "evolve", "gaussian_state",
                "marginal_densities", "marginal_density", "plan_run", "save_snapshot",
                "set_workers")
@@ -241,10 +236,7 @@ def _binding(args, k: Fraction, numeric: bool = True) -> ParameterBinding:
         params[name] = _parse_fraction(value)
         if numeric:
             _check_float_range([params[name]], f"--param {name} is too large for a float: {value}")
-    try:
-        return ParameterBinding(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ParameterBinding(params)
 
 
 def _explicit_generator(args, binding: ParameterBinding) -> OperatorPolynomial | None:
@@ -260,18 +252,6 @@ def _explicit_generator(args, binding: ParameterBinding) -> OperatorPolynomial |
     if ham is not None:
         return hybridize(parse_polynomial(ham, binding))
     return None
-
-
-def _spectrum_summary(report) -> str:
-    parts = []
-    for line in report.lines:
-        ev = line.eigenvalue
-        parts.append(
-            f"{ev.real:+.6g}{ev.imag:+.6g}i (alg {line.algebraic}, "
-            f"geo {line.geometric}, chain {line.chain})"
-        )
-    tail = "secular growth" if report.secular else "no secular growth"
-    return "; ".join(parts) + "; " + tail
 
 
 def _observer_list(args, mode: str, k: Fraction, binding: ParameterBinding, koopmanian):
@@ -319,6 +299,7 @@ def _simulation_settings(args):
     means = {name: _as_float(value, "mean")
              for name, value in _parse_pairs(args.mean, "--mean").items()}
     out_dir = _required(args, "out", "hybridlab-run")
+    snapshot = _parse_bool(_required(args, "snapshot", False))
     _parse_bool(_required(args, "deterministic", False))  # validated; runs are always reproducible
     binding = _binding(args, k)
     for name, value in binding.items():
@@ -350,7 +331,7 @@ def _simulation_settings(args):
         out_dir=out_dir,
         observers=observers,
         times=marks * dt,
-        snapshot=_parse_bool(_required(args, "snapshot", False)),
+        snapshot=snapshot,
         config_echo={
             "mode": mode,
             "k": _exact_str(k),
@@ -479,7 +460,6 @@ def _run_engines(settings) -> list[tuple[dict, dict]]:
     os.makedirs(out_dir, exist_ok=True)
     spectrum_path = os.path.join(out_dir, "spectrum.json")
     write_json(spectrum_path, spectrum.to_dict())
-    spectrum_summary = _spectrum_summary(spectrum)
     runs = []
     for engine, (columns, extra, snapshot_state, seconds) in tables.items():
         t0 = time.perf_counter()
@@ -493,7 +473,6 @@ def _run_engines(settings) -> list[tuple[dict, dict]]:
             "engine": engine,
             "csv_path": csv_path,
             "spectrum_path": spectrum_path,
-            "spectrum_summary": spectrum_summary,
             "wall_seconds": seconds + time.perf_counter() - t0,
             **numbers[engine],
             **extra,
@@ -726,30 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's exit-1 and exit-2 exception classes; _load_grid adds the grid's, which no run
-# can raise before it has loaded the grid.
-_RUNTIME_EXIT_1 = (MomentOverflow, NonFiniteOutput)
-_CONFIG_EXIT_2 = (
-    ConfigError,
-    ExpressionError,
-    UnsupportedMixing,
-    ShiftOperatorPresent,
-    NonlinearDynamics,
-    DegreeTooHigh,
-)
-
-
 def _load_grid() -> None:
     """Import the grid and bind _GRID_NAMES here, keeping a name a caller has already set."""
-    global _RUNTIME_EXIT_1, _CONFIG_EXIT_2
     from . import grid
 
     for name in _GRID_NAMES:
         globals().setdefault(name, getattr(grid, name))
-    if grid.BoxOverflow not in _RUNTIME_EXIT_1:
-        _RUNTIME_EXIT_1 += (grid.BoxOverflow,)
-        _CONFIG_EXIT_2 += (grid.NonSplittableTerm, grid.RunTooLarge, grid.UnknownAxis,
-                           grid.OutOfBox)
 
 
 def __getattr__(name: str):
@@ -785,10 +746,10 @@ def main(argv=None) -> int:
             section = reader[args.command] if reader.has_section(args.command) else None
             _merge(args, section)
         return args.func(args)
-    except _RUNTIME_EXIT_1 as exc:
+    except RunFailed as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    except _CONFIG_EXIT_2 as exc:
+    except InputRefused as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

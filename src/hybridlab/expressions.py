@@ -29,6 +29,7 @@ from typing import Mapping
 from .algebra import (
     GENERATOR_NAMES,
     ComplexRational,
+    InputRefused,
     OperatorPolynomial,
     constant,
     generator,
@@ -46,7 +47,7 @@ __all__ = [
 _RESERVED = set(GENERATOR_NAMES) | {"i"}
 
 
-class ExpressionError(ValueError):
+class ExpressionError(InputRefused):
     """Expression-level failure; carries a source location when known."""
 
     def __init__(self, message: str, *, source: str | None = None, pos: int | None = None):
@@ -120,7 +121,8 @@ class ParameterBinding(Mapping):
 
     Built from one mapping; values are coerced to ComplexRational, and
     floats are read at their repr, so ParameterBinding({"k": 0.2}) binds k
-    to exactly 1/5.
+    to exactly 1/5.  A name that is not an identifier, or that is one of
+    the generators or i, raises InputRefused.
     """
 
     __slots__ = ("_values",)
@@ -129,9 +131,9 @@ class ParameterBinding(Mapping):
         out: dict[str, ComplexRational] = {}
         for name, value in values.items():
             if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-                raise ValueError(f"parameter name {name!r} is not a valid identifier")
+                raise InputRefused(f"parameter name {name!r} is not a valid identifier")
             if name in _RESERVED:
-                raise ValueError(f"parameter name {name!r} collides with a reserved symbol")
+                raise InputRefused(f"parameter name {name!r} collides with a reserved symbol")
             out[name] = ComplexRational.coerce(value)
         self._values = out
 

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GENERATOR_NAMES, OperatorPolynomial
+from .algebra import GENERATOR_NAMES, InputRefused, OperatorPolynomial, RunFailed
 from .moments import _count_text, expm, sample_steps
 from .observables import Expectation, FiniteDensity
 from .reporting import write_atomic
@@ -114,25 +114,25 @@ _BOUNDARY_CELLS = 2
 _BOUNDARY_MASS_LIMIT = 1e-6
 
 
-class OutOfBox(Exception):
+class OutOfBox(InputRefused):
     """A requested state does not fit well inside the periodic box."""
 
 
-class NonSplittableTerm(Exception):
+class NonSplittableTerm(InputRefused):
     """A monomial needs both representations of one axis, or is not a
     real-coefficient term (its phase would not be unitary); or K has no
     exact plan at this step."""
 
 
-class UnknownAxis(Exception):
+class UnknownAxis(InputRefused):
     """An axis label or generator has no axis in the grid."""
 
 
-class BoxOverflow(Exception):
+class BoxOverflow(RunFailed):
     """Probability mass reached the box boundary; the run is unreliable."""
 
 
-class RunTooLarge(Exception):
+class RunTooLarge(InputRefused):
     """A run would take more exact steps, or more bytes, than it may."""
 
 

@@ -22,7 +22,9 @@ from .algebra import (
     GENERATOR_NAMES,
     GENERATORS,
     CONJUGATE_PAIRS,
+    InputRefused,
     OperatorPolynomial,
+    RunFailed,
     generator,
     heisenberg_rhs,
     partial_derivative,
@@ -51,7 +53,7 @@ __all__ = [
 
 _DIM = 6
 
-class NonlinearDynamics(Exception):
+class NonlinearDynamics(InputRefused):
     """The Heisenberg flow of a basis element leaves the affine span."""
 
     def __init__(self, basis_label: str, residual: OperatorPolynomial):
@@ -63,15 +65,15 @@ class NonlinearDynamics(Exception):
         )
 
 
-class DegreeTooHigh(Exception):
+class DegreeTooHigh(InputRefused):
     """Observable degree exceeds what a MomentState determines."""
 
 
-class InsufficientData(Exception):
+class InsufficientData(InputRefused):
     """Too few samples or oscillation periods for an envelope fit."""
 
 
-class MomentOverflow(Exception):
+class MomentOverflow(RunFailed):
     """The propagated moments left the float range; the run is unreliable."""
 
 

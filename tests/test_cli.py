@@ -88,6 +88,17 @@ def test_derive_parse_error_is_config_error(capsys):
     assert "column 4" in err
 
 
+@pytest.mark.parametrize("hamiltonian, column, message", [
+    ("q^2.5", 3, "exponent must be an integer"),
+    ("q^(2.5)", 4, "exponent must be an integer"),
+    ("q^(2", 5, "expected ')' after exponent"),
+])
+def test_a_malformed_exponent_exits_2_at_its_column(capsys, hamiltonian, column, message):
+    code, out, err = run(capsys, "derive", "--hamiltonian", hamiltonian)
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: line 1, column {column}: {message}\n"
+
+
 # -- nogo --------------------------------------------------------------------
 
 
@@ -430,6 +441,20 @@ def test_grid_beyond_physical_memory_exits_2_before_allocating(capsys, tmp_path,
     assert match and int(match.group(1)) >= 16 * 4096**3
     assert "bytes of physical memory" in err
     assert not (tmp_path / "big").exists()
+
+
+@pytest.mark.parametrize("flag", ["--snapshot", "--deterministic"])
+def test_a_malformed_boolean_exits_2_before_any_grid_work(capsys, tmp_path, monkeypatch, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid engine started")
+
+    monkeypatch.setattr(grid, "compile_exact", refuse)
+    monkeypatch.setattr(cli, "gaussian_state", refuse)
+    code, _, err = run(capsys, "simulate", "--engine", "grid", "--t-final", "0.1", flag, "maybe",
+                       "--out", str(tmp_path / "none"))
+    assert code == 2
+    assert err == "configuration error: not a boolean: 'maybe'\n"
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("mode, axes, points, stacked, extra, tail", [
@@ -960,7 +985,10 @@ def test_engine_config_error_writes_nothing(capsys, tmp_path, flags, message):
     (["simulate", "--engine", "nonsense"], "unknown engine"),
     (["simulate", "--snapshot", "maybe"], "not a boolean"),
     (["report"], "report needs at least one run directory"),
-], ids=["stride-not-an-integer", "unknown-engine", "snapshot-not-a-boolean", "report-no-runs"])
+    (["simulate", "--param", "q=1"], "parameter name 'q' collides with a reserved symbol"),
+    (["simulate", "--param", "2a=1"], "parameter name '2a' is not a valid identifier"),
+], ids=["stride-not-an-integer", "unknown-engine", "snapshot-not-a-boolean", "report-no-runs",
+        "param-reserved", "param-not-an-identifier"])
 def test_a_malformed_option_exits_2_and_writes_nothing(capsys, tmp_path, argv, message):
     out_dir = tmp_path / "none"
     code, _, err = run(capsys, *argv, "--out", str(out_dir))
@@ -1246,6 +1274,15 @@ def test_internal_error_exits_1(capsys, tmp_path, monkeypatch):
     assert "internal error: ValueError: engine bug" in err
     assert "configuration error" not in err
     assert "Traceback" not in err
+
+
+def test_an_out_directory_under_a_regular_file_exits_1(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, "simulate", "--t-final", "0.1", "--out",
+                       str(tmp_path / "file" / "sub"))
+    assert code == 1
+    assert err.startswith("i/o failure: ")
+    assert "internal error" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -859,6 +859,31 @@ def test_box_overflow_matches_the_serial_reference(spec, mode, means, widths, ov
     assert threading.active_count() == threads
 
 
+def _breathing_run(compile_plan, stride):
+    # a q-only oscillator at frequency 1/2 whose squeezed packet swells toward the box's
+    # edge and back: over the edge-mass limit near t = 1.68, inside it again by t = 6.28
+    spec = GridSpec((AxisSpec("q", 6.5, 32),))
+    plan = compile_plan(parse_polynomial("p^2/2 + q^2/8"), spec, 0.01)
+    return evolve(gaussian_state(spec, {}, WIDTH), plan, 6.28, stride=stride)
+
+
+@pytest.mark.parametrize("compile_plan", [compile_exact, compile_splitting],
+                         ids=["exact", "strang"])
+def test_a_breathing_packet_overflows_when_every_step_is_sampled(compile_plan):
+    with pytest.raises(BoxOverflow, match=r"holds 1\.034e-06 .* at t = 1\.68$"):
+        _breathing_run(compile_plan, 1)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 3: the box is checked only at sample times, so a run "
+                   "sampled at t = 6.28 alone never sees the overflow at t = 1.68; whether a "
+                   "run overflows must not depend on the sampling stride")
+def test_a_breathing_packet_overflows_at_any_stride():
+    for compile_plan in (compile_exact, compile_splitting):
+        with pytest.raises(BoxOverflow):
+            _breathing_run(compile_plan, 628)
+
+
 def test_worker_failure_is_raised_and_the_thread_joined(monkeypatch):
     measure_block = grid._Sampler.measure_block
     seen = []

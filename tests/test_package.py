@@ -136,6 +136,43 @@ assert cli.evolve is originals["evolve"] is hybridlab.grid.evolve
     assert (tmp_path / "restored" / "compare.csv").exists()
 
 
+def test_cli_resolves_a_grid_name_read_before_any_grid_run():
+    # the module __getattr__ perfbench's tracer relies on: it reads cli.evolve first
+    then = """
+cli = hybridlab.cli
+assert "hybridlab.grid" not in sys.modules
+evolve = cli.evolve
+import hybridlab.grid
+assert evolve is hybridlab.grid.evolve
+try:
+    cli.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("cli.no_such_name resolved")
+"""
+    assert _loaded_by_cli_import("hybridlab.grid", then)
+
+
+def test_each_exception_that_can_reach_main_is_in_one_family():
+    # main exits 1 on a RunFailed and 2 on an InputRefused, and names no other class
+    from hybridlab import InputRefused, RunFailed, cli, observables
+
+    classes = [cli.ConfigError, cli.NonFiniteOutput]
+    for name in ("algebra", "expressions", "moments", "grid"):
+        module = importlib.import_module(f"hybridlab.{name}")
+        classes += [value for value in map(module.__dict__.get, module.__all__)
+                    if isinstance(value, type) and issubclass(value, BaseException)]
+    assert len(classes) == 20
+    for cls in classes:
+        assert issubclass(cls, InputRefused) != issubclass(cls, RunFailed), cls
+    assert sorted(cls.__name__ for cls in classes if issubclass(cls, RunFailed)) == [
+        "BoxOverflow", "MomentOverflow", "NonFiniteOutput", "RunFailed"]
+    assert issubclass(hybridlab.ExpressionError, ValueError)
+    for cls in (observables.DimensionMismatch, observables.NonHermitianObservable):
+        assert not issubclass(cls, (InputRefused, RunFailed)), cls
+
+
 def _imported_modules(path: Path) -> list[tuple[str, int]]:
     """(top-level module, level) for every import statement in a source file."""
     found = []
